@@ -5,6 +5,14 @@ Every mu candidate evaluated here corresponds to an explicitly feasible
 perturbation, so the returned estimates are valid one-sided bounds no
 matter how well the search does.  Nothing in this module calls into the
 scaling/partial-isometry machinery it is meant to check.
+
+Draws are taken ``_CHUNK`` at a time: one ``standard_normal`` call fills
+a chunk row by row, each row holding one draw in packed order (see
+:class:`_Layout`), so the random stream is the same as drawing block by
+block.  ``brute_force_mu`` evaluates a whole chunk with stacked SVDs, one
+batched product and one batched ``eigvals``, and keeps only the running
+best candidates.  The chunk size, not the budget, bounds the working
+memory.
 """
 
 from __future__ import annotations
@@ -20,6 +28,9 @@ from .reduction import BlockStructure, Scenario, assemble_perturbation
 from .rosenbrock import RosenbrockSystem, evaluate, is_eigenvalue
 
 _TINY = 1e-300
+# Draws evaluated together; the chunk's arrays are the sampling phase's
+# working memory whatever the budget.
+_CHUNK = 512
 
 
 @dataclass
@@ -31,32 +42,62 @@ class OracleEstimate:
     samples_used: int
 
 
-def _normalize_blocks(blocks) -> list[np.ndarray]:
-    scale = max(np.linalg.norm(b, 2) for b in blocks)
-    if scale <= _TINY:
-        return [np.zeros_like(b) for b in blocks]
-    return [b / scale for b in blocks]
+class _Layout:
+    """Packing of complex blocks into one real vector x.
+
+    Block after block, x holds the row-major real parts of a block and
+    then its imaginary parts.  ``flat`` gathers the complex entries of all
+    blocks in that block order; ``blocks`` cuts them back into matrices.
+    Both accept a leading stack axis.
+    """
+
+    def __init__(self, shapes):
+        self.shapes = list(shapes)
+        re, im, self.slices, off = [], [], [], 0
+        for p, k in self.shapes:
+            cnt = p * k
+            re.append(np.arange(2 * off, 2 * off + cnt))
+            im.append(np.arange(2 * off + cnt, 2 * off + 2 * cnt))
+            self.slices.append(slice(off, off + cnt))
+            off += cnt
+        self.re = np.concatenate(re)
+        self.im = np.concatenate(im)
+        self.n_x = 2 * off
+
+    def flat(self, x: np.ndarray) -> np.ndarray:
+        return x[..., self.re] + 1j * x[..., self.im]
+
+    def blocks(self, z: np.ndarray) -> list[np.ndarray]:
+        lead = z.shape[:-1]
+        return [z[..., s].reshape(*lead, p, k) for s, (p, k) in zip(self.slices, self.shapes)]
+
+    def pack(self, z: np.ndarray) -> np.ndarray:
+        x = np.empty(self.n_x)
+        x[self.re] = z.real
+        x[self.im] = z.imag
+        return x
 
 
-def _rho(blocks, structure: BlockStructure, m: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(structure.assemble(blocks) @ m))))
+def _max_norm(blocks) -> np.ndarray:
+    """Largest block spectral norm (per stacked draw)."""
+    return np.max([np.linalg.svd(b, compute_uv=False)[..., 0] for b in blocks], axis=0)
 
 
-def _pack(blocks) -> np.ndarray:
-    return np.concatenate(
-        [np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in blocks]
-    )
+def _keep_best(top, keys: np.ndarray, rows: np.ndarray, keep: int):
+    """Merge a chunk into the ``keep`` smallest keys; ties go to the earlier draw."""
+    if top is not None:
+        keys = np.concatenate([top[0], keys])
+        rows = np.concatenate([top[1], rows])
+    order = np.argsort(keys, kind="stable")[:keep]
+    return keys[order], rows[order]
 
 
-def _unpack(x: np.ndarray, structure: BlockStructure) -> list[np.ndarray]:
-    out, off = [], 0
-    for p, k in structure.blocks:
-        cnt = p * k
-        re = x[off : off + cnt].reshape(p, k)
-        im = x[off + cnt : off + 2 * cnt].reshape(p, k)
-        out.append(re + 1j * im)
-        off += 2 * cnt
-    return _normalize_blocks(out)
+def _normalize(z: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Scale each row of block entries to unit max block norm (zero if tiny)."""
+    scale = _max_norm(layout.blocks(z))
+    z = z / np.maximum(scale, _TINY)[..., None]
+    z[scale <= _TINY] = 0
+    return z
 
 
 def brute_force_mu(
@@ -71,8 +112,10 @@ def brute_force_mu(
 
     Draws ``budget`` complex Gaussian block directions normalized to unit
     max block norm; each yields the feasible perturbation D / lambda_e and
-    hence the candidate rho(D M).  The best few candidates are sharpened
-    by restarted simplex search over the raw block entries.
+    hence the candidate rho(D M).  Draws are evaluated in batches of
+    ``_CHUNK``, so memory stays bounded for any budget.  The best few
+    candidates are sharpened by restarted simplex search over the raw
+    block entries.
     """
     a = as_matrix(m)
     if budget < 1:
@@ -87,24 +130,41 @@ def brute_force_mu(
         zero = tuple(np.zeros((p, k), dtype=complex) for p, k in structure.blocks)
         return OracleEstimate(0.0, zero, budget)
 
-    candidates = []
-    for _ in range(budget):
-        blocks = _normalize_blocks(
-            [
-                rng.standard_normal((p, k)) + 1j * rng.standard_normal((p, k))
-                for p, k in structure.blocks
-            ]
-        )
-        candidates.append((_rho(blocks, structure, a), blocks))
-    candidates.sort(key=lambda c: -c[0])
-    best_val, best_blocks = candidates[0]
+    layout = _Layout(structure.blocks)
+    p_total, k_total = structure.p_total, structure.k_total
+    # flat position in the dense Delta of each block entry, in layout order
+    flat_index = np.arange(p_total * k_total).reshape(p_total, k_total)
+    pos = np.concatenate(
+        [flat_index[sp, sk].ravel() for sp, sk in zip(structure.p_slices(), structure.k_slices())]
+    )
+    # the candidates that the refinement sharpens, as in slicing a sorted list
+    n_refine = len(range(budget)[:refine_top])
+    keep = max(n_refine, 1)
+    delta = np.zeros((min(budget, _CHUNK), p_total, k_total), dtype=complex)
+    top = None
+    for start in range(0, budget, _CHUNK):
+        n = min(_CHUNK, budget - start)
+        z = _normalize(layout.flat(rng.standard_normal((n, layout.n_x))), layout)
+        # only the block positions of the Deltas are ever written; the rest stays 0
+        delta[:n].reshape(n, -1)[:, pos] = z
+        rho = np.abs(np.linalg.eigvals(delta[:n] @ a)).max(axis=1)
+        top = _keep_best(top, -rho, z, keep)
+    best_val = float(-top[0][0])
+    best_blocks = layout.blocks(top[1][0])
+
+    # One draw per evaluation: the same steps as sampling, without the stack.
+    delta = delta[0]
+    delta_flat = delta.reshape(-1)
 
     def neg(x: np.ndarray) -> float:
-        return -_rho(_unpack(x, structure), structure, a)
+        z = layout.flat(x)
+        scale = max([np.linalg.svd(b, compute_uv=False)[0] for b in layout.blocks(z)])
+        delta_flat[pos] = 0 if scale <= _TINY else z / scale
+        return -float(np.abs(np.linalg.eigvals(delta @ a)).max())
 
-    for val, blocks in candidates[:refine_top]:
-        x = _pack(blocks)
-        f = val
+    for key, z in zip(top[0][:n_refine], top[1]):
+        x = layout.pack(z)
+        f = float(-key)
         for _ in range(2):
             res = minimize(
                 neg,
@@ -117,7 +177,7 @@ def brute_force_mu(
             if -res.fun > f:
                 f, x = float(-res.fun), res.x
         if f > best_val:
-            best_val, best_blocks = f, _unpack(x, structure)
+            best_val, best_blocks = f, layout.blocks(_normalize(layout.flat(x), layout))
 
     return OracleEstimate(best_val, tuple(best_blocks), budget)
 
@@ -150,16 +210,19 @@ def brute_force_backward_error(
     |t| over all draws is achieved by an explicit feasible perturbation.
     The best directions are sharpened by restarted simplex search.
     """
+    if budget < 1:
+        raise InputError("budget must be >= 1")
     lam = complex(lam)
     if is_eigenvalue(sys, lam):
         return 0.0
     s_mat = evaluate(sys, lam)
     labels = _scenario_labels(scenario, sys.d)
-    shapes = [_label_shape(label, sys.r, sys.n) for label in labels]
+    layout = _Layout(_label_shape(label, sys.r, sys.n) for label in labels)
     rng = np.random.default_rng(seed)
 
-    def feasible_size(blocks) -> float:
-        scale = max(np.linalg.norm(b, 2) for b in blocks)
+    def feasible_size(x: np.ndarray) -> float:
+        blocks = layout.blocks(layout.flat(x))
+        scale = _max_norm(blocks)
         if scale <= _TINY:
             return np.inf
         labeled = {lab: b / scale for lab, b in zip(labels, blocks)}
@@ -169,42 +232,22 @@ def brute_force_backward_error(
         finite = t[np.isfinite(t)]
         return float(np.min(np.abs(finite))) if finite.size else np.inf
 
-    candidates = []
-    for _ in range(budget):
-        blocks = [
-            rng.standard_normal((p, k)) + 1j * rng.standard_normal((p, k))
-            for p, k in shapes
-        ]
-        candidates.append((feasible_size(blocks), blocks))
-    candidates.sort(key=lambda c: c[0])
-    best = candidates[0][0]
+    n_refine = len(range(budget)[:refine_top])
+    top = None
+    for start in range(0, budget, _CHUNK):
+        xs = rng.standard_normal((min(_CHUNK, budget - start), layout.n_x))
+        top = _keep_best(top, np.array([feasible_size(x) for x in xs]), xs, max(n_refine, 1))
+    best = float(top[0][0])
 
-    def pack(blocks):
-        return np.concatenate(
-            [np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in blocks]
-        )
-
-    def unpack(x):
-        out, off = [], 0
-        for p, k in shapes:
-            cnt = p * k
-            out.append(
-                x[off : off + cnt].reshape(p, k)
-                + 1j * x[off + cnt : off + 2 * cnt].reshape(p, k)
-            )
-            off += 2 * cnt
-        return out
-
-    for val, blocks in candidates[:refine_top]:
+    for val, x in zip(top[0][:n_refine], top[1]):
         if not np.isfinite(val):
             continue
-        x = pack(blocks)
-        f = val
+        f = float(val)
         # Cheap adaptive random descent first; simplex handles the endgame.
         step, fails = 0.4, 0
         for _ in range(2 * refine_iters):
             x2 = x + step * rng.standard_normal(x.shape)
-            f2 = feasible_size(unpack(x2))
+            f2 = feasible_size(x2)
             if f2 < f:
                 x, f = x2, f2
                 fails = 0
@@ -217,7 +260,7 @@ def brute_force_backward_error(
                         break
         for _ in range(2):
             res = minimize(
-                lambda y: feasible_size(unpack(y)),
+                feasible_size,
                 x,
                 method="Nelder-Mead",
                 options=dict(

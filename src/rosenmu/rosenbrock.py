@@ -110,14 +110,15 @@ def unstructured_backward_error(sys: RosenbrockSystem, lam: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _is_number(v) -> bool:
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _entry_from_json(entry, path: str) -> complex:
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         return complex(entry)
-    if (
-        isinstance(entry, (list, tuple))
-        and len(entry) == 2
-        and all(isinstance(v, (int, float)) for v in entry)
-    ):
+    if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_number, entry)):
         return complex(entry[0], entry[1])
     raise InputError(f"{path}: expected [re, im] or a number, got {entry!r}")
 
@@ -158,7 +159,8 @@ def system_from_json(obj) -> RosenbrockSystem:
             raise InputError(f"system: missing field {key!r}")
     r, n, d = obj["r"], obj["n"], obj["d"]
     for name, val in (("r", r), ("n", n), ("d", d)):
-        if not isinstance(val, int) or val < 0 or (name != "d" and val < 1):
+        # type(), not isinstance(): JSON true/false arrive as bool, an int subclass
+        if type(val) is not int or val < 0 or (name != "d" and val < 1):
             raise InputError(f"system.{name}: expected a positive integer, got {val!r}")
     a = matrix_from_json(obj["A"], "system.A", (r, r))
     b = matrix_from_json(obj["B"], "system.B", (r, n))

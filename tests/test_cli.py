@@ -222,6 +222,32 @@ def test_oracle_needs_mode(diag_system_file, capsys):
     assert main(["oracle", diag_system_file]) == 2
 
 
+def test_oracle_system_mode_zero_budget_exit_2(diag_system_file, capsys):
+    rc = main(
+        ["oracle", "--scenario", "A", "--lambda", "0", "--budget", "0", diag_system_file]
+    )
+    assert rc == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_boolean_dimension_exit_2(diag_system_file, tmp_path, capsys):
+    with open(diag_system_file) as fh:
+        doc = json.load(fh)
+    doc["r"] = True
+    path = tmp_path / "bool_r.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["backward-error", "--lambda", "0", "--scenario", "A", str(path)])
+    assert rc == 2
+    assert "system.r" in capsys.readouterr().err
+
+
+def test_boolean_matrix_entry_exit_2(tmp_path, capsys):
+    path = tmp_path / "bool_entry.json"
+    path.write_text("[[true]]")
+    assert main(["mu", "--structure", "1x1", str(path)]) == 2
+    assert "matrix[0][0]" in capsys.readouterr().err
+
+
 def test_bad_scenario_exit_2(diag_system_file, capsys):
     rc = main(
         ["backward-error", "--lambda", "0", "--scenario", "XYZ", diag_system_file]
