@@ -15,38 +15,30 @@ from .linalg import (
     InputError,
     NumericError,
     SingularMatrixError,
-    SvdFactors,
-    det_is_singular,
     sigma_max,
     sigma_min,
     solve,
-    spectral_radius,
-    svd,
 )
 from .mu import (
     MuOptions,
     MuResult,
     PartialIsometrySet,
     certificate_to_delta,
-    extract_certificate,
     mu_bracket,
     mu_lower,
     mu_upper,
-    scale_matrices,
     scaled_sigma,
     scaled_sigma_gradient,
 )
 from .oracle import OracleEstimate, brute_force_backward_error, brute_force_mu
 from .reduction import (
     BlockStructure,
-    ExactFormula,
     ReducedProblem,
     Scenario,
     all_scenarios,
     assemble_perturbation,
     build_tilde_js,
     embed,
-    exact_as_reduced,
     perturbation_norm,
     reduce,
 )
@@ -66,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BackwardErrorResult",
     "BlockStructure",
-    "ExactFormula",
     "InputError",
     "MuOptions",
     "MuResult",
@@ -77,7 +68,6 @@ __all__ = [
     "RosenbrockSystem",
     "Scenario",
     "SingularMatrixError",
-    "SvdFactors",
     "all_scenarios",
     "assemble_perturbation",
     "backward_error",
@@ -85,11 +75,8 @@ __all__ = [
     "brute_force_mu",
     "build_tilde_js",
     "certificate_to_delta",
-    "det_is_singular",
     "embed",
     "evaluate",
-    "exact_as_reduced",
-    "extract_certificate",
     "is_eigenvalue",
     "matrix_from_json",
     "matrix_to_json",
@@ -98,15 +85,12 @@ __all__ = [
     "mu_upper",
     "perturbation_norm",
     "reduce",
-    "scale_matrices",
     "scaled_sigma",
     "scaled_sigma_gradient",
     "scenario_sweep",
     "sigma_max",
     "sigma_min",
     "solve",
-    "spectral_radius",
-    "svd",
     "system_from_json",
     "system_to_json",
     "unstructured_backward_error",

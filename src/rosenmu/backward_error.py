@@ -1,8 +1,9 @@
 """Structured eigenvalue backward errors of Rosenbrock system matrices.
 
 Top-level pipeline: short-circuit exact eigenvalues to zero, reduce the
-(system, lambda, scenario) instance, solve it exactly or bracket the
-mu-value, and invert the bracket into backward-error bounds.  The mu lower
+(system, lambda, scenario) instance, solve it exactly when one block is
+perturbed (mu = sigma_max(M)) or bracket the mu-value otherwise, and
+invert the result into backward-error bounds.  The mu lower
 bound is the certified side: its partial-isometry certificate converts to
 an explicit structured perturbation whose max block norm realizes the
 backward-error upper bound, checkable by a sigma_min residual.
@@ -14,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, inverse, sigma_max, sigma_min
+from .linalg import ABS_FLOOR, sigma_max, sigma_min
 from .mu import MuOptions, MuResult, mu_bracket
 from .reduction import (
-    ExactFormula,
     ReducedProblem,
     Scenario,
-    WITNESS_ZERO_TOL,
     all_scenarios,
     assemble_perturbation,
     perturbation_norm,
@@ -30,6 +29,9 @@ from .rosenbrock import RosenbrockSystem, evaluate, is_eigenvalue
 
 # mu lower bounds at or below this level cannot certify a finite error.
 MU_ZERO_TOL = 1e-12
+# A 1-block M is declared exactly zero (infinite backward error) below
+# this level relative to sigma_max(S(lambda)^{-1}).
+WITNESS_ZERO_TOL = 1e-14
 
 
 @dataclass
@@ -95,17 +97,13 @@ def _rank_one_inverse_image(h: np.ndarray) -> np.ndarray:
     return np.outer(w, hw.conj()) / float(np.vdot(hw, hw).real)
 
 
-def _exact_result(
-    sys: RosenbrockSystem,
-    lam: complex,
-    scenario: Scenario,
-    h: np.ndarray,
-    label: str,
-    value: float,
-):
-    if not np.isfinite(value):
+def _exact_result(sys: RosenbrockSystem, lam: complex, problem: ReducedProblem):
+    """Closed form 1/sigma_max(M) of a 1-block problem, +inf when M = 0."""
+    h = problem.m
+    smax = sigma_max(h)
+    if smax <= WITNESS_ZERO_TOL * max(problem.inv_norm, ABS_FLOOR):
         return BackwardErrorResult(
-            scenario=scenario,
+            scenario=problem.scenario,
             lam=lam,
             eta_lower=np.inf,
             eta_upper=np.inf,
@@ -118,12 +116,13 @@ def _exact_result(
             mu=None,
             infinite_witness=h,
         )
+    value = 1.0 / smax
     delta = _rank_one_inverse_image(h)
-    blocks = {label: delta}
+    blocks = {problem.labels[0]: delta}
     delta_s = assemble_perturbation(sys.r, sys.n, lam, blocks)
     resid = sigma_min(evaluate(sys, lam) - delta_s)
     return BackwardErrorResult(
-        scenario=scenario,
+        scenario=problem.scenario,
         lam=lam,
         eta_lower=value,
         eta_upper=value,
@@ -150,24 +149,10 @@ def backward_error(
         return _eigenvalue_result(sys, lam, scenario)
 
     problem = reduce(sys, lam, scenario)
-    if isinstance(problem, ExactFormula):
-        return _exact_result(
-            sys, lam, scenario, problem.witness, problem.label, problem.value
-        )
-
     if problem.structure.n_blocks == 1:
-        # One perturbed block (P(z) of degree zero): mu degenerates to
-        # sigma_max and the closed-form treatment applies with H = M.
-        smax = sigma_max(problem.m)
-        inv_norm = sigma_max(inverse(evaluate(sys, lam)))
-        value = (
-            np.inf
-            if smax <= WITNESS_ZERO_TOL * max(inv_norm, ABS_FLOOR)
-            else 1.0 / smax
-        )
-        return _exact_result(
-            sys, lam, scenario, problem.m, problem.labels[0], value
-        )
+        # One perturbed block (A, B, C, or P(z) of degree zero): mu
+        # degenerates to sigma_max(M) and the closed form applies.
+        return _exact_result(sys, lam, problem)
 
     mu = mu_bracket(problem.m, problem.structure, opts, seed_isometries=seed_isometries)
     eta_lower = 1.0 / mu.upper if mu.upper > 0 else np.inf
@@ -238,10 +223,9 @@ def scenario_sweep(
     pool: dict[str, dict[str, np.ndarray]] = {}
     for scenario in all_scenarios():
         seeds = ()
-        problem = None
         if not is_eigenvalue(sys, lam):
             problem = reduce(sys, lam, scenario)
-            if isinstance(problem, ReducedProblem) and problem.structure.n_blocks > 1:
+            if problem.structure.n_blocks > 1:
                 seeds = _seed_blocks_for(problem.labels, problem.structure, pool)
         res = backward_error(sys, lam, scenario, opts, seed_isometries=seeds)
         results.append(res)

@@ -3,8 +3,8 @@
 All matrix data travels as JSON (entries are [re, im] pairs).  Reports are
 emitted as text or machine-readable JSON with a fixed field order and
 floats printed to 17 significant digits, so identical inputs and seeds
-produce byte-identical files.  Exit codes: 0 success, 2 input error,
-3 numeric failure.
+produce byte-identical files.  Exit codes: 0 success, 1 failed verify,
+2 input error, 3 numeric failure (including LAPACK non-convergence).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .reduction import (
     perturbation_norm,
 )
 from .rosenbrock import (
+    _is_number,
     evaluate,
     matrix_from_json,
     matrix_to_json,
@@ -35,20 +35,6 @@ from .rosenbrock import (
 
 VERIFY_TOL = 1e-8
 NORM_MATCH_TOL = 1e-9
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str
-    lambdas: list[complex]
-    scenario: Scenario | None
-    structure: BlockStructure | None
-    opts: MuOptions
-    tol: float
-    budget: int
-    as_json: bool
-    output: str | None
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +82,14 @@ def _eta_json(x: float):
     return "inf" if np.isinf(x) else float(x)
 
 
-def _emit(report: dict, text: str, cfg: RunConfig) -> None:
+def _emit(report: dict, text: str, args) -> None:
     rendered = dumps_report(report) + "\n"
-    if cfg.as_json:
+    if args.as_json:
         sys.stdout.write(rendered)
     else:
         sys.stdout.write(text)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(rendered)
 
 
@@ -275,13 +261,13 @@ def _cmd_mu(args) -> int:
             f"{structure.k_total}x{structure.p_total} "
             f"(rows sum to p={structure.p_total}, cols to k={structure.k_total})"
         )
-    cfg = _runconfig(args, "mu", args.matrix, structure=structure)
-    res = mu_bracket(m, structure, cfg.opts)
+    opts = MuOptions(starts=args.starts, seed=args.seed)
+    res = mu_bracket(m, structure, opts)
     defect = res.certificate_p.max_defect() if res.certificate_p else None
     report = {
         "command": "mu",
         "structure": args.structure,
-        "seed": cfg.opts.seed,
+        "seed": opts.seed,
         "lower": res.lower,
         "upper": res.upper,
         "exactness": res.exactness,
@@ -312,30 +298,32 @@ def _cmd_mu(args) -> int:
         )
     if res.possibly_zero:
         text += "warning: bracket consistent with mu = 0\n"
-    _emit(report, text, cfg)
+    _emit(report, text, args)
     return 0
 
 
 def _cmd_backward_error(args) -> int:
     system = system_from_json(_load_json(args.system))
     scenario = Scenario.from_string(args.scenario)
-    cfg = _runconfig(args, "backward-error", args.system, scenario=scenario)
+    lambdas = [_parse_lambda(t) for t in args.lambdas]
+    opts = MuOptions(starts=args.starts, seed=args.seed)
     reports, texts = [], []
-    for lam in cfg.lambdas:
-        res = backward_error(system, lam, scenario, cfg.opts)
+    for lam in lambdas:
+        res = backward_error(system, lam, scenario, opts)
         reports.append(_certificate_report(res))
         texts.append(_backward_error_text(res))
     report = reports[0] if len(reports) == 1 else {"results": reports}
-    _emit(report, "".join(texts), cfg)
+    _emit(report, "".join(texts), args)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     system = system_from_json(_load_json(args.system))
-    cfg = _runconfig(args, "sweep", args.system)
+    lambdas = [_parse_lambda(t) for t in args.lambdas]
+    opts = MuOptions(starts=args.starts, seed=args.seed)
     reports, texts = [], []
-    for lam in cfg.lambdas:
-        rows = scenario_sweep(system, lam, cfg.opts)
+    for lam in lambdas:
+        rows = scenario_sweep(system, lam, opts)
         reports.append(
             {
                 "lambda": [float(lam.real), float(lam.imag)],
@@ -351,7 +339,7 @@ def _cmd_sweep(args) -> int:
             )
         texts.append("\n".join(lines) + "\n")
     report = reports[0] if len(reports) == 1 else {"results": reports}
-    _emit(report, "".join(texts), cfg)
+    _emit(report, "".join(texts), args)
     return 0
 
 
@@ -364,22 +352,28 @@ def _cmd_verify(args) -> int:
         if key not in cert:
             raise InputError(f"certificate: missing field {key!r}")
     lam_field = cert["lambda"]
-    if not (isinstance(lam_field, list) and len(lam_field) == 2):
+    if not (
+        isinstance(lam_field, list) and len(lam_field) == 2 and all(map(_is_number, lam_field))
+    ):
         raise InputError("certificate.lambda: expected [re, im]")
     lam = complex(float(lam_field[0]), float(lam_field[1]))
+    if not isinstance(cert["scenario"], str):
+        raise InputError("certificate.scenario: expected a string")
     scenario = Scenario.from_string(cert["scenario"])
     claimed = cert["claimed_eta"]
     if claimed == "inf":
         raise InputError("certificate carries no finite perturbation to verify")
+    if not _is_number(claimed):
+        raise InputError(f"certificate.claimed_eta: expected a number, got {claimed!r}")
     claimed = float(claimed)
     raw_blocks = cert["delta_blocks"] or {}
+    if not isinstance(raw_blocks, dict):
+        raise InputError("certificate.delta_blocks: expected an object or null")
     blocks = {
         label: matrix_from_json(mat, f"certificate.delta_blocks[{label}]")
         for label, mat in raw_blocks.items()
     }
-    allowed = set(scenario.name.replace("P", "")) | (
-        {f"A{j}" for j in range(system.d + 1)} if scenario.perturb_p else set()
-    )
+    allowed = set(scenario.labels(system.d))
     for label in blocks:
         if label not in allowed:
             raise InputError(
@@ -413,13 +407,12 @@ def _cmd_verify(args) -> int:
         f"{status}: residual {residual:.3e} (tol {args.tol * scale:.3e}), "
         f"norm {norm:.9g} vs claimed {claimed:.9g}\n"
     )
-    cfg = _runconfig(args, "verify", args.system)
-    _emit(report, text, cfg)
+    _emit(report, text, args)
     return 0 if ok else 1
 
 
 def _cmd_oracle(args) -> int:
-    cfg = _runconfig(args, "oracle", args.input)
+    lambdas = [_parse_lambda(t) for t in args.lambdas or []]
     if args.structure:
         structure = _parse_structure(args.structure)
         m = matrix_from_json(_load_json(args.input), "matrix")
@@ -437,7 +430,7 @@ def _cmd_oracle(args) -> int:
     elif args.scenario and args.lambdas:
         system = system_from_json(_load_json(args.input))
         scenario = Scenario.from_string(args.scenario)
-        lam = _parse_lambda(args.lambdas[0])
+        lam = lambdas[0]
         eta = brute_force_backward_error(
             system, lam, scenario, budget=args.budget, seed=args.seed
         )
@@ -456,28 +449,8 @@ def _cmd_oracle(args) -> int:
             "oracle needs either --structure (matrix mode) or "
             "--scenario and --lambda (system mode)"
         )
-    _emit(report, text, cfg)
+    _emit(report, text, args)
     return 0
-
-
-def _runconfig(args, command: str, input_path: str, scenario=None, structure=None) -> RunConfig:
-    lambdas = [_parse_lambda(t) for t in (getattr(args, "lambdas", None) or [])]
-    opts = MuOptions(
-        starts=getattr(args, "starts", 8),
-        seed=getattr(args, "seed", 0),
-    )
-    return RunConfig(
-        command=command,
-        input_path=input_path,
-        lambdas=lambdas,
-        scenario=scenario,
-        structure=structure,
-        opts=opts,
-        tol=getattr(args, "tol", VERIFY_TOL),
-        budget=getattr(args, "budget", 5000),
-        as_json=bool(getattr(args, "as_json", False)),
-        output=getattr(args, "output", None),
-    )
 
 
 _COMMANDS = {
@@ -527,7 +500,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -1,20 +1,15 @@
 """Dense complex linear-algebra kernels shared by the whole package.
 
-Thin, contract-enforcing wrappers around LAPACK (via numpy): SVD with
-multiplicity bookkeeping for the largest singular value, spectral radius
-with a verified eigenpair, and linear solves with an explicit relative
-singularity threshold.  All tolerances are relative to the spectral norm
-with an absolute floor of ``ABS_FLOOR``.
+Thin, contract-enforcing wrappers around LAPACK (via numpy): input
+coercion, the extreme singular values, and linear solves and inverses
+with an explicit relative singularity threshold.  All tolerances are
+relative to the spectral norm with an absolute floor of ``ABS_FLOOR``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-# Relative tolerance for grouping singular values with the largest one.
-MULT_TOL = 1e-8
 # Absolute floor used when a matrix norm vanishes.
 ABS_FLOOR = 1e-14
 # Relative sigma_min threshold below which solves are refused.
@@ -49,31 +44,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Full SVD ``m = U diag(s) V*`` with columns of U, V orthonormal.
-
-    ``multiplicity_of_max`` counts singular values within relative
-    tolerance ``MULT_TOL`` of the largest.
-    """
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-    multiplicity_of_max: int
-
-
-def svd(m) -> SvdFactors:
-    """Singular value decomposition with max-multiplicity detection."""
-    a = as_matrix(m)
-    try:
-        u, s, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericError(f"SVD did not converge: {exc}") from exc
-    mult = int(np.count_nonzero(s[0] - s <= MULT_TOL * s[0])) if s[0] > 0 else len(s)
-    return SvdFactors(s, u[:, : len(s)], vh[: len(s)].conj().T, mult)
-
-
 def sigma_max(m) -> float:
     """Largest singular value (spectral norm)."""
     a = as_matrix(m)
@@ -84,33 +54,6 @@ def sigma_min(m) -> float:
     """Smallest singular value."""
     a = as_matrix(m)
     return float(np.linalg.svd(a, compute_uv=False)[-1])
-
-
-def spectral_radius(m) -> tuple[float, complex, np.ndarray]:
-    """Spectral radius of a square matrix.
-
-    Returns ``(rho, eigenvalue, eigenvector)`` where the eigenpair attains
-    the radius, the eigenvector has unit norm and the residual satisfies
-    ``|m v - lambda v| <= 1e-8 |m|``.
-    """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise InputError(f"spectral radius needs a square matrix, got {a.shape}")
-    try:
-        w, v = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    idx = int(np.argmax(np.abs(w)))
-    lam = complex(w[idx])
-    vec = v[:, idx]
-    vec = vec / np.linalg.norm(vec)
-    nrm = sigma_max(a)
-    resid = float(np.linalg.norm(a @ vec - lam * vec))
-    if resid > 1e-8 * max(nrm, ABS_FLOOR):
-        raise NumericError(
-            f"eigenpair residual {resid:.3e} exceeds 1e-8*|m| = {1e-8 * nrm:.3e}"
-        )
-    return float(abs(lam)), lam, vec
 
 
 def solve(a, b) -> np.ndarray:
@@ -127,15 +70,6 @@ def solve(a, b) -> np.ndarray:
             sigma_min=float(s[-1]),
         )
     return np.linalg.solve(am, bm)
-
-
-def det_is_singular(a, tol: float = SOLVE_SINGULAR_TOL) -> bool:
-    """True when ``sigma_min(a) <= tol * |a|`` (with absolute floor)."""
-    am = as_matrix(a, "a")
-    if am.shape[0] != am.shape[1]:
-        raise InputError(f"singularity test needs a square matrix, got {am.shape}")
-    s = np.linalg.svd(am, compute_uv=False)
-    return bool(s[-1] <= tol * max(s[0], ABS_FLOOR))
 
 
 def inverse(a) -> np.ndarray:

@@ -25,17 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .linalg import InputError, as_matrix
+from .linalg import InputError, NumericError, as_matrix
 from .reduction import BlockStructure
 
 # Scaling exponents are confined to a safe dynamic range for doubles.
 X_BOUND = 40.0
 # Relative tolerance for grouping singular values with the largest.
 MULT_TOL = 1e-8
-# Acceptance threshold for the kernel-direction residual sum.
-KERNEL_TOL = 1e-8
 # Norm below which a vector block is treated as vanished.
 TINY = 1e-14
+# Stopping rules of each quasi-Newton start in the upper-bound search.
+BFGS_MAX_ITERS = 200
+BFGS_GRAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,6 @@ class MuOptions:
     """Effort knobs for the bracketing engine."""
 
     starts: int = 8
-    max_iters: int = 200
-    grad_tol: float = 1e-9
     seed: int = 0
     refine_rounds: int = 200
 
@@ -99,27 +98,9 @@ def _check_shapes(m: np.ndarray, structure: BlockStructure) -> None:
 
 
 def _weights(structure: BlockStructure, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    row = np.concatenate(
-        [np.full(k, np.exp(xi)) for (_, k), xi in zip(structure.blocks, x)]
-    )
-    col = np.concatenate(
-        [np.full(p, np.exp(-xi)) for (p, _), xi in zip(structure.blocks, x)]
-    )
-    return row, col
-
-
-def scale_matrices(x, structure: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Dense scaling pair D1(x) (k x k) and D2(x) (p x p)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (structure.n_blocks,):
-        raise InputError(f"x must have length {structure.n_blocks}, got {x.shape}")
-    d1 = np.concatenate(
-        [np.full(k, np.exp(xi)) for (_, k), xi in zip(structure.blocks, x)]
-    )
-    d2 = np.concatenate(
-        [np.full(p, np.exp(xi)) for (p, _), xi in zip(structure.blocks, x)]
-    )
-    return np.diag(d1).astype(complex), np.diag(d2).astype(complex)
+    """Diagonals of D1(x) (k x k) and D2(-x) (p x p)."""
+    ps, ks = zip(*structure.blocks)
+    return np.repeat(np.exp(x), ks), np.repeat(np.exp(-x), ps)
 
 
 def _scaled(m: np.ndarray, structure: BlockStructure, x: np.ndarray) -> np.ndarray:
@@ -225,7 +206,7 @@ def mu_upper(m, structure: BlockStructure, opts: MuOptions = MuOptions()) -> Upp
             x0,
             jac=True,
             method="BFGS",
-            options=dict(gtol=opts.grad_tol, maxiter=opts.max_iters),
+            options=dict(gtol=BFGS_GRAD_TOL, maxiter=BFGS_MAX_ITERS),
         )
         iterations += int(res.nit)
         candidates.append((float(res.fun), res.x))
@@ -316,20 +297,21 @@ def _kernel_direction(forms, rng, n_starts: int = 16) -> tuple[np.ndarray, float
     return v, best_val
 
 
-def _isometries_from_direction(alphas, betas, v, structure: BlockStructure):
-    """Rank-one blocks mapping alpha_i v to beta_i v, zero where either dies."""
-    blocks = []
-    for (p, k), a, b in zip(structure.blocks, alphas, betas):
-        av = a @ v
-        bv = b @ v
-        na, nb_ = np.linalg.norm(av), np.linalg.norm(bv)
-        if na < TINY or nb_ < TINY:
-            blocks.append(np.zeros((p, k), dtype=complex))
-        else:
-            # Normalized by both factors so each block is exactly partially
-            # isometric even when |alpha_i v| and |beta_i v| differ slightly.
-            blocks.append(np.outer(bv, av.conj()) / (na * nb_))
-    return blocks
+def _rank_one(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Rank-one block left right* / (|left| |right|), zero where either dies.
+
+    Normalized by both factors so the block is exactly partially isometric
+    even when the two norms differ slightly.
+    """
+    nl, nr = np.linalg.norm(left), np.linalg.norm(right)
+    if nl < TINY or nr < TINY:
+        return np.zeros((left.size, right.size), dtype=complex)
+    return np.outer(left, right.conj()) / (nl * nr)
+
+
+def _isometries_from_direction(alphas, betas, v):
+    """Rank-one blocks mapping alpha_i v to beta_i v."""
+    return [_rank_one(b @ v, a @ v) for a, b in zip(alphas, betas)]
 
 
 def _rho(p_dense: np.ndarray, m: np.ndarray) -> tuple[float, complex]:
@@ -345,37 +327,6 @@ def _phase_align(blocks, m: np.ndarray, structure: BlockStructure):
         return blocks
     phase = lam / abs(lam)
     return [blk / phase for blk in blocks]
-
-
-def extract_certificate(
-    m,
-    structure: BlockStructure,
-    x_star,
-    cluster_tol: float = MULT_TOL,
-    accept_tol: float = KERNEL_TOL,
-    seed: int = 0,
-):
-    """Partial-isometry certificate from the scaling optimum, if one exists.
-
-    Builds the Hermitian forms of the top singular subspace at x_star,
-    searches the joint numerical range for a kernel direction, and maps it
-    to rank-one partially isometric blocks.  Returns None (joint-range
-    obstruction) when the residual stays above accept_tol.
-    """
-    a = as_matrix(m)
-    _check_shapes(a, structure)
-    s0 = float(np.linalg.svd(a, compute_uv=False)[0])
-    if s0 == 0.0:
-        return None
-    x_star = np.asarray(x_star, dtype=float)
-    parts = _top_subspace_forms(_scaled(a / s0, structure, x_star), structure, cluster_tol)
-    alphas, betas, forms, _ = parts
-    v, resid = _kernel_direction(forms, np.random.default_rng(seed))
-    if resid > accept_tol:
-        return None
-    blocks = _isometries_from_direction(alphas, betas, v, structure)
-    blocks = _phase_align(blocks, a / s0, structure)
-    return PartialIsometrySet(tuple(blocks), structure)
 
 
 def _alternating_refine(
@@ -403,14 +354,7 @@ def _alternating_refine(
         w = vecs[:, idx]
         w /= np.linalg.norm(w)
         z = m @ w
-        nxt = []
-        for (p, k), sp, sk in zip(structure.blocks, p_slices, k_slices):
-            wi, zi = w[sp], z[sk]
-            nw, nz = np.linalg.norm(wi), np.linalg.norm(zi)
-            if nw < TINY or nz < TINY:
-                nxt.append(np.zeros((p, k), dtype=complex))
-            else:
-                nxt.append(np.outer(wi, zi.conj()) / (nw * nz))
+        nxt = [_rank_one(w[sp], z[sk]) for sp, sk in zip(p_slices, k_slices)]
         rho, lam = _rho(structure.assemble(nxt), m)
         if rho > best_rho * (1 + 1e-14):
             best_rho, best_lam, best_blocks = rho, lam, [b.copy() for b in nxt]
@@ -492,7 +436,7 @@ def mu_lower(
             v, resid = _kernel_direction(forms, rng)
             if tol == MULT_TOL:
                 kernel_residual = resid
-            candidates.append(_isometries_from_direction(alphas, betas, v, structure))
+            candidates.append(_isometries_from_direction(alphas, betas, v))
             if rank == min(a.shape):
                 break
     for seed_p in seed_isometries:
@@ -522,7 +466,7 @@ def mu_lower(
     return LowerBound(s0 * best_rho, cert, kernel_residual, rounds_used)
 
 
-class NoCertificateError(RuntimeError):
+class NoCertificateError(NumericError):
     """Raised when a perturbation certificate is requested but rho(P M) = 0."""
 
 

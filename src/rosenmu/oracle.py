@@ -24,7 +24,7 @@ import scipy.linalg
 from scipy.optimize import minimize
 
 from .linalg import InputError, as_matrix, sigma_max
-from .reduction import BlockStructure, Scenario, assemble_perturbation
+from .reduction import BlockStructure, Scenario, assemble_perturbation, block_shape
 from .rosenbrock import RosenbrockSystem, evaluate, is_eigenvalue
 
 _TINY = 1e-300
@@ -182,17 +182,6 @@ def brute_force_mu(
     return OracleEstimate(best_val, tuple(best_blocks), budget)
 
 
-def _scenario_labels(scenario: Scenario, d: int) -> list[str]:
-    labels = [ch for ch in "ABC" if getattr(scenario, f"perturb_{ch.lower()}")]
-    if scenario.perturb_p:
-        labels.extend(f"A{j}" for j in range(d + 1))
-    return labels
-
-
-def _label_shape(label: str, r: int, n: int) -> tuple[int, int]:
-    return {"A": (r, r), "B": (r, n), "C": (n, r)}.get(label, (n, n))
-
-
 def brute_force_backward_error(
     sys: RosenbrockSystem,
     lam: complex,
@@ -216,8 +205,8 @@ def brute_force_backward_error(
     if is_eigenvalue(sys, lam):
         return 0.0
     s_mat = evaluate(sys, lam)
-    labels = _scenario_labels(scenario, sys.d)
-    layout = _Layout(_label_shape(label, sys.r, sys.n) for label in labels)
+    labels = scenario.labels(sys.d)
+    layout = _Layout(block_shape(label, sys.r, sys.n) for label in labels)
     rng = np.random.default_rng(seed)
 
     def feasible_size(x: np.ndarray) -> float:

@@ -1,12 +1,13 @@
 """Reductions from (system, lambda, scenario) to mu-value problems.
 
-Each of the 15 nonempty subsets of perturbable blocks {A, B, C, P} either
-admits an exact backward-error formula 1/sigma_max(H) for an explicit
-window H of S(lambda)^{-1} (single-block cases A, B, C), or reduces to a
-structured mu-value of a rectangular matrix M under a rectangular block
-diagonal perturbation class.  The reverse direction (re-assembling a block
-list into a structured perturbation of S(lambda)) lives here too, so
-certificates stay self-describing.
+Each of the 15 nonempty subsets of perturbable blocks {A, B, C, P} reduces
+to a structured mu-value of a rectangular matrix M under a rectangular
+block diagonal perturbation class.  The single-block cases (A, B, C, and P
+of degree zero) give 1-block problems, whose mu-value is sigma_max(M);
+their closed form 1/sigma_max(M) is applied in ``backward_error``.  The
+reverse direction (re-assembling a block list into a structured
+perturbation of S(lambda)) lives here too, so certificates stay
+self-describing.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from .linalg import ABS_FLOOR, InputError, as_matrix, inverse, sigma_max
+from .linalg import InputError, as_matrix, inverse, sigma_max
 from .rosenbrock import RosenbrockSystem, evaluate
-
-# H is declared exactly zero (infinite backward error) below this relative level.
-WITNESS_ZERO_TOL = 1e-14
 
 _BLOCK_ORDER = "ABCP"
 
@@ -64,6 +63,18 @@ class Scenario:
 
     def includes(self, other: "Scenario") -> bool:
         return set(other.name) <= set(self.name)
+
+    def labels(self, d: int) -> tuple[str, ...]:
+        """Perturbed block labels: A, B, C in order, then A0..Ad for P(z)."""
+        out = [ch for ch in self.name if ch != "P"]
+        if self.perturb_p:
+            out.extend(f"A{j}" for j in range(d + 1))
+        return tuple(out)
+
+
+def block_shape(label: str, r: int, n: int) -> tuple[int, int]:
+    """Shape of the perturbation block named A, B, C or A<j>."""
+    return {"A": (r, r), "B": (r, n), "C": (n, r)}.get(label, (n, n))
 
 
 def all_scenarios() -> list[Scenario]:
@@ -141,7 +152,8 @@ class ReducedProblem:
 
     ``labels[i]`` names the block of the structured perturbation of
     S(lambda) that block i of Delta lands in: one of "A", "B", "C" or
-    "A<j>" for the degree-j polynomial coefficient.
+    "A<j>" for the degree-j polynomial coefficient.  ``inv_norm`` is
+    sigma_max(S(lambda)^{-1}), the scale against which M counts as zero.
     """
 
     m: np.ndarray
@@ -152,6 +164,7 @@ class ReducedProblem:
     n: int
     d: int
     lam: complex
+    inv_norm: float
 
     def __post_init__(self):
         k, p = self.m.shape
@@ -162,19 +175,6 @@ class ReducedProblem:
             )
         if len(self.labels) != self.structure.n_blocks:
             raise InputError("one label per block is required")
-
-
-@dataclass
-class ExactFormula:
-    """Closed-form backward error 1/sigma_max(H), +inf when H = 0."""
-
-    value: float
-    witness: np.ndarray
-    label: str
-    scenario: Scenario
-    r: int
-    n: int
-    lam: complex
 
 
 def build_tilde_js(r: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,100 +195,31 @@ def _power_row(r: int, n: int, d: int, lam: complex) -> np.ndarray:
     return np.hstack([lam**j * np.eye(r + n) for j in range(d + 1)])
 
 
-def _poly_j_factors(scenario: Scenario, r: int, n: int, d: int):
-    """J factors and structure for the scenarios that perturb P(z).
+def _factors(scenario: Scenario, r: int, n: int, d: int):
+    """Left/right 0/1 factors, structure and labels of a scenario.
 
-    Columns of J1 follow the row partition of Delta, rows of J2 its column
-    partition; the trailing parts distribute the degree >= 1 coefficients.
+    Column block i of the left factor places the rows of Delta_i among the
+    rows of S, row block i of the right factor picks its columns, so that
+    det(S - L Delta R) = 0 iff det(I - Delta R S^{-1} L) = 0.  When P(z) is
+    perturbed, A_0 rides in these heads and the trailing parts distribute
+    the degree >= 1 coefficients (see :func:`build_tilde_js`).
     """
-    j1t, j2t = build_tilde_js(r, n, d)
-    i_r, i_n = np.eye(r), np.eye(n)
-    row_r = np.hstack([i_r, np.zeros((r, n))])  # selects the top rows of S
-    row_n = np.hstack([np.zeros((n, r)), i_n])  # selects the bottom rows
-
-    head_cols = []  # leading column blocks of J1: (width, top r x ?, middle n x ?)
-    head_rows = []  # leading row blocks of J2
-    structure = []
-    labels = []
-    if scenario.perturb_a:
-        head_cols.append((r, i_r, np.zeros((n, r))))
-        head_rows.append(row_r)
-        structure.append((r, r))
-        labels.append("A")
-    if scenario.perturb_b:
-        head_cols.append((r, i_r, np.zeros((n, r))))
-        head_rows.append(row_n)
-        structure.append((r, n))
-        labels.append("B")
-    if scenario.perturb_c:
-        head_cols.append((n, np.zeros((r, n)), i_n))
-        head_rows.append(row_r)
-        structure.append((n, r))
-        labels.append("C")
-    # A_0 rides in the explicit head; A_1..A_d go through the tilde factors.
-    head_cols.append((n, np.zeros((r, n)), i_n))
-    head_rows.append(row_n)
-    structure.extend([(n, n)] * (d + 1))
-    labels.extend(f"A{j}" for j in range(d + 1))
-
-    head_w = sum(w for w, _, _ in head_cols)
-    j1 = np.zeros(((d + 1) * (r + n), head_w + n * d))
-    off = 0
-    for w, top, mid in head_cols:
-        j1[:r, off : off + w] = top
-        j1[r : r + n, off : off + w] = mid
-        off += w
-    j1[r + n :, head_w:] = j1t
-    j2 = np.vstack(head_rows + ([j2t] if d > 0 else []))
-    return j1, j2, BlockStructure(tuple(structure)), tuple(labels)
+    labels = scenario.labels(d)
+    structure = BlockStructure(tuple(block_shape(lab, r, n) for lab in labels))
+    top = np.vstack([np.eye(r), np.zeros((n, r))])  # A and B sit in the top rows
+    bottom = np.vstack([np.zeros((r, n)), np.eye(n)])
+    # In the P case only A_0 enters the heads; A_1..A_d go through the tilde factors.
+    heads = labels[: len(labels) - d] if scenario.perturb_p else labels
+    left = np.hstack([top if lab in ("A", "B") else bottom for lab in heads])
+    right = np.vstack([top.T if lab in ("A", "C") else bottom.T for lab in heads])
+    if scenario.perturb_p:
+        j1t, j2t = build_tilde_js(r, n, d)
+        left, right = block_diag(left, j1t), np.vstack([right, j2t])
+    return left, right, structure, labels
 
 
-def _fixed_factors(scenario: Scenario, r: int, n: int):
-    """Left/right selector factors for the P-free multi-block scenarios.
-
-    Returns (L, R, structure, labels) with det(S - L Delta R) = 0 iff
-    det(I - Delta R S^{-1} L) = 0.
-    """
-    i_r, i_n = np.eye(r), np.eye(n)
-    z_rn, z_nr = np.zeros((r, n)), np.zeros((n, r))
-    name = scenario.name
-    if name == "AB":
-        left = np.block([[i_r, i_r], [z_nr, z_nr]])
-        right = np.eye(r + n)
-        structure = ((r, r), (r, n))
-    elif name == "AC":
-        left = np.eye(r + n)
-        right = np.block([[i_r, z_rn], [i_r, z_rn]])
-        structure = ((r, r), (n, r))
-    elif name == "BC":
-        left = np.eye(r + n)
-        right = np.block([[z_nr, i_n], [i_r, z_rn]])
-        structure = ((r, n), (n, r))
-    elif name == "ABC":
-        left = np.block([[i_r, i_r, z_rn], [z_nr, z_nr, i_n]])
-        right = np.block([[i_r, z_rn], [z_nr, i_n], [i_r, z_rn]])
-        structure = ((r, r), (r, n), (n, r))
-    else:  # pragma: no cover - guarded by the dispatcher
-        raise InputError(f"no fixed factors for scenario {name}")
-    return left, right, BlockStructure(structure), tuple(name)
-
-
-def _exact_windows(scenario: Scenario, r: int, n: int):
-    i_r, i_n = np.eye(r), np.eye(n)
-    rows_r = np.hstack([i_r, np.zeros((r, n))])
-    rows_n = np.hstack([np.zeros((n, r)), i_n])
-    name = scenario.name
-    if name == "A":
-        return rows_r, rows_r.T
-    if name == "B":
-        return rows_n, rows_r.T
-    if name == "C":
-        return rows_r, rows_n.T
-    raise InputError(f"no exact window for scenario {name}")  # pragma: no cover
-
-
-def reduce(sys: RosenbrockSystem, lam: complex, scenario: Scenario):
-    """Reduce a backward-error instance to an ExactFormula or ReducedProblem.
+def reduce(sys: RosenbrockSystem, lam: complex, scenario: Scenario) -> ReducedProblem:
+    """Reduce a backward-error instance to a ReducedProblem.
 
     Requires S(lambda) to be invertible; callers short-circuit eigenvalues
     to a zero backward error before reaching this point.
@@ -296,40 +227,12 @@ def reduce(sys: RosenbrockSystem, lam: complex, scenario: Scenario):
     lam = complex(lam)
     r, n, d = sys.r, sys.n, sys.d
     s_inv = inverse(evaluate(sys, lam))
-
-    if scenario.size == 1 and not scenario.perturb_p:
-        rows, cols = _exact_windows(scenario, r, n)
-        h = rows @ s_inv @ cols
-        smax = sigma_max(h)
-        if smax <= WITNESS_ZERO_TOL * max(sigma_max(s_inv), ABS_FLOOR):
-            value = np.inf
-        else:
-            value = 1.0 / smax
-        return ExactFormula(value, h, scenario.name, scenario, r, n, lam)
-
+    left, right, structure, labels = _factors(scenario, r, n, d)
     if scenario.perturb_p:
-        j1, j2, structure, labels = _poly_j_factors(scenario, r, n, d)
-        m = j2 @ s_inv @ _power_row(r, n, d, lam) @ j1
+        m = right @ s_inv @ _power_row(r, n, d, lam) @ left
     else:
-        left, right, structure, labels = _fixed_factors(scenario, r, n)
         m = right @ s_inv @ left
-    return ReducedProblem(m, structure, labels, scenario, r, n, d, lam)
-
-
-def exact_as_reduced(formula: ExactFormula, sys: RosenbrockSystem) -> ReducedProblem:
-    """Recast a single-block exact case as a 1-block mu problem (M = H)."""
-    r, n = formula.r, formula.n
-    shape = {"A": (r, r), "B": (r, n), "C": (n, r)}[formula.label]
-    return ReducedProblem(
-        formula.witness,
-        BlockStructure((shape,)),
-        (formula.label,),
-        formula.scenario,
-        r,
-        n,
-        sys.d,
-        formula.lam,
-    )
+    return ReducedProblem(m, structure, labels, scenario, r, n, d, lam, sigma_max(s_inv))
 
 
 def assemble_perturbation(
@@ -343,25 +246,21 @@ def assemble_perturbation(
     lam = complex(lam)
     delta_s = np.zeros((r + n, r + n), dtype=complex)
     quadrants = {
-        "A": (slice(0, r), slice(0, r), (r, r)),
-        "B": (slice(0, r), slice(r, r + n), (r, n)),
-        "C": (slice(r, r + n), slice(0, r), (n, r)),
+        "A": (slice(0, r), slice(0, r)),
+        "B": (slice(0, r), slice(r, r + n)),
+        "C": (slice(r, r + n), slice(0, r)),
     }
     for label, blk in labeled_blocks.items():
         b = as_matrix(blk, f"delta[{label}]")
-        if label in quadrants:
-            rows, cols, shape = quadrants[label]
-            if b.shape != shape:
-                raise InputError(
-                    f"delta[{label}]: expected {shape[0]}x{shape[1]}, got {b.shape}"
-                )
-            delta_s[rows, cols] += b
-        elif label.startswith("A") and label[1:].isdigit():
-            if b.shape != (n, n):
-                raise InputError(f"delta[{label}]: expected {n}x{n}, got {b.shape}")
-            delta_s[r:, r:] += lam ** int(label[1:]) * b
-        else:
+        if label not in quadrants and not (label.startswith("A") and label[1:].isdecimal()):
             raise InputError(f"unknown block label {label!r}")
+        shape = block_shape(label, r, n)
+        if b.shape != shape:
+            raise InputError(f"delta[{label}]: expected {shape[0]}x{shape[1]}, got {b.shape}")
+        if label in quadrants:
+            delta_s[quadrants[label]] += b
+        else:
+            delta_s[r:, r:] += lam ** int(label[1:]) * b
     return delta_s
 
 

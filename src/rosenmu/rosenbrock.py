@@ -17,6 +17,8 @@ from .linalg import ABS_FLOOR, InputError, as_matrix
 
 # Relative sigma_min threshold deciding "lambda is an eigenvalue".
 EIGENVALUE_TOL = 1e-10
+# Largest double, as a Python float so huge JSON integers compare exactly.
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass
@@ -111,8 +113,11 @@ def unstructured_backward_error(sys: RosenbrockSystem, lam: complex) -> float:
 
 
 def _is_number(v) -> bool:
-    # JSON true/false arrive as bool, which Python counts as int
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # JSON true/false arrive as bool, which Python counts as int; JSON
+    # integers beyond the double range would overflow on conversion
+    if isinstance(v, float):
+        return True
+    return type(v) is int and abs(v) <= _FLOAT_MAX
 
 
 def _entry_from_json(entry, path: str) -> complex:

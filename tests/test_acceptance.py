@@ -14,7 +14,6 @@ import numpy as np
 
 from rosenmu import (
     BlockStructure,
-    ExactFormula,
     MuOptions,
     RosenbrockSystem,
     Scenario,
@@ -23,7 +22,6 @@ from rosenmu import (
     brute_force_mu,
     embed,
     evaluate,
-    exact_as_reduced,
     is_eigenvalue,
     mu_bracket,
     reduce,
@@ -148,10 +146,6 @@ def _central_diff(m, structure, x, h=1e-6):
 
 def _det_equivalence(sys_, lam, scenario, rng):
     red = reduce(sys_, lam, scenario)
-    if isinstance(red, ExactFormula):
-        if not np.isfinite(red.value):
-            return
-        red = exact_as_reduced(red, sys_)
     blocks = random_blocks(rng, red.structure)
     ev = np.linalg.eigvals(red.structure.assemble(blocks) @ red.m)
     lam_e = ev[np.argmax(np.abs(ev))]

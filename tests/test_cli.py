@@ -1,10 +1,19 @@
 """CLI surface: parsing, reports, exit codes, certificate round-trips."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rosenmu
 from rosenmu import matrix_to_json, system_to_json
 from rosenmu.cli import main
 
@@ -296,3 +305,150 @@ def test_infinite_eta_rendered_as_string(tmp_path, capsys):
     cert = tmp_path / "infcert.json"
     cert.write_text(json.dumps(report))
     assert main(["verify", str(path), str(cert)]) == 2
+
+
+DIAG_CERTIFICATE = {
+    "lambda": [0.0, 0.0],
+    "scenario": "A",
+    "delta_blocks": {"A": [[[2.0, 0.0]]]},
+    "claimed_eta": 2.0,
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lambda", ["x", 0]),
+        ("lambda", [True, False]),
+        ("scenario", 5),
+        ("delta_blocks", [1]),
+        ("claimed_eta", "abc"),
+        ("claimed_eta", [1]),
+        ("claimed_eta", None),
+        # integers beyond the double range
+        pytest.param("claimed_eta", 10**400, id="claimed_eta-huge"),
+        pytest.param("delta_blocks", {"A": [[10**400]]}, id="delta_blocks-huge"),
+    ],
+)
+def test_verify_malformed_field_exit_2(diag_system_file, tmp_path, capsys, field, value):
+    doc = dict(DIAG_CERTIFICATE, **{field: value})
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    assert main(["verify", diag_system_file, str(cert)]) == 2
+    assert f"certificate.{field}" in capsys.readouterr().err
+
+
+def test_lapack_failure_exit_3(tmp_path, capsys):
+    # subnormal entries make LAPACK's SVD fail to converge
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps([[1e-320, 0], [0, 1e-320]]))
+    assert main(["mu", "--structure", "1x1,1x1", str(path)]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Malformed JSON never escapes as a traceback.
+# ---------------------------------------------------------------------------
+
+VALID_SYSTEM = {
+    "r": 1,
+    "n": 1,
+    "d": 1,
+    "A": [[[2.0, 0.0]]],
+    "B": [[[0.5, 0.0]]],
+    "C": [[[0.0, 1.0]]],
+    "P": [[[[1.0, 0.0]]], [[[0.0, -1.0]]]],
+}
+
+_numbers = st.one_of(
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 5e-324, 1e-320, 1e308, -1e308, 10**400]),
+)
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), _numbers, st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_entries = _numbers | st.lists(_numbers, min_size=2, max_size=2)
+# numeric matrices of small shapes, entries as numbers or [re, im] pairs
+_matrices = st.integers(1, 3).flatmap(
+    lambda cols: st.lists(st.lists(_entries, min_size=cols, max_size=cols), min_size=1, max_size=3)
+)
+
+
+def _mutated(valid: dict):
+    """A valid document with one field replaced or dropped, or any JSON value."""
+    keys = st.sampled_from(sorted(valid))
+    replaced = st.builds(lambda k, v: {**valid, k: v}, keys, _json | _matrices)
+    dropped = keys.map(lambda k: {key: v for key, v in valid.items() if key != k})
+    return st.one_of(replaced, dropped, _json)
+
+
+def _structure_for(doc) -> str:
+    """A block structure that fits doc when it is a k x p array."""
+    if isinstance(doc, list) and doc and isinstance(doc[0], list) and doc[0]:
+        k, p = len(doc), len(doc[0])
+        return "1x1,1x1" if (k, p) == (2, 2) else f"{p}x{k}"
+    return "1x1"
+
+
+# well-formed documents whose numbers are extreme
+_odd_systems = st.builds(lambda k, v: {**VALID_SYSTEM, k: [[v]]}, st.sampled_from("ABC"), _entries)
+_odd_certificates = st.builds(
+    lambda lam, v, eta: {**DIAG_CERTIFICATE, "lambda": lam, "delta_blocks": {"A": [[v]]}, "claimed_eta": eta},
+    st.lists(_numbers, min_size=2, max_size=2),
+    _entries,
+    _numbers,
+)
+
+# (command, document): a matrix for mu, a system for backward-error under
+# scenario A, P or AB, or a certificate for verify
+_cases = st.one_of(
+    st.tuples(st.just("mu"), _matrices | _json),
+    st.tuples(st.sampled_from(["A", "P", "AB"]), _mutated(VALID_SYSTEM) | _odd_systems),
+    st.tuples(st.just("verify"), _mutated(DIAG_CERTIFICATE) | _odd_certificates),
+)
+
+
+@given(case=_cases)
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exit_codes(case):
+    kind, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        if kind == "mu":
+            argv = ["mu", "--structure", _structure_for(doc), "--starts", "1", path]
+        elif kind == "verify":
+            sys_path = os.path.join(tmp, "system.json")
+            with open(sys_path, "w", encoding="utf-8") as fh:
+                json.dump(dict(VALID_SYSTEM, d=0, P=VALID_SYSTEM["P"][:1]), fh)
+            argv = ["verify", sys_path, path]
+        else:
+            argv = ["backward-error", "--scenario", kind, "--lambda", "0.5", "--starts", "1", path]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+
+
+def test_sweep_independent_of_blas_threads(tmp_path):
+    rng = np.random.default_rng(7)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_to_json(random_system(rng, r=2, n=2, d=1))))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rosenmu.__file__)))
+    outputs = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rosenmu.cli", "sweep", "--json", "--lambda", "0.7", str(path)],
+            env=env,
+            capture_output=True,
+            timeout=300,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

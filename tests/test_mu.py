@@ -9,18 +9,18 @@ from rosenmu import (
     BlockStructure,
     InputError,
     MuOptions,
+    NumericError,
+    PartialIsometrySet,
     certificate_to_delta,
-    extract_certificate,
     mu_bracket,
     mu_lower,
     mu_upper,
     perturbation_norm,
-    scale_matrices,
     scaled_sigma,
     scaled_sigma_gradient,
     sigma_max,
 )
-from rosenmu.mu import _snap_partial_isometry
+from rosenmu.mu import _scaled, _snap_partial_isometry
 
 from conftest import (
     GOLDEN_5X5,
@@ -35,22 +35,32 @@ TWO_SCALARS = BlockStructure(((1, 1), (1, 1)))
 ANTIDIAG = np.array([[0.0, 2.0], [3.0, 0.0]], dtype=complex)
 
 
+def dense_scalings(x, structure):
+    """Reference D1(x) = diag(e^{x_i} I_{k_i}) and D2(x) = diag(e^{x_i} I_{p_i})."""
+    d1 = np.diag([np.exp(xi) for (_, k), xi in zip(structure.blocks, x) for _ in range(k)])
+    d2 = np.diag([np.exp(xi) for (p, _), xi in zip(structure.blocks, x) for _ in range(p)])
+    return d1, d2
+
+
 def test_scale_matrices_identity():
-    d1, d2 = scale_matrices([0.0, 0.0], TWO_SCALARS)
-    np.testing.assert_allclose(d1, np.eye(2))
-    np.testing.assert_allclose(d2, np.eye(2))
+    np.testing.assert_allclose(_scaled(ANTIDIAG, TWO_SCALARS, np.zeros(2)), ANTIDIAG)
 
 
 def test_scale_matrices_two_scalars():
-    d1, d2 = scale_matrices([0.0, 1.0], TWO_SCALARS)
-    np.testing.assert_allclose(d1, np.diag([1.0, np.e]))
-    np.testing.assert_allclose(d2, np.diag([1.0, np.e]))
+    # D1 M D2(-x) with D1 = D2 = diag(1, e)
+    d = np.diag([1.0, np.e])
+    ref = d @ ANTIDIAG @ np.linalg.inv(d)
+    np.testing.assert_allclose(_scaled(ANTIDIAG, TWO_SCALARS, np.array([0.0, 1.0])), ref)
+    assert scaled_sigma(ANTIDIAG, TWO_SCALARS, [0.0, 1.0]) == pytest.approx(sigma_max(ref))
 
 
 def test_scale_matrices_rectangular():
-    d1, d2 = scale_matrices([0.0, 1.0], GOLDEN_STRUCTURE)
-    np.testing.assert_allclose(np.diag(d1), [1, 1, 1, np.e, np.e])
-    np.testing.assert_allclose(np.diag(d2), [1, 1, np.e, np.e, np.e])
+    d1 = np.diag([1, 1, 1, np.e, np.e])
+    d2 = np.diag([1, 1, np.e, np.e, np.e])
+    ref = d1 @ GOLDEN_5X5 @ np.linalg.inv(d2)
+    x = np.array([0.0, 1.0])
+    np.testing.assert_allclose(_scaled(GOLDEN_5X5, GOLDEN_STRUCTURE, x), ref)
+    assert scaled_sigma(GOLDEN_5X5, GOLDEN_STRUCTURE, x) == pytest.approx(sigma_max(ref))
 
 
 def test_scaled_sigma_at_zero(rng):
@@ -178,11 +188,20 @@ def test_mu_zero_bracket_flag():
     assert res.lower == res.upper == 0.0
 
 
+# The certificate extracted at the scaling optimum, alone: no random
+# restarts and no alternating refinement.
+KERNEL_ONLY = MuOptions(starts=0, refine_rounds=0)
+# a kernel direction is accepted up to this residual sum
+KERNEL_TOL = 1e-8
+
+
 def test_extract_certificate_simple_case(rng):
     # Generic single block: top pair is simple, certificate reaches sigma_max.
     m = cgauss(rng, 3, 3)
     structure = BlockStructure(((3, 3),))
-    pset = extract_certificate(m, structure, np.zeros(1))
+    low = mu_lower(m, structure, KERNEL_ONLY, x_star=np.zeros(1))
+    assert low.kernel_residual <= KERNEL_TOL
+    pset = low.certificate
     assert pset is not None
     assert pset.max_defect() <= 1e-10
     rho = np.max(np.abs(np.linalg.eigvals(pset.matrix() @ m)))
@@ -192,7 +211,9 @@ def test_extract_certificate_simple_case(rng):
 def test_extract_certificate_kink():
     # At the sqrt(6) optimum both branches meet: repeated sigma_max.
     t_star = 0.5 * np.log(2.0 / 3.0)
-    pset = extract_certificate(ANTIDIAG, TWO_SCALARS, np.array([0.0, t_star]))
+    low = mu_lower(ANTIDIAG, TWO_SCALARS, KERNEL_ONLY, x_star=np.array([0.0, t_star]))
+    assert low.kernel_residual <= KERNEL_TOL
+    pset = low.certificate
     assert pset is not None
     rho = np.max(np.abs(np.linalg.eigvals(pset.matrix() @ ANTIDIAG)))
     assert rho == pytest.approx(np.sqrt(6), rel=1e-7)
@@ -205,6 +226,52 @@ def test_certificate_to_delta_scaled_identity():
     blocks, resid = certificate_to_delta(res.certificate_p, m)
     assert perturbation_norm(blocks) == pytest.approx(0.5, rel=1e-12)
     assert resid <= 1e-12
+
+
+def _identity_set(structure):
+    return PartialIsometrySet(
+        tuple(np.eye(p, k, dtype=complex) for p, k in structure.blocks), structure
+    )
+
+
+def test_certificate_to_delta_diagonal():
+    # P = I: Delta = I / lambda_e with lambda_e = -3j, the dominant eigenvalue.
+    blocks, resid = certificate_to_delta(
+        _identity_set(BlockStructure(((2, 2),))), np.diag([2, -3j])
+    )
+    np.testing.assert_allclose(blocks[0], np.eye(2) / -3j)
+    assert resid <= 1e-14
+
+
+def test_certificate_to_delta_nilpotent_raises():
+    with pytest.raises(NumericError):
+        certificate_to_delta(
+            _identity_set(BlockStructure(((2, 2),))), np.array([[0, 1], [0, 0]])
+        )
+
+
+def test_certificate_to_delta_zero_set_raises():
+    zero = PartialIsometrySet((np.zeros((1, 1)), np.zeros((1, 1))), TWO_SCALARS)
+    with pytest.raises(NumericError):
+        certificate_to_delta(zero, ANTIDIAG)
+
+
+def test_certificate_to_delta_balanced_antidiagonal():
+    # det(I - Delta M) = 1 - 6 d1 d2 vanishes at |di| = 1/sqrt(6).
+    m = ANTIDIAG @ np.diag([1 / np.sqrt(6), 1 / np.sqrt(6)])
+    blocks, resid = certificate_to_delta(_identity_set(TWO_SCALARS), m)
+    assert perturbation_norm(blocks) == pytest.approx(1.0, rel=1e-12)
+    assert resid <= 1e-12
+
+
+def test_certificate_to_delta_bounded_by_sigma_max(rng):
+    structure = BlockStructure(((5, 5),))
+    for _ in range(20):
+        m = cgauss(rng, 5, 5)
+        blocks, resid = certificate_to_delta(_identity_set(structure), m)
+        rho = 1.0 / perturbation_norm(blocks)
+        assert rho <= sigma_max(m) * (1 + 1e-12)
+        assert resid <= 1e-8 * sigma_max(m) / rho
 
 
 def test_snap_partial_isometry(rng):
@@ -265,8 +332,8 @@ def test_delta_scaling_invariance(rng):
             [cgauss(rng, p, k) for p, k in structure.blocks]
         )
         x = rng.uniform(-3, 3, 3)
-        d1, _ = scale_matrices(x, structure)
-        _, d2m = scale_matrices(-x, structure)
+        d1, _ = dense_scalings(x, structure)
+        _, d2m = dense_scalings(-x, structure)
         np.testing.assert_allclose(d2m @ delta @ d1, delta, rtol=0, atol=1e-12)
 
 

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from rosenmu import (
-    ExactFormula,
     InputError,
     ReducedProblem,
     RosenbrockSystem,
     Scenario,
     all_scenarios,
+    backward_error,
     build_tilde_js,
     embed,
     evaluate,
-    exact_as_reduced,
     perturbation_norm,
     reduce,
     sigma_max,
@@ -100,8 +99,6 @@ def test_dimension_audit_all_scenarios(rng):
         lam = complex(rng.standard_normal(), rng.standard_normal())
         for scenario in all_scenarios():
             red = reduce(sys_, lam, scenario)
-            if isinstance(red, ExactFormula):
-                continue
             k, p = _expected_mu_shape(scenario, sys_.r, sys_.n, sys_.d)
             assert red.m.shape == (k, p), scenario.name
             assert red.structure.k_total == k
@@ -124,9 +121,11 @@ def test_bc_matches_printed_factors(rng):
 def test_exact_formula_diagonal():
     sys_ = RosenbrockSystem([[2]], [[0]], [[0]], ([[1]],))
     red = reduce(sys_, 0.0, Scenario.from_string("A"))
-    assert isinstance(red, ExactFormula)
-    assert red.value == pytest.approx(2.0)
-    np.testing.assert_allclose(red.witness, [[0.5]])
+    assert red.structure.blocks == ((1, 1),)
+    np.testing.assert_allclose(red.m, [[0.5]])
+    res = backward_error(sys_, 0.0, Scenario.from_string("A"))
+    assert res.exactness == "exact_formula"
+    assert res.eta_upper == pytest.approx(2.0)
 
 
 def test_exact_formula_infinite_witness():
@@ -134,9 +133,9 @@ def test_exact_formula_infinite_witness():
     a0 = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=complex)
     sys_ = RosenbrockSystem([[1.3]], [[0, 0, 1]], [[1], [0], [0]], (a0,))
     for lam in (0.2, -0.7 + 0.4j, 2.5j):
-        red = reduce(sys_, lam, Scenario.from_string("A"))
-        assert red.value == np.inf
-        assert sigma_max(red.witness) <= 1e-12
+        res = backward_error(sys_, lam, Scenario.from_string("A"))
+        assert res.eta_upper == np.inf
+        assert sigma_max(res.infinite_witness) <= 1e-12
 
 
 def test_embed_zero_and_single_block(rng):
@@ -144,8 +143,7 @@ def test_embed_zero_and_single_block(rng):
     prob = reduce(sys_, 0.1, Scenario.from_string("AB"))
     zero = embed(prob, [np.zeros((2, 2)), np.zeros((2, 2))])
     np.testing.assert_allclose(zero, 0)
-    formula = reduce(sys_, 0.1, Scenario.from_string("A"))
-    one_block = exact_as_reduced(formula, sys_)
+    one_block = reduce(sys_, 0.1, Scenario.from_string("A"))
     e = cgauss(rng, 2, 2)
     ds = embed(one_block, [e])
     np.testing.assert_allclose(ds[:2, :2], e)
@@ -171,10 +169,6 @@ def test_embed_shape_mismatch(rng):
 
 def _det_equivalence_check(sys_, lam, scenario, rng):
     red = reduce(sys_, lam, scenario)
-    if isinstance(red, ExactFormula):
-        if not np.isfinite(red.value):
-            return
-        red = exact_as_reduced(red, sys_)
     blocks = random_blocks(rng, red.structure)
     delta = red.structure.assemble(blocks)
     ev = np.linalg.eigvals(delta @ red.m)
