@@ -8,7 +8,12 @@ exists).  The engine computes
 * an upper bound: minimize sigma_max(D1(x) M D2(-x)) over block scalings
   D1(x) = diag(e^{x_i} I_{k_i}), D2(x) = diag(e^{x_i} I_{p_i}), which is
   exact when the optimum has a simple largest singular value or when the
-  structure has at most three blocks;
+  structure has at most three blocks.  The objective is convex in x: it is
+  sigma_max(e^X N e^{-X}) for N = [[0, M], [0, 0]] and the commuting
+  diagonal X = diag(x-blocks of D1, x-blocks of D2), and Sezginer & Overton
+  (1990) show sigma_max(e^X N e^{-X}) is convex on such sets.  A point
+  where sigma_max is simple and the gradient vanishes is therefore the
+  global minimum, and the search stops there;
 * a certified lower bound: sup over block-diagonal partial isometries P of
   the spectral radius rho(P M), searched by extracting P from the top
   singular subspace at the scaling optimum and refining with an
@@ -37,6 +42,10 @@ TINY = 1e-14
 # Stopping rules of each quasi-Newton start in the upper-bound search.
 BFGS_MAX_ITERS = 200
 BFGS_GRAD_TOL = 1e-9
+# Gradient norm at a simple sigma_max below which a scaling is taken as the
+# (global, by convexity) minimizer: it ends the upper-bound search and
+# backs the exact_simple_sigma label.
+STATIONARY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -156,6 +165,24 @@ def scaled_sigma_gradient(m, structure: BlockStructure, x):
     return grad
 
 
+def _normalized(a: np.ndarray, s0: float) -> np.ndarray:
+    """a / s0 for s0 = sigma_max(a) > 0.
+
+    Complex division by a subnormal s0 overflows, so a subnormal s0 and the
+    matrix (whose entries are no larger) are first lifted by a power of two,
+    which is exact and keeps every value finite.
+    """
+    if s0 < np.finfo(float).tiny:
+        lift = 2.0**600
+        return (a * lift) / (s0 * lift)
+    return a / s0
+
+
+def _is_stationary(mult: int, grad_norm: float | None) -> bool:
+    """Simple sigma_max and a vanishing gradient: the convex minimum."""
+    return mult == 1 and grad_norm is not None and grad_norm <= STATIONARY_TOL
+
+
 @dataclass
 class UpperBound:
     value: float
@@ -169,10 +196,15 @@ class UpperBound:
 def mu_upper(m, structure: BlockStructure, opts: MuOptions = MuOptions()) -> UpperBound:
     """Minimize the scaled largest singular value over block scalings.
 
-    Multi-start quasi-Newton descent with the analytic branch gradient,
-    followed by a simplex polish that handles the kinks where sigma_max is
-    repeated.  The first scaling exponent is frozen at zero: shifting all
-    exponents together never changes the objective.
+    Quasi-Newton descent with the analytic branch gradient from x = 0.  The
+    objective is convex in x (see the module docstring), so when that
+    descent ends where sigma_max is simple and the gradient norm is at most
+    STATIONARY_TOL, it has found the global minimum and is returned with
+    ``starts=1``.  Otherwise the optimum is at a kink where sigma_max is
+    repeated: the remaining ``opts.starts - 1`` random starts run, followed
+    by a simplex polish that reaches into the nonsmooth valley.  The first
+    scaling exponent is frozen at zero: shifting all exponents together
+    never changes the objective.
     """
     a = as_matrix(m)
     _check_shapes(a, structure)
@@ -180,7 +212,7 @@ def mu_upper(m, structure: BlockStructure, opts: MuOptions = MuOptions()) -> Upp
     s0 = float(np.linalg.svd(a, compute_uv=False)[0])
     if s0 == 0.0:
         return UpperBound(0.0, np.zeros(nb), min(a.shape), None, 0, 0)
-    a_n = a / s0
+    a_n = _normalized(a, s0)
 
     if nb == 1:
         value, _, mult = _value_and_branch_grad(a_n, structure, np.zeros(1))
@@ -210,6 +242,12 @@ def mu_upper(m, structure: BlockStructure, opts: MuOptions = MuOptions()) -> Upp
         )
         iterations += int(res.nit)
         candidates.append((float(res.fun), res.x))
+        if len(candidates) == 1:
+            x_star = full(res.x)
+            value, grad, mult = _value_and_branch_grad(a_n, structure, x_star)
+            grad_norm = float(np.linalg.norm(grad[1:]))
+            if _is_stationary(mult, grad_norm):
+                return UpperBound(s0 * value, x_star, mult, grad_norm, iterations, 1)
     candidates.sort(key=lambda c: c[0])
 
     best_val, best_x = candidates[0]
@@ -419,34 +457,36 @@ def mu_lower(
     s0 = float(np.linalg.svd(a, compute_uv=False)[0])
     if s0 == 0.0:
         return LowerBound(0.0, None, None, 0)
-    a_n = a / s0
+    a_n = _normalized(a, s0)
     target_n = None if target is None else target / s0
     rng = np.random.default_rng(opts.seed + 1)
-
-    candidates: list[list[np.ndarray]] = []
     kernel_residual = None
-    if x_star is not None:
-        x_star = np.asarray(x_star, dtype=float)
-        scaled = _scaled(a_n, structure, x_star)
-        for tol in (MULT_TOL, 1e-6, 1e-4, 1e-2):
-            parts = _top_subspace_forms(scaled, structure, tol)
-            if parts is None:
-                break
-            alphas, betas, forms, rank = parts
-            v, resid = _kernel_direction(forms, rng)
-            if tol == MULT_TOL:
-                kernel_residual = resid
-            candidates.append(_isometries_from_direction(alphas, betas, v))
-            if rank == min(a.shape):
-                break
-    for seed_p in seed_isometries:
-        candidates.append([_snap_partial_isometry(np.asarray(blk, dtype=complex)) for blk in seed_p])
-    for _ in range(opts.starts):
-        candidates.append(_random_isometry(structure, rng))
+
+    def candidates():
+        # Built one at a time, so the search stops paying for candidates
+        # once one meets the target; the rng is drawn in the same order.
+        nonlocal kernel_residual
+        if x_star is not None:
+            scaled = _scaled(a_n, structure, np.asarray(x_star, dtype=float))
+            for tol in (MULT_TOL, 1e-6, 1e-4, 1e-2):
+                parts = _top_subspace_forms(scaled, structure, tol)
+                if parts is None:
+                    break
+                alphas, betas, forms, rank = parts
+                v, resid = _kernel_direction(forms, rng)
+                if tol == MULT_TOL:
+                    kernel_residual = resid
+                yield _isometries_from_direction(alphas, betas, v)
+                if rank == min(a.shape):
+                    break
+        for seed_p in seed_isometries:
+            yield [_snap_partial_isometry(np.asarray(blk, dtype=complex)) for blk in seed_p]
+        for _ in range(opts.starts):
+            yield _random_isometry(structure, rng)
 
     best_rho, best_blocks = 0.0, None
     rounds_used = 0
-    for cand in candidates:
+    for cand in candidates():
         rho0, _ = _rho(structure.assemble(cand), a_n)
         rho, blocks, used = _alternating_refine(
             cand, a_n, structure, opts.refine_rounds, target_n
@@ -509,11 +549,7 @@ def mu_bracket(m, structure: BlockStructure, opts: MuOptions = MuOptions(), seed
     scale = float(np.linalg.svd(a, compute_uv=False)[0])
     if nb <= 3:
         exactness = "exact_n_le_3"
-    elif (
-        upper.multiplicity == 1
-        and upper.grad_norm is not None
-        and upper.grad_norm <= 1e-6
-    ):
+    elif _is_stationary(upper.multiplicity, upper.grad_norm):
         exactness = "exact_simple_sigma"
     else:
         exactness = "bracket_only"

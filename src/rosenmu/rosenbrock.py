@@ -77,9 +77,15 @@ def evaluate(sys: RosenbrockSystem, lam: complex) -> np.ndarray:
     lam = complex(lam)
     if not np.isfinite(lam.real) or not np.isfinite(lam.imag):
         raise InputError("lambda must be finite")
-    return np.block(
-        [[sys.a - lam * np.eye(sys.r), sys.b], [sys.c, sys.poly_eval(lam)]]
-    )
+    # finite data can still overflow, e.g. in the Horner sum of P(lambda)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.block([[sys.a - lam * np.eye(sys.r), sys.b], [sys.c, sys.poly_eval(lam)]])
+    if not np.isfinite(s).all():
+        raise InputError(
+            f"S(lambda) is not finite at lambda = {lam.real:g}{lam.imag:+g}i "
+            "(its entries overflow the double range)"
+        )
+    return s
 
 
 def is_eigenvalue(sys: RosenbrockSystem, lam: complex, tol: float = EIGENVALUE_TOL) -> bool:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -35,19 +36,21 @@ def system_file(tmp_path, rng):
     return str(path)
 
 
+DIAG_SYSTEM = {
+    "r": 1,
+    "n": 1,
+    "d": 0,
+    "A": [[[2.0, 0.0]]],
+    "B": [[[0.0, 0.0]]],
+    "C": [[[0.0, 0.0]]],
+    "P": [[[[1.0, 0.0]]]],
+}
+
+
 @pytest.fixture
 def diag_system_file(tmp_path):
-    doc = {
-        "r": 1,
-        "n": 1,
-        "d": 0,
-        "A": [[[2.0, 0.0]]],
-        "B": [[[0.0, 0.0]]],
-        "C": [[[0.0, 0.0]]],
-        "P": [[[[1.0, 0.0]]]],
-    }
     path = tmp_path / "diag.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(DIAG_SYSTEM))
     return str(path)
 
 
@@ -338,12 +341,39 @@ def test_verify_malformed_field_exit_2(diag_system_file, tmp_path, capsys, field
     assert f"certificate.{field}" in capsys.readouterr().err
 
 
-def test_lapack_failure_exit_3(tmp_path, capsys):
-    # subnormal entries make LAPACK's SVD fail to converge
+def test_lapack_failure_exit_3(golden_matrix_file, capsys, monkeypatch):
+    def svd_not_converged(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    # rosenmu.mu calls LAPACK's SVD as numpy.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", svd_not_converged)
+    assert main(["mu", "--structure", "2x3,3x2", golden_matrix_file]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_subnormal_matrix_brackets_exit_0(tmp_path, capsys):
+    # sigma_max = 1e-320 is subnormal: dividing by it must not overflow
     path = tmp_path / "subnormal.json"
     path.write_text(json.dumps([[1e-320, 0], [0, 1e-320]]))
-    assert main(["mu", "--structure", "1x1,1x1", str(path)]) == 3
-    assert "numeric failure" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["mu", "--structure", "1x1,1x1", "--json", str(path)])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["lower"] == report["upper"] == 1e-320
+    assert report["possibly_zero"] is True
+
+
+def test_overflowing_system_names_s_lambda_exit_2(tmp_path, capsys):
+    # P(0.9) = 1e308 * 0.9 + 1e308 overflows although every entry is finite
+    doc = dict(DIAG_SYSTEM, d=1, P=[[[[1e308, 0.0]]], [[[1e308, 0.0]]]])
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["backward-error", "--scenario", "A", "--lambda", "0.9", str(path)])
+    assert rc == 2
+    assert "S(lambda) is not finite at lambda = 0.9+0i" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,19 @@ from rosenmu import (
     MuOptions,
     NumericError,
     PartialIsometrySet,
+    all_scenarios,
     certificate_to_delta,
     mu_bracket,
     mu_lower,
     mu_upper,
     perturbation_norm,
+    reduce,
     scaled_sigma,
     scaled_sigma_gradient,
     sigma_max,
 )
-from rosenmu.mu import _scaled, _snap_partial_isometry
+from rosenmu.instances import fluid_solid_instance
+from rosenmu.mu import STATIONARY_TOL, _kernel_direction, _scaled, _snap_partial_isometry
 
 from conftest import (
     GOLDEN_5X5,
@@ -335,6 +338,97 @@ def test_delta_scaling_invariance(rng):
         d1, _ = dense_scalings(x, structure)
         _, d2m = dense_scalings(-x, structure)
         np.testing.assert_allclose(d2m @ delta @ d1, delta, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Early exit at a smooth optimum and lazily built lower-bound candidates.
+# ---------------------------------------------------------------------------
+
+# mu_upper values (float.hex) from the full search: eight BFGS starts and
+# the simplex polish on every problem.  Stopping after the first start at
+# a smooth stationary point may land a few ulps higher; more than
+# UPPER_SLACK relative would be a worse bound.
+PINNED_RANDOM_UPPER = [
+    "0x1.4c94340c64defp+1", "0x1.8efd71b3ec233p+1", "0x1.87749df842240p+1",
+    "0x1.36137e2932c27p+2", "0x1.59ff2856591e0p+2", "0x1.26a0815c563f3p+2",
+    "0x1.95df7075f32bbp+2", "0x1.561fa6f8a73a1p+2", "0x1.4fa067bb56395p+2",
+    "0x1.82ecf12a372ccp+2", "0x1.ca82a9a373504p+2", "0x1.8213c6a590deep+2",
+]
+PINNED_FLUID_SOLID_UPPER = {
+    "P": "0x1.3fb9ab5751a82p+0", "AB": "0x1.008d1174a6256p+2",
+    "AC": "0x1.03f87e59b85dbp+2", "AP": "0x1.d5c99ec0d8858p+1",
+    "BC": "0x1.353d769b16fadp+1", "BP": "0x1.153919f898eb8p+1",
+    "CP": "0x1.22d35532b30dbp+1", "ABC": "0x1.4c86b2a1698e6p+2",
+    "ABP": "0x1.343b5539a6095p+2", "ACP": "0x1.380ec26ca7017p+2",
+    "BCP": "0x1.b58d08101f410p+1", "ABCP": "0x1.8271e65cb580dp+2",
+}
+UPPER_SLACK = 1e-10
+
+
+def test_mu_upper_no_worse_than_full_search_random():
+    rng = np.random.default_rng(404)
+    for i, pinned in enumerate(PINNED_RANDOM_UPPER):
+        structure = random_structure(rng, n_blocks=2 + i // 3, max_dim=2)
+        m = cgauss(rng, structure.k_total, structure.p_total)
+        assert mu_upper(m, structure).value <= float.fromhex(pinned) * (1 + UPPER_SLACK)
+
+
+def test_mu_upper_no_worse_than_full_search_fluid_solid():
+    sys_ = fluid_solid_instance()
+    seen = {}
+    for scenario in all_scenarios():
+        problem = reduce(sys_, 0.7, scenario)
+        if problem.structure.n_blocks > 1:
+            seen[scenario.name] = mu_upper(problem.m, problem.structure).value
+    assert sorted(seen) == sorted(PINNED_FLUID_SOLID_UPPER)
+    for name, value in seen.items():
+        assert value <= float.fromhex(PINNED_FLUID_SOLID_UPPER[name]) * (1 + UPPER_SLACK)
+
+
+def test_mu_bracket_kink_bit_identical_to_full_search():
+    # Six real scalar blocks whose optimum has a repeated sigma_max: the
+    # full search runs, and every bit of its result is as before.
+    m = np.random.default_rng(6).standard_normal((6, 6))
+    structure = BlockStructure(((1, 1),) * 6)
+    res = mu_bracket(m, structure)
+    assert res.trace.starts == MuOptions().starts
+    assert res.trace.multiplicity == 2
+    assert res.exactness == "bracket_only"
+    assert res.upper.hex() == "0x1.a935877479862p+1"
+    assert res.lower.hex() == "0x1.a935877479231p+1"
+    assert [v.hex() for v in res.x_star] == [
+        "0x0.0p+0", "0x1.68d3285e9abe0p-1", "0x1.b916a810eb518p-3",
+        "0x1.b06a95d8f0c05p-3", "-0x1.e645d042886ebp-6", "0x1.47c892254e1cdp-1",
+    ]
+
+
+def test_mu_upper_one_start_at_smooth_optimum():
+    m = cgauss(np.random.default_rng(404), 2, 2)
+    res = mu_bracket(m, TWO_SCALARS, MuOptions(starts=5))
+    assert res.trace.starts == 1
+    assert res.trace.multiplicity == 1
+    assert res.trace.final_grad_norm <= STATIONARY_TOL
+
+
+def test_mu_upper_all_starts_at_kink():
+    # sigma_max(ANTIDIAG scaled) = max(2 e^-t, 3 e^t): both branches meet at the optimum
+    for starts in (3, 8):
+        res = mu_bracket(ANTIDIAG, TWO_SCALARS, MuOptions(starts=starts))
+        assert res.trace.starts == starts
+        assert res.trace.multiplicity == 2
+
+
+def test_mu_lower_builds_one_kernel_candidate_when_it_meets_target(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return _kernel_direction(*args, **kwargs)
+
+    monkeypatch.setattr("rosenmu.mu._kernel_direction", counting)
+    res = mu_bracket(GOLDEN_5X5, GOLDEN_STRUCTURE)
+    assert res.lower >= res.upper * (1 - 1e-13)
+    assert len(calls) == 1
 
 
 def test_mu_options_seed_determinism(rng):
