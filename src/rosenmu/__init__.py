@@ -37,7 +37,6 @@ from .reduction import (
     Scenario,
     all_scenarios,
     assemble_perturbation,
-    build_tilde_js,
     embed,
     perturbation_norm,
     reduce,
@@ -73,7 +72,6 @@ __all__ = [
     "backward_error",
     "brute_force_backward_error",
     "brute_force_mu",
-    "build_tilde_js",
     "certificate_to_delta",
     "embed",
     "evaluate",

@@ -18,10 +18,10 @@ import numpy as np
 from .linalg import ABS_FLOOR, sigma_max, sigma_min
 from .mu import MuOptions, MuResult, mu_bracket
 from .reduction import (
-    ReducedProblem,
     Scenario,
     all_scenarios,
     assemble_perturbation,
+    block_shape,
     perturbation_norm,
     reduce,
 )
@@ -97,45 +97,6 @@ def _rank_one_inverse_image(h: np.ndarray) -> np.ndarray:
     return np.outer(w, hw.conj()) / float(np.vdot(hw, hw).real)
 
 
-def _exact_result(sys: RosenbrockSystem, lam: complex, problem: ReducedProblem):
-    """Closed form 1/sigma_max(M) of a 1-block problem, +inf when M = 0."""
-    h = problem.m
-    smax = sigma_max(h)
-    if smax <= WITNESS_ZERO_TOL * max(problem.inv_norm, ABS_FLOOR):
-        return BackwardErrorResult(
-            scenario=problem.scenario,
-            lam=lam,
-            eta_lower=np.inf,
-            eta_upper=np.inf,
-            exactness="exact_formula",
-            possibly_infinite=False,
-            delta_blocks=None,
-            certificate=None,
-            certificate_norm=None,
-            residual=None,
-            mu=None,
-            infinite_witness=h,
-        )
-    value = 1.0 / smax
-    delta = _rank_one_inverse_image(h)
-    blocks = {problem.labels[0]: delta}
-    delta_s = assemble_perturbation(sys.r, sys.n, lam, blocks)
-    resid = sigma_min(evaluate(sys, lam) - delta_s)
-    return BackwardErrorResult(
-        scenario=problem.scenario,
-        lam=lam,
-        eta_lower=value,
-        eta_upper=value,
-        exactness="exact_formula",
-        possibly_infinite=False,
-        delta_blocks=blocks,
-        certificate=delta_s,
-        certificate_norm=perturbation_norm([delta]),
-        residual=resid,
-        mu=None,
-    )
-
-
 def backward_error(
     sys: RosenbrockSystem,
     lam: complex,
@@ -149,47 +110,56 @@ def backward_error(
         return _eigenvalue_result(sys, lam, scenario)
 
     problem = reduce(sys, lam, scenario)
+    mu = delta = witness = None
+    possibly_infinite = False
     if problem.structure.n_blocks == 1:
         # One perturbed block (A, B, C, or P(z) of degree zero): mu
-        # degenerates to sigma_max(M) and the closed form applies.
-        return _exact_result(sys, lam, problem)
-
-    mu = mu_bracket(problem.m, problem.structure, opts, seed_isometries=seed_isometries)
-    eta_lower = 1.0 / mu.upper if mu.upper > 0 else np.inf
-    possibly_infinite = mu.lower <= MU_ZERO_TOL
-    if mu.lower > 0:
-        # roundoff can cross the mu bounds by ~1e-15; keep the eta interval ordered
-        eta_lower = min(eta_lower, 1.0 / mu.lower)
-    if mu.certificate_delta is not None and mu.lower > 0:
-        eta_upper = 1.0 / mu.lower
-        blocks = {
-            label: blk for label, blk in zip(problem.labels, mu.certificate_delta)
-        }
-        delta_s = assemble_perturbation(sys.r, sys.n, lam, blocks)
-        resid = sigma_min(evaluate(sys, lam) - delta_s)
-        norm = perturbation_norm(mu.certificate_delta)
+        # degenerates to sigma_max(M) and the closed form 1/sigma_max(M)
+        # applies, +inf when M = 0.
+        exactness = "exact_formula"
+        smax = sigma_max(problem.m)
+        if smax <= WITNESS_ZERO_TOL * max(problem.inv_norm, ABS_FLOOR):
+            eta_lower = eta_upper = np.inf
+            witness = problem.m
+        else:
+            eta_lower = eta_upper = 1.0 / smax
+            delta = [_rank_one_inverse_image(problem.m)]
     else:
+        mu = mu_bracket(problem.m, problem.structure, opts, seed_isometries=seed_isometries)
+        exactness = mu.exactness
+        eta_lower = 1.0 / mu.upper if mu.upper > 0 else np.inf
+        possibly_infinite = mu.lower <= MU_ZERO_TOL
+        if mu.lower > 0:
+            # roundoff can cross the mu bounds by ~1e-15; keep the eta interval ordered
+            eta_lower = min(eta_lower, 1.0 / mu.lower)
         eta_upper = np.inf
-        blocks = None
-        delta_s = None
-        resid = None
-        norm = None
+        if mu.certificate_delta is not None and mu.lower > 0:
+            eta_upper = 1.0 / mu.lower
+            delta = mu.certificate_delta
+
+    blocks = delta_s = resid = norm = None
+    if delta is not None:
+        blocks = dict(zip(problem.labels, delta))
+        delta_s = assemble_perturbation(sys.r, sys.n, lam, blocks)
+        resid = sigma_min(problem.s - delta_s)
+        norm = perturbation_norm(delta)
     return BackwardErrorResult(
         scenario=scenario,
         lam=lam,
         eta_lower=eta_lower,
         eta_upper=eta_upper,
-        exactness=mu.exactness,
+        exactness=exactness,
         possibly_infinite=possibly_infinite,
         delta_blocks=blocks,
         certificate=delta_s,
         certificate_norm=norm,
         residual=resid,
         mu=mu,
+        infinite_witness=witness,
     )
 
 
-def _seed_blocks_for(problem_labels, structure, pool: dict[str, dict[str, np.ndarray]]):
+def _seed_blocks_for(labels, r: int, n: int, pool: dict[str, dict[str, np.ndarray]]):
     """Partial-isometry seeds for a scenario from its already-solved subsets.
 
     A certificate for a subset scenario embeds into a superset by padding
@@ -197,16 +167,12 @@ def _seed_blocks_for(problem_labels, structure, pool: dict[str, dict[str, np.nda
     and its rho value carries over, so seeded lower bounds can only match
     or improve the subset's certified bound.
     """
-    seeds = []
-    label_set = set(problem_labels)
-    for labeled in pool.values():
-        if not set(labeled) <= label_set:
-            continue
-        blocks = []
-        for label, (p, k) in zip(problem_labels, structure.blocks):
-            blocks.append(labeled.get(label, np.zeros((p, k), dtype=complex)))
-        seeds.append(blocks)
-    return seeds
+    shapes = {label: block_shape(label, r, n) for label in labels}
+    return [
+        [labeled.get(label, np.zeros(shapes[label], dtype=complex)) for label in labels]
+        for labeled in pool.values()
+        if set(labeled) <= set(labels)
+    ]
 
 
 def scenario_sweep(
@@ -222,11 +188,7 @@ def scenario_sweep(
     results = []
     pool: dict[str, dict[str, np.ndarray]] = {}
     for scenario in all_scenarios():
-        seeds = ()
-        if not is_eigenvalue(sys, lam):
-            problem = reduce(sys, lam, scenario)
-            if problem.structure.n_blocks > 1:
-                seeds = _seed_blocks_for(problem.labels, problem.structure, pool)
+        seeds = _seed_blocks_for(scenario.labels(sys.d), sys.r, sys.n, pool)
         res = backward_error(sys, lam, scenario, opts, seed_isometries=seeds)
         results.append(res)
         if res.delta_blocks and res.certificate_norm and res.certificate_norm > 0:

@@ -383,7 +383,14 @@ def _cmd_verify(args) -> int:
 
     s_mat = evaluate(system, lam)
     delta_s = assemble_perturbation(system.r, system.n, lam, blocks)
-    residual = sigma_min(s_mat - delta_s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        perturbed = s_mat - delta_s
+    if not np.isfinite(perturbed).all():
+        raise InputError(
+            f"S(lambda) - Delta S is not finite at lambda = {lam.real:g}{lam.imag:+g}i "
+            "(its entries overflow the double range)"
+        )
+    residual = sigma_min(perturbed)
     norm = perturbation_norm(blocks.values()) if blocks else 0.0
     scale = max(sigma_max(s_mat), ABS_FLOOR)
     residual_ok = residual <= args.tol * scale

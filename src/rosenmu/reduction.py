@@ -2,12 +2,13 @@
 
 Each of the 15 nonempty subsets of perturbable blocks {A, B, C, P} reduces
 to a structured mu-value of a rectangular matrix M under a rectangular
-block diagonal perturbation class.  The single-block cases (A, B, C, and P
-of degree zero) give 1-block problems, whose mu-value is sigma_max(M);
-their closed form 1/sigma_max(M) is applied in ``backward_error``.  The
-reverse direction (re-assembling a block list into a structured
-perturbation of S(lambda)) lives here too, so certificates stay
-self-describing.
+block diagonal perturbation class.  One table, :func:`_place`, records
+where each labelled block sits in S(lambda); ``reduce`` gathers M from
+S(lambda)^{-1} with it, and ``assemble_perturbation`` uses it to put a
+block list back into S(lambda), so certificates stay self-describing.
+The single-block cases (A, B, C, and P of degree zero) give 1-block
+problems, whose mu-value is sigma_max(M); their closed form
+1/sigma_max(M) is applied in ``backward_error``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .linalg import InputError, as_matrix, inverse, sigma_max
 from .rosenbrock import RosenbrockSystem, evaluate
@@ -72,9 +72,24 @@ class Scenario:
         return tuple(out)
 
 
+def _place(label: str, r: int, n: int) -> tuple[slice, slice, int]:
+    """Rows, columns and power of lambda of the block ``label`` in S(lambda)."""
+    top, bottom = slice(0, r), slice(r, r + n)
+    if label == "A":
+        return top, top, 0
+    if label == "B":
+        return top, bottom, 0
+    if label == "C":
+        return bottom, top, 0
+    if label.startswith("A") and label[1:].isdecimal():
+        return bottom, bottom, int(label[1:])
+    raise InputError(f"unknown block label {label!r}")
+
+
 def block_shape(label: str, r: int, n: int) -> tuple[int, int]:
     """Shape of the perturbation block named A, B, C or A<j>."""
-    return {"A": (r, r), "B": (r, n), "C": (n, r)}.get(label, (n, n))
+    rows, cols, _ = _place(label, r, n)
+    return rows.stop - rows.start, cols.stop - cols.start
 
 
 def all_scenarios() -> list[Scenario]:
@@ -153,7 +168,8 @@ class ReducedProblem:
     ``labels[i]`` names the block of the structured perturbation of
     S(lambda) that block i of Delta lands in: one of "A", "B", "C" or
     "A<j>" for the degree-j polynomial coefficient.  ``inv_norm`` is
-    sigma_max(S(lambda)^{-1}), the scale against which M counts as zero.
+    sigma_max(S(lambda)^{-1}), the scale against which M counts as zero,
+    and ``s`` is S(lambda) itself, as evaluated once by :func:`reduce`.
     """
 
     m: np.ndarray
@@ -165,6 +181,7 @@ class ReducedProblem:
     d: int
     lam: complex
     inv_norm: float
+    s: np.ndarray
 
     def __post_init__(self):
         k, p = self.m.shape
@@ -177,62 +194,38 @@ class ReducedProblem:
             raise InputError("one label per block is required")
 
 
-def build_tilde_js(r: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 distribution factors for the degree >= 1 polynomial coefficients.
-
-    The first is the d-fold block diagonal of [0_{r,n}; I_n], the second the
-    d-fold vertical stack of [0_{n,r}  I_n]; both are empty when d = 0.
-    """
-    j1 = np.zeros(((r + n) * d, n * d))
-    j2 = np.zeros((n * d, r + n))
-    for j in range(d):
-        j1[j * (r + n) + r : (j + 1) * (r + n), j * n : (j + 1) * n] = np.eye(n)
-        j2[j * n : (j + 1) * n, r:] = np.eye(n)
-    return j1, j2
-
-
 def _power_row(r: int, n: int, d: int, lam: complex) -> np.ndarray:
     return np.hstack([lam**j * np.eye(r + n) for j in range(d + 1)])
 
 
-def _factors(scenario: Scenario, r: int, n: int, d: int):
-    """Left/right 0/1 factors, structure and labels of a scenario.
-
-    Column block i of the left factor places the rows of Delta_i among the
-    rows of S, row block i of the right factor picks its columns, so that
-    det(S - L Delta R) = 0 iff det(I - Delta R S^{-1} L) = 0.  When P(z) is
-    perturbed, A_0 rides in these heads and the trailing parts distribute
-    the degree >= 1 coefficients (see :func:`build_tilde_js`).
-    """
-    labels = scenario.labels(d)
-    structure = BlockStructure(tuple(block_shape(lab, r, n) for lab in labels))
-    top = np.vstack([np.eye(r), np.zeros((n, r))])  # A and B sit in the top rows
-    bottom = np.vstack([np.zeros((r, n)), np.eye(n)])
-    # In the P case only A_0 enters the heads; A_1..A_d go through the tilde factors.
-    heads = labels[: len(labels) - d] if scenario.perturb_p else labels
-    left = np.hstack([top if lab in ("A", "B") else bottom for lab in heads])
-    right = np.vstack([top.T if lab in ("A", "C") else bottom.T for lab in heads])
-    if scenario.perturb_p:
-        j1t, j2t = build_tilde_js(r, n, d)
-        left, right = block_diag(left, j1t), np.vstack([right, j2t])
-    return left, right, structure, labels
-
-
 def reduce(sys: RosenbrockSystem, lam: complex, scenario: Scenario) -> ReducedProblem:
     """Reduce a backward-error instance to a ReducedProblem.
+
+    With L placing the rows and R the columns of the perturbed blocks,
+    det(S - L Delta R) = det(S) det(I - Delta M) for M = R S^{-1} L.  L and
+    R are 0/1 selectors, so M is gathered from S^{-1} by index: the rows at
+    the blocks' columns, then the columns at their rows.  When P(z) is
+    perturbed, the rows are first multiplied by [I, lambda I, ...,
+    lambda^d I], and the columns of A_j are taken from the j-th copy.
 
     Requires S(lambda) to be invertible; callers short-circuit eigenvalues
     to a zero backward error before reaching this point.
     """
     lam = complex(lam)
     r, n, d = sys.r, sys.n, sys.d
-    s_inv = inverse(evaluate(sys, lam))
-    left, right, structure, labels = _factors(scenario, r, n, d)
+    s = evaluate(sys, lam)
+    s_inv = inverse(s)
+    labels = scenario.labels(d)
+    places = [_place(label, r, n) for label in labels]
+    k_idx = np.concatenate([np.r_[cols] for _, cols, _ in places])
+    p_idx = np.concatenate([np.r_[rows] + j * (r + n) for rows, _, j in places])
+    m = s_inv[k_idx]
     if scenario.perturb_p:
-        m = right @ s_inv @ _power_row(r, n, d, lam) @ left
-    else:
-        m = right @ s_inv @ left
-    return ReducedProblem(m, structure, labels, scenario, r, n, d, lam, sigma_max(s_inv))
+        m = m @ _power_row(r, n, d, lam)
+    # m[:, p_idx] would be F-ordered, so products with M would sum in another order
+    m = np.take(m, p_idx, axis=1)
+    structure = BlockStructure(tuple(block_shape(label, r, n) for label in labels))
+    return ReducedProblem(m, structure, labels, scenario, r, n, d, lam, sigma_max(s_inv), s)
 
 
 def assemble_perturbation(
@@ -240,27 +233,18 @@ def assemble_perturbation(
 ) -> np.ndarray:
     """Assemble labeled delta blocks into the dense perturbation of S(lambda).
 
-    A, B, C land in their quadrants; each polynomial coefficient "A<j>"
-    contributes lambda^j times itself to the lower-right quadrant.
+    Each block lands where :func:`_place` puts it, times its power of lambda.
     """
     lam = complex(lam)
     delta_s = np.zeros((r + n, r + n), dtype=complex)
-    quadrants = {
-        "A": (slice(0, r), slice(0, r)),
-        "B": (slice(0, r), slice(r, r + n)),
-        "C": (slice(r, r + n), slice(0, r)),
-    }
     for label, blk in labeled_blocks.items():
         b = as_matrix(blk, f"delta[{label}]")
-        if label not in quadrants and not (label.startswith("A") and label[1:].isdecimal()):
-            raise InputError(f"unknown block label {label!r}")
-        shape = block_shape(label, r, n)
-        if b.shape != shape:
-            raise InputError(f"delta[{label}]: expected {shape[0]}x{shape[1]}, got {b.shape}")
-        if label in quadrants:
-            delta_s[quadrants[label]] += b
-        else:
-            delta_s[r:, r:] += lam ** int(label[1:]) * b
+        rows, cols, j = _place(label, r, n)
+        target = delta_s[rows, cols]
+        if b.shape != target.shape:
+            p, k = target.shape
+            raise InputError(f"delta[{label}]: expected {p}x{k}, got {b.shape}")
+        target += lam**j * b
     return delta_s
 
 

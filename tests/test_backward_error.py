@@ -1,5 +1,8 @@
 """End-to-end backward errors: exact cases, sweeps, monotonicity."""
 
+import importlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from rosenmu import (
     scenario_sweep,
     sigma_max,
 )
+from rosenmu.instances import fluid_solid_instance
 
 from conftest import random_system
 
@@ -130,3 +134,19 @@ def test_diagonal_eta_is_distance_to_spectrum(rng):
         lam = complex(rng.standard_normal(), rng.standard_normal())
         res = backward_error(sys_, lam, Scenario.from_string("A"))
         assert res.eta_upper == pytest.approx(np.min(np.abs(diag - lam)), rel=1e-10)
+
+
+def test_sweep_reduces_each_scenario_once(monkeypatch):
+    # rosenmu.backward_error is the function; its module holds the globals
+    module = importlib.import_module("rosenmu.backward_error")
+    calls = Counter()
+    for name in ("reduce", "is_eigenvalue"):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    scenario_sweep(fluid_solid_instance(), 0.7)
+    assert calls == {"reduce": 15, "is_eigenvalue": 15}

@@ -376,6 +376,19 @@ def test_overflowing_system_names_s_lambda_exit_2(tmp_path, capsys):
     assert "S(lambda) is not finite at lambda = 0.9+0i" in capsys.readouterr().err
 
 
+def test_verify_overflowing_difference_names_it_exit_2(diag_system_file, tmp_path, capsys):
+    # S(lambda) and Delta S are finite; A - lambda - Delta A = -2e308 is not
+    doc = dict(DIAG_CERTIFICATE, delta_blocks={"A": [[[1e308, 0.0]]]})
+    doc["lambda"] = [1e308, 0.0]
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["verify", diag_system_file, str(cert)])
+    assert rc == 2
+    assert "S(lambda) - Delta S is not finite at lambda = 1e+308+0i" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Malformed JSON never escapes as a traceback.
 # ---------------------------------------------------------------------------

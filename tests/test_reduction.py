@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from rosenmu import (
     InputError,
@@ -10,7 +11,6 @@ from rosenmu import (
     Scenario,
     all_scenarios,
     backward_error,
-    build_tilde_js,
     embed,
     evaluate,
     perturbation_norm,
@@ -18,30 +18,52 @@ from rosenmu import (
     sigma_max,
     sigma_min,
 )
+from rosenmu.linalg import inverse
 
 from conftest import cgauss, random_blocks, random_system
 
 
-def test_tilde_js_smallest():
-    j1, j2 = build_tilde_js(1, 1, 1)
-    np.testing.assert_allclose(j1, [[0], [1]])
-    np.testing.assert_allclose(j2, [[0, 1]])
+def _selector_m(sys_, lam, scenario):
+    """M = R S^{-1} [I, lam I, ..., lam^d I] L from the 0/1 factors of the paper.
+
+    Column block i of L places the rows of Delta_i among the rows of S and
+    row block i of R picks its columns.  When P(z) is perturbed, A_0 rides
+    in these heads, and the tilde factors J1 (the d-fold block diagonal of
+    [0_{r,n}; I_n]) and J2 (the d-fold stack of [0_{n,r}  I_n]) distribute
+    A_1..A_d.  The product is formed in the order of the paper's formula.
+    """
+    r, n, d = sys_.r, sys_.n, sys_.d
+    s_inv = inverse(evaluate(sys_, lam))
+    labels = scenario.labels(d)
+    top = np.vstack([np.eye(r), np.zeros((n, r))])
+    bottom = np.vstack([np.zeros((r, n)), np.eye(n)])
+    heads = labels[: len(labels) - d] if scenario.perturb_p else labels
+    left = np.hstack([top if lab in ("A", "B") else bottom for lab in heads])
+    right = np.vstack([top.T if lab in ("A", "C") else bottom.T for lab in heads])
+    if not scenario.perturb_p:
+        return right @ s_inv @ left
+    j1 = np.zeros(((r + n) * d, n * d))
+    j2 = np.zeros((n * d, r + n))
+    for j in range(d):
+        j1[j * (r + n) + r : (j + 1) * (r + n), j * n : (j + 1) * n] = np.eye(n)
+        j2[j * n : (j + 1) * n, r:] = np.eye(n)
+    left, right = block_diag(left, j1), np.vstack([right, j2])
+    power_row = np.hstack([lam**j * np.eye(r + n) for j in range(d + 1)])
+    return right @ s_inv @ power_row @ left
 
 
-def test_tilde_js_degree_two_pattern():
-    j1, j2 = build_tilde_js(1, 1, 2)
-    assert j1.shape == (4, 2)
-    expected = np.zeros((4, 2))
-    expected[1, 0] = 1
-    expected[3, 1] = 1
-    np.testing.assert_allclose(j1, expected)
-    np.testing.assert_allclose(j2, [[0, 1], [0, 1]])
-
-
-def test_tilde_js_degree_zero_empty():
-    j1, j2 = build_tilde_js(2, 3, 0)
-    assert j1.shape == (0, 0)
-    assert j2.shape == (0, 5)
+def test_gather_matches_selector_form(rng):
+    for d in (0, 1, 2):
+        for r, n in ((1, 1), (2, 3), (3, 2)):
+            sys_ = random_system(rng, r=r, n=n, d=d)
+            for lam in (complex(rng.standard_normal()), complex(*rng.standard_normal(2))):
+                for scenario in all_scenarios():
+                    m = reduce(sys_, lam, scenario).m
+                    ref = _selector_m(sys_, lam, scenario)
+                    name = f"{scenario.name} d={d} r={r} n={n} lam={lam}"
+                    assert np.array_equal(m.real, ref.real), name
+                    assert np.array_equal(m.imag, ref.imag), name
+                    assert m.flags.c_contiguous, name
 
 
 def test_scenario_parsing():
