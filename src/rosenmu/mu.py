@@ -37,6 +37,11 @@ from .reduction import BlockStructure
 X_BOUND = 40.0
 # Relative tolerance for grouping singular values with the largest.
 MULT_TOL = 1e-8
+# Widening cluster tolerances whose top singular subspaces seed the lower
+# bound's kernel-direction candidates.
+CLUSTER_TOLS = (MULT_TOL, 1e-6, 1e-4, 1e-2)
+# Cap on the safeguarded Newton steps of the rank-two kernel direction.
+KERNEL_NEWTON_ITERS = 100
 # Norm below which a vector block is treated as vanished.
 TINY = 1e-14
 # Stopping rules of each quasi-Newton start in the upper-bound search.
@@ -46,6 +51,11 @@ BFGS_GRAD_TOL = 1e-9
 # (global, by convexity) minimizer: it ends the upper-bound search and
 # backs the exact_simple_sigma label.
 STATIONARY_TOL = 1e-6
+# Relative bracket gap (upper - lower) / upper above which a structure with
+# at most three blocks is not labelled exact_n_le_3: the theorem makes the
+# upper bound exact there, but the label also needs a lower bound in the run
+# that meets it.  Such a bracket is labelled as one with more blocks.
+EXACT_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -277,34 +287,106 @@ def mu_upper(m, structure: BlockStructure, opts: MuOptions = MuOptions()) -> Upp
 # ---------------------------------------------------------------------------
 
 
-def _top_subspace_forms(
-    m_scaled: np.ndarray, structure: BlockStructure, cluster_tol: float
-):
-    """Blocks (alpha_i, beta_i) of the top singular subspace and the
-    normalized Hermitian forms H_i = alpha_i* alpha_i - beta_i* beta_i."""
-    u, s, vh = np.linalg.svd(m_scaled)
-    if s[0] == 0.0:
-        return None
-    r = int(np.count_nonzero(s[0] - s <= cluster_tol * s[0]))
-    u1 = u[:, :r]
-    v1 = vh[:r].conj().T
+def _top_subspace_forms(u: np.ndarray, vh: np.ndarray, rank: int, structure: BlockStructure):
+    """Blocks (alpha_i, beta_i) of the top-``rank`` singular subspace of an
+    SVD u, vh and the Hermitian forms H_i = alpha_i* alpha_i - beta_i* beta_i."""
+    u1 = u[:, :rank]
+    v1 = vh[:rank].conj().T
     alphas = [u1[sk] for sk in structure.k_slices()]
     betas = [v1[sp] for sp in structure.p_slices()]
     forms = [a.conj().T @ a - b.conj().T @ b for a, b in zip(alphas, betas)]
-    return alphas, betas, forms, r
+    return alphas, betas, forms
 
 
-def _kernel_direction(forms, rng, n_starts: int = 16) -> tuple[np.ndarray, float]:
+def _kernel_direction(forms, rng) -> tuple[np.ndarray, float]:
     """Unit v (nearly) annihilating every quadratic form v* H_i v.
 
-    Minimizes sum_i |v* H_i v|^2 over the unit sphere by unconstrained
-    descent on the scale-invariant quotient; returns the best v found and
-    the attained residual sum.
+    Minimizes sum_i |v* H_i v|^2 over the unit sphere of C^r and returns
+    the v found with the attained residual sum.  Rank 1 is trivial and
+    rank 2 is solved exactly by _kernel_direction_2, which draws nothing
+    from rng; rank 3 and up run the multistart BFGS search.
     """
     r = forms[0].shape[0]
     if r == 1:
         v = np.ones(1, dtype=complex)
         return v, float(sum(abs(h[0, 0]) ** 2 for h in forms))
+    if r == 2:
+        v = _kernel_direction_2(forms)
+        return v, float(sum(np.vdot(v, h @ v).real ** 2 for h in forms))
+    return _kernel_direction_bfgs(forms, rng)
+
+
+def _kernel_direction_2(forms) -> np.ndarray:
+    """Global minimizer of sum_i (v* H_i v)^2 over unit v in C^2.
+
+    With v v* = (I + s . sigma) / 2 for the Pauli matrices sigma and a unit
+    s in R^3, v* H_i v = (t_i + h_i . s) / 2 where t_i = tr H_i and
+    h_i = (2 Re H_i[0,1], -2 Im H_i[0,1], H_i[0,0] - H_i[1,1]).  So the task
+    is to minimize |H s + t|^2 over |s| = 1, a trust-region subproblem on
+    the sphere (More & Sorensen 1983; Gander, Golub & von Matt 1989).  With
+    H^T H = Q diag(lam) Q^T, lam ascending, and c = Q^T H^T t, its global
+    minimizer is s = -sum_j c_j / (lam_j - lam_1 + delta) q_j for the shift
+    delta >= 0 at which |s| = 1.  1/|s(delta)| is concave and increasing,
+    so Newton's method on 1/|s(delta)| - 1 from a shift with |s| >= 1
+    climbs to the root without overshooting; bisection on the bracket
+    takes over should roundoff throw a step out of it.
+
+    The hard case is c_j = 0 on the bottom eigenvector with |s(0)| <= 1:
+    there is no pole to balance and s(0) is completed to unit length along
+    q_1.  It is common here, not a corner case: real forms have no sigma_y
+    component, so H^T H has the kernel vector e_y and c vanishes on it.
+    """
+    hs = np.array(
+        [[2.0 * h[0, 1].real, -2.0 * h[0, 1].imag, (h[0, 0] - h[1, 1]).real] for h in forms]
+    )
+    t = np.array([(h[0, 0] + h[1, 1]).real for h in forms])
+    lam, q = np.linalg.eigh(hs.T @ hs)
+    c = q.T @ (hs.T @ t)
+    gaps = lam - lam[0]
+    live = c != 0.0
+    c_live, g_live = c[live], gaps[live]
+    coef = np.zeros(3)
+    # Term j alone has norm 1 at the shift |c_j| - gap_j, so |s| >= 1 there.
+    lo = max(0.0, float(np.max(np.abs(c) - gaps)))
+    if lo == 0.0 and np.sum((c_live / g_live) ** 2) <= 1.0:
+        coef[live] = -c_live / g_live
+        coef[0] = np.sqrt(max(0.0, 1.0 - float(coef @ coef)))
+    else:
+        hi = lo + float(np.linalg.norm(c))  # every term is at most c_j^2 / |c|^2 there
+        delta = lo
+        eps = np.finfo(float).eps
+        for _ in range(KERNEL_NEWTON_ITERS):
+            w = c_live / (g_live + delta)
+            n2 = float(w @ w)
+            f = 1.0 / np.sqrt(n2) - 1.0
+            if f >= 0.0:
+                hi = delta
+            else:
+                lo = delta
+            if abs(f) <= 4 * eps or hi - lo <= eps * hi:
+                break
+            step = delta - f * n2**1.5 / float(np.sum(w**2 / (g_live + delta)))
+            delta = step if lo < step < hi else 0.5 * (lo + hi)
+        coef[live] = -c_live / (g_live + delta)
+    s = q @ coef
+    s /= np.linalg.norm(s)
+    # v = (cos theta/2, e^{i phi} sin theta/2) up to a phase, from whichever
+    # of |v_0|^2 = (1 + s_z)/2 and |v_1|^2 = (1 - s_z)/2 is at least 1/2
+    if s[2] >= 0.0:
+        v0 = np.sqrt((1.0 + s[2]) / 2.0)
+        return np.array([v0, complex(s[0], s[1]) / (2.0 * v0)])
+    v1 = np.sqrt((1.0 - s[2]) / 2.0)
+    return np.array([complex(s[0], -s[1]) / (2.0 * v1), v1])
+
+
+def _kernel_direction_bfgs(forms, rng, n_starts: int = 16) -> tuple[np.ndarray, float]:
+    """Multistart BFGS for _kernel_direction at any rank r >= 2.
+
+    Minimizes the scale-invariant quotient sum_i (v* H_i v / v* v)^2 from
+    the r canonical starts, then random ones drawn from rng; returns the
+    best v found and its residual sum.
+    """
+    r = forms[0].shape[0]
 
     def fg(w: np.ndarray) -> tuple[float, np.ndarray]:
         v = w[:r] + 1j * w[r:]
@@ -448,9 +530,15 @@ def mu_lower(
     """Best certified lower bound sup rho(P M) over the searched P.
 
     Candidates come from (a) kernel directions of the top singular
-    subspace at the scaling optimum x_star, swept over a widening cluster
-    tolerance, (b) caller-provided seed isometries, (c) seeded random
-    restarts; every candidate is refined by the alternating iteration.
+    subspace at the scaling optimum x_star, swept over the widening cluster
+    tolerances CLUSTER_TOLS, (b) caller-provided seed isometries, (c) seeded
+    random restarts; every candidate is refined by the alternating
+    iteration.  A tolerance that clusters the same rank r <= 2 as the one
+    before it is skipped: it sees the same subspace, and for r <= 2 the
+    kernel direction is a deterministic function of that subspace (r = 2
+    is solved in closed form), so its candidate would be a bit-identical
+    copy.  At r >= 3 the multistart kernel search draws from the rng, so
+    every tolerance still gets its own candidate.
     """
     a = as_matrix(m)
     _check_shapes(a, structure)
@@ -467,12 +555,14 @@ def mu_lower(
         # once one meets the target; the rng is drawn in the same order.
         nonlocal kernel_residual
         if x_star is not None:
-            scaled = _scaled(a_n, structure, np.asarray(x_star, dtype=float))
-            for tol in (MULT_TOL, 1e-6, 1e-4, 1e-2):
-                parts = _top_subspace_forms(scaled, structure, tol)
-                if parts is None:
-                    break
-                alphas, betas, forms, rank = parts
+            u, s, vh = np.linalg.svd(_scaled(a_n, structure, np.asarray(x_star, dtype=float)))
+            prev_rank = 0
+            for tol in CLUSTER_TOLS:
+                rank = int(np.count_nonzero(s[0] - s <= tol * s[0]))
+                if rank == prev_rank and rank <= 2:
+                    continue  # same subspace, and the same deterministic candidate
+                prev_rank = rank
+                alphas, betas, forms = _top_subspace_forms(u, vh, rank, structure)
                 v, resid = _kernel_direction(forms, rng)
                 if tol == MULT_TOL:
                     kernel_residual = resid
@@ -547,7 +637,7 @@ def mu_bracket(m, structure: BlockStructure, opts: MuOptions = MuOptions(), seed
 
     nb = structure.n_blocks
     scale = float(np.linalg.svd(a, compute_uv=False)[0])
-    if nb <= 3:
+    if nb <= 3 and upper.value - lower.value <= EXACT_GAP_TOL * upper.value:
         exactness = "exact_n_le_3"
     elif _is_stationary(upper.multiplicity, upper.grad_norm):
         exactness = "exact_simple_sigma"

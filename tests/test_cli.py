@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rosenmu
-from rosenmu import matrix_to_json, system_to_json
+from rosenmu import InputError, matrix_from_json, matrix_to_json, system_from_json, system_to_json
 from rosenmu.cli import main
 
 from conftest import GOLDEN_5X5, random_system
@@ -446,17 +446,38 @@ _odd_certificates = st.builds(
     _numbers,
 )
 
+
+def _rejected(parse):
+    """Keep only documents that parse refuses, so no valid one runs a search."""
+
+    def refused(doc) -> bool:
+        try:
+            parse(doc)
+        except InputError:
+            return True
+        return False
+
+    return refused
+
+
+_bad_systems = _mutated(VALID_SYSTEM).filter(_rejected(system_from_json))
+_bad_matrices = (_matrices | _json).filter(_rejected(lambda doc: matrix_from_json(doc, "matrix")))
+
 # (command, document): a matrix for mu, a system for backward-error under
-# scenario A, P or AB, or a certificate for verify
+# scenario A, P or AB, or a certificate for verify; sweep and both oracle
+# modes get malformed documents only, since a valid one costs seconds
 _cases = st.one_of(
     st.tuples(st.just("mu"), _matrices | _json),
     st.tuples(st.sampled_from(["A", "P", "AB"]), _mutated(VALID_SYSTEM) | _odd_systems),
     st.tuples(st.just("verify"), _mutated(DIAG_CERTIFICATE) | _odd_certificates),
+    st.tuples(st.just("sweep"), _bad_systems),
+    st.tuples(st.just("oracle-system"), _bad_systems),
+    st.tuples(st.just("oracle-matrix"), _bad_matrices),
 )
 
 
 @given(case=_cases)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 def test_cli_fuzz_exit_codes(case):
     kind, doc = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -470,6 +491,12 @@ def test_cli_fuzz_exit_codes(case):
             with open(sys_path, "w", encoding="utf-8") as fh:
                 json.dump(dict(VALID_SYSTEM, d=0, P=VALID_SYSTEM["P"][:1]), fh)
             argv = ["verify", sys_path, path]
+        elif kind == "sweep":
+            argv = ["sweep", "--lambda", "0.5", "--starts", "1", path]
+        elif kind == "oracle-system":
+            argv = ["oracle", "--scenario", "AB", "--lambda", "0.5", "--budget", "5", path]
+        elif kind == "oracle-matrix":
+            argv = ["oracle", "--structure", _structure_for(doc), "--budget", "5", path]
         else:
             argv = ["backward-error", "--scenario", kind, "--lambda", "0.5", "--starts", "1", path]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

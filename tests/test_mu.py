@@ -1,5 +1,7 @@
 """The mu engine: scalings, gradient, bounds, certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,14 @@ from rosenmu import (
     sigma_max,
 )
 from rosenmu.instances import fluid_solid_instance
-from rosenmu.mu import STATIONARY_TOL, _kernel_direction, _scaled, _snap_partial_isometry
+from rosenmu.mu import (
+    EXACT_GAP_TOL,
+    STATIONARY_TOL,
+    _kernel_direction,
+    _kernel_direction_bfgs,
+    _scaled,
+    _snap_partial_isometry,
+)
 
 from conftest import (
     GOLDEN_5X5,
@@ -395,7 +404,7 @@ def test_mu_bracket_kink_bit_identical_to_full_search():
     assert res.trace.multiplicity == 2
     assert res.exactness == "bracket_only"
     assert res.upper.hex() == "0x1.a935877479862p+1"
-    assert res.lower.hex() == "0x1.a935877479231p+1"
+    assert res.lower.hex() == "0x1.a935877479228p+1"
     assert [v.hex() for v in res.x_star] == [
         "0x0.0p+0", "0x1.68d3285e9abe0p-1", "0x1.b916a810eb518p-3",
         "0x1.b06a95d8f0c05p-3", "-0x1.e645d042886ebp-6", "0x1.47c892254e1cdp-1",
@@ -438,3 +447,159 @@ def test_mu_options_seed_determinism(rng):
     b = mu_bracket(m, structure, MuOptions(seed=42))
     assert a.lower == b.lower
     assert a.upper == b.upper
+
+
+def test_exactness_n_le_3_needs_a_closed_bracket(monkeypatch):
+    # The theorem makes the upper bound exact for at most three blocks; the
+    # label also needs a lower bound in the run within EXACT_GAP_TOL of it.
+    # Without one, the label is decided as for more blocks.
+    smooth = (cgauss(np.random.default_rng(3), 3, 3), BlockStructure(((1, 1),) * 3))
+    kink = (ANTIDIAG, TWO_SCALARS)
+    for m, structure in (smooth, kink):
+        assert mu_bracket(m, structure).exactness == "exact_n_le_3"
+    real_lower = mu_lower
+
+    def lowered(shortfall):
+        def patched(*args, **kwargs):
+            low = real_lower(*args, **kwargs)
+            return dataclasses.replace(low, value=low.value * (1 - shortfall))
+
+        return patched
+
+    monkeypatch.setattr("rosenmu.mu.mu_lower", lowered(0.1 * EXACT_GAP_TOL))
+    for m, structure in (smooth, kink):
+        assert mu_bracket(m, structure).exactness == "exact_n_le_3"
+    monkeypatch.setattr("rosenmu.mu.mu_lower", lowered(10 * EXACT_GAP_TOL))
+    assert mu_bracket(*smooth).exactness == "exact_simple_sigma"
+    assert mu_bracket(*kink).exactness == "bracket_only"
+
+
+# ---------------------------------------------------------------------------
+# The rank-two kernel direction in closed form.
+# ---------------------------------------------------------------------------
+
+
+def _residual(forms, v):
+    return float(sum(np.vdot(v, h @ v).real ** 2 for h in forms))
+
+
+def _hermitian_forms(rng, n_forms, complex_):
+    forms = []
+    for _ in range(n_forms):
+        g = rng.standard_normal((2, 2)) + (1j * rng.standard_normal((2, 2)) if complex_ else 0)
+        forms.append((g + g.conj().T) / 2 + 0j)
+    return forms
+
+
+def test_kernel_direction_2_no_worse_than_bfgs():
+    # the closed form is the global minimum; the multistart search is not
+    # guaranteed to be.  Zero-residual sets meet at the roundoff floor.
+    rng = np.random.default_rng(2024)
+    for trial in range(100):
+        forms = _hermitian_forms(rng, int(rng.integers(1, 9)), complex_=trial % 2 == 1)
+        v, resid = _kernel_direction(forms, None)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+        assert resid == _residual(forms, v)
+        w, _ = _kernel_direction_bfgs(forms, np.random.default_rng(trial), n_starts=8)
+        floor = 1e-24 * sum(np.linalg.norm(h) ** 2 for h in forms)
+        assert resid <= _residual(forms, w / np.linalg.norm(w)) * (1 + 1e-12) + floor
+
+
+def test_kernel_direction_2_hard_case():
+    # all forms diag(1, -1): no sigma_y or sigma_x part and zero traces, so
+    # H^T H is singular, the right-hand side vanishes and every s on the
+    # equator is optimal
+    z = np.diag([1.0, -1.0]).astype(complex)
+    for forms in ([z], [z, -2 * z, 0.5 * z]):
+        v, resid = _kernel_direction(forms, None)
+        assert resid <= 1e-30
+        assert abs(v[0]) == pytest.approx(abs(v[1]), rel=1e-15)
+    # real forms: zero sigma_y column, and a solvable rest completed along e_y
+    forms = [np.array([[1.0, 0.2], [0.2, -0.5]], complex), np.array([[0.1, -0.3], [-0.3, 0.2]], complex)]
+    v, resid = _kernel_direction(forms, None)
+    assert resid <= 1e-30
+    # the hard case completes s along e_y: s_y = 2 Im(v_1 conj(v_0)) = +-0.65
+    assert abs(2 * (v[1] * v[0].conj()).imag) > 0.6
+
+
+def test_kernel_direction_2_single_and_zero_forms():
+    # one indefinite form: its kernel cone is hit exactly
+    h = np.array([[0.3, 1 - 2j], [1 + 2j, -0.7]])
+    v, resid = _kernel_direction([h], None)
+    assert resid <= 1e-30
+    # one definite form: the best v is its bottom eigenvector
+    h = np.array([[3.0, 1j], [-1j, 2.0]])
+    v, resid = _kernel_direction([h], None)
+    assert resid == pytest.approx(np.linalg.eigvalsh(h)[0] ** 2, rel=1e-12)
+    # all forms zero: any unit v, residual 0
+    v, resid = _kernel_direction([np.zeros((2, 2), complex)] * 3, None)
+    assert resid == 0.0
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_kernel_direction_2_draws_nothing():
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    forms = _hermitian_forms(np.random.default_rng(6), 4, complex_=True)
+    _kernel_direction(forms, rng)
+    assert rng.bit_generator.state == state
+
+
+def _matrix_with_singular_values(rng, s):
+    n = len(s)
+    u, _ = np.linalg.qr(cgauss(rng, n, n))
+    w, _ = np.linalg.qr(cgauss(rng, n, n))
+    return u @ np.diag(s) @ w.conj().T
+
+
+@pytest.mark.parametrize(
+    "sigmas, kernel_ranks",
+    [
+        # ranks 1, 2, 2, 4 at the four cluster tolerances: the repeated 2 is skipped
+        ([1, 1 - 1e-7, 1 - 1e-3, 1 - 1e-3, 0.5, 0.4], [1, 2, 4]),
+        # ranks 2, 2, 3, 3: rank 3 runs the random multistart, so it repeats
+        ([1, 1, 1 - 1e-5, 0.5, 0.4, 0.3], [2, 3, 3]),
+    ],
+)
+def test_mu_lower_one_kernel_call_per_distinct_rank(monkeypatch, sigmas, kernel_ranks):
+    ranks = []
+
+    def recording(forms, rng):
+        ranks.append(forms[0].shape[0])
+        return _kernel_direction(forms, rng)
+
+    monkeypatch.setattr("rosenmu.mu._kernel_direction", recording)
+    m = _matrix_with_singular_values(np.random.default_rng(8), sigmas)
+    mu_lower(m, BlockStructure(((1, 1),) * 6), KERNEL_ONLY, x_star=np.zeros(6))
+    assert ranks == kernel_ranks
+
+
+# mu_lower values (float.hex) from mu_bracket while the rank-two kernel
+# direction came from a 16-start BFGS search and every cluster tolerance
+# got its own candidate: the twelve real matrices of the mu-scalar
+# benchmark workload, then complex matrices under 4-6 mixed blocks.
+PINNED_SCALAR_LOWER = [
+    "0x1.367ac59b6dd1cp+1", "0x1.fbe767280dc17p+1", "0x1.fcb71571a8076p+1",
+    "0x1.923fe17573fe0p+1", "0x1.041d953736aacp+2", "0x1.1de2da88b90e1p+2",
+    "0x1.94b51ba430301p+1", "0x1.c7d83cd6aca5fp+1", "0x1.22779a1eda283p+2",
+    "0x1.d6f3df7bae701p+1", "0x1.d1792015cef7ap+1", "0x1.a4e006a92a745p+1",
+]
+PINNED_COMPLEX_LOWER = [
+    "0x1.408fc6644047cp+2", "0x1.950350c3f25d2p+2", "0x1.4dbbf889a3ffap+2",
+    "0x1.45bf2ba2150d9p+2", "0x1.28a8484a9ae4cp+2", "0x1.aa472c42a2d0ep+2",
+]
+LOWER_SLACK = 1e-10
+
+
+def test_mu_lower_no_worse_than_parent():
+    base = np.random.default_rng(0)
+    for i, pinned in enumerate(PINNED_SCALAR_LOWER):
+        nb = 6 + i % 3
+        m = base.standard_normal((nb, nb))
+        res = mu_bracket(m, BlockStructure(((1, 1),) * nb))
+        assert res.lower >= float.fromhex(pinned) * (1 - LOWER_SLACK)
+    rng = np.random.default_rng(505)
+    for i, pinned in enumerate(PINNED_COMPLEX_LOWER):
+        structure = random_structure(rng, n_blocks=4 + i % 3, max_dim=1 + i % 2)
+        m = cgauss(rng, structure.k_total, structure.p_total)
+        assert mu_bracket(m, structure).lower >= float.fromhex(pinned) * (1 - LOWER_SLACK)
