@@ -17,7 +17,6 @@ from .linalg import (
     SingularMatrixError,
     sigma_max,
     sigma_min,
-    solve,
 )
 from .mu import (
     MuOptions,
@@ -37,7 +36,6 @@ from .reduction import (
     Scenario,
     all_scenarios,
     assemble_perturbation,
-    embed,
     perturbation_norm,
     reduce,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "brute_force_backward_error",
     "brute_force_mu",
     "certificate_to_delta",
-    "embed",
     "evaluate",
     "is_eigenvalue",
     "matrix_from_json",
@@ -88,7 +85,6 @@ __all__ = [
     "scenario_sweep",
     "sigma_max",
     "sigma_min",
-    "solve",
     "system_from_json",
     "system_to_json",
     "unstructured_backward_error",

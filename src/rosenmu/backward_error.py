@@ -1,7 +1,9 @@
 """Structured eigenvalue backward errors of Rosenbrock system matrices.
 
-Top-level pipeline: short-circuit exact eigenvalues to zero, reduce the
-(system, lambda, scenario) instance, solve it exactly when one block is
+Top-level pipeline: evaluate S(lambda) once into a
+:class:`~rosenmu.rosenbrock.Point` (shared by all 15 scenarios of a
+sweep), short-circuit exact eigenvalues to zero, reduce each scenario at
+the point, solve it exactly when one block is
 perturbed (mu = sigma_max(M)) or bracket the mu-value otherwise, and
 invert the result into backward-error bounds.  The mu lower
 bound is the certified side: its partial-isometry certificate converts to
@@ -25,12 +27,12 @@ from .reduction import (
     perturbation_norm,
     reduce,
 )
-from .rosenbrock import RosenbrockSystem, evaluate, is_eigenvalue
+from .rosenbrock import Point, RosenbrockSystem
 
 # mu lower bounds at or below this level cannot certify a finite error.
 MU_ZERO_TOL = 1e-12
 # A 1-block M is declared exactly zero (infinite backward error) below
-# this level relative to sigma_max(S(lambda)^{-1}).
+# this level relative to sigma_max(S(lambda)^{-1}) = 1/sigma_min(S(lambda)).
 WITNESS_ZERO_TOL = 1e-14
 
 
@@ -68,19 +70,18 @@ class BackwardErrorResult:
         )
 
 
-def _eigenvalue_result(sys: RosenbrockSystem, lam: complex, scenario: Scenario):
-    s_mat = evaluate(sys, lam)
+def _eigenvalue_result(point: Point, scenario: Scenario):
     return BackwardErrorResult(
         scenario=scenario,
-        lam=lam,
+        lam=point.lam,
         eta_lower=0.0,
         eta_upper=0.0,
         exactness="exact_eigenvalue",
         possibly_infinite=False,
         delta_blocks={},
-        certificate=np.zeros_like(s_mat),
+        certificate=np.zeros_like(point.s),
         certificate_norm=0.0,
-        residual=sigma_min(s_mat),
+        residual=point.sigma_min,
         mu=None,
     )
 
@@ -105,11 +106,16 @@ def backward_error(
     seed_isometries=(),
 ) -> BackwardErrorResult:
     """Backward error of lambda for S(z) under one perturbation scenario."""
-    lam = complex(lam)
-    if is_eigenvalue(sys, lam):
-        return _eigenvalue_result(sys, lam, scenario)
+    return _backward_error_at(Point(sys, lam), scenario, opts, seed_isometries)
 
-    problem = reduce(sys, lam, scenario)
+
+def _backward_error_at(
+    point: Point, scenario: Scenario, opts: MuOptions, seed_isometries
+) -> BackwardErrorResult:
+    if point.is_eigenvalue():
+        return _eigenvalue_result(point, scenario)
+
+    problem = reduce(point, scenario)
     mu = delta = witness = None
     possibly_infinite = False
     if problem.structure.n_blocks == 1:
@@ -118,7 +124,7 @@ def backward_error(
         # applies, +inf when M = 0.
         exactness = "exact_formula"
         smax = sigma_max(problem.m)
-        if smax <= WITNESS_ZERO_TOL * max(problem.inv_norm, ABS_FLOOR):
+        if smax <= WITNESS_ZERO_TOL * max(point.inv_norm, ABS_FLOOR):
             eta_lower = eta_upper = np.inf
             witness = problem.m
         else:
@@ -140,12 +146,12 @@ def backward_error(
     blocks = delta_s = resid = norm = None
     if delta is not None:
         blocks = dict(zip(problem.labels, delta))
-        delta_s = assemble_perturbation(sys.r, sys.n, lam, blocks)
-        resid = sigma_min(problem.s - delta_s)
+        delta_s = assemble_perturbation(point.sys.r, point.sys.n, point.lam, blocks)
+        resid = sigma_min(point.s - delta_s)
         norm = perturbation_norm(delta)
     return BackwardErrorResult(
         scenario=scenario,
-        lam=lam,
+        lam=point.lam,
         eta_lower=eta_lower,
         eta_upper=eta_upper,
         exactness=exactness,
@@ -184,12 +190,12 @@ def scenario_sweep(
     lower-bound seeds, which keeps the reported brackets monotone under
     scenario inclusion up to solver roundoff.
     """
-    lam = complex(lam)
+    point = Point(sys, lam)
     results = []
     pool: dict[str, dict[str, np.ndarray]] = {}
     for scenario in all_scenarios():
         seeds = _seed_blocks_for(scenario.labels(sys.d), sys.r, sys.n, pool)
-        res = backward_error(sys, lam, scenario, opts, seed_isometries=seeds)
+        res = _backward_error_at(point, scenario, opts, seeds)
         results.append(res)
         if res.delta_blocks and res.certificate_norm and res.certificate_norm > 0:
             # Rescale the realized perturbation blocks to unit spectral norm

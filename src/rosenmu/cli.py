@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .backward_error import BackwardErrorResult, backward_error, scenario_sweep
-from .linalg import ABS_FLOOR, InputError, NumericError, sigma_max, sigma_min
+from .linalg import ABS_FLOOR, InputError, NumericError, sigma_min
 from .mu import MuOptions, mu_bracket
 from .oracle import brute_force_backward_error, brute_force_mu
 from .reduction import (
@@ -26,8 +26,8 @@ from .reduction import (
     perturbation_norm,
 )
 from .rosenbrock import (
+    Point,
     _is_number,
-    evaluate,
     matrix_from_json,
     matrix_to_json,
     system_from_json,
@@ -381,10 +381,10 @@ def _cmd_verify(args) -> int:
                 f"scenario {scenario.name}"
             )
 
-    s_mat = evaluate(system, lam)
+    point = Point(system, lam)
     delta_s = assemble_perturbation(system.r, system.n, lam, blocks)
     with np.errstate(over="ignore", invalid="ignore"):
-        perturbed = s_mat - delta_s
+        perturbed = point.s - delta_s
     if not np.isfinite(perturbed).all():
         raise InputError(
             f"S(lambda) - Delta S is not finite at lambda = {lam.real:g}{lam.imag:+g}i "
@@ -392,7 +392,7 @@ def _cmd_verify(args) -> int:
         )
     residual = sigma_min(perturbed)
     norm = perturbation_norm(blocks.values()) if blocks else 0.0
-    scale = max(sigma_max(s_mat), ABS_FLOOR)
+    scale = max(point.sigma_max, ABS_FLOOR)
     residual_ok = residual <= args.tol * scale
     norm_ok = abs(norm - claimed) <= NORM_MATCH_TOL * max(1.0, abs(claimed))
     ok = residual_ok and norm_ok
@@ -503,6 +503,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        for flag in ("seed", "starts"):
+            if getattr(args, flag, 0) < 0:
+                raise InputError(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Dense complex linear-algebra kernels shared by the whole package.
 
 Thin, contract-enforcing wrappers around LAPACK (via numpy): input
-coercion, the extreme singular values, and linear solves and inverses
-with an explicit relative singularity threshold.  All tolerances are
-relative to the spectral norm with an absolute floor of ``ABS_FLOOR``.
+coercion, the extreme singular values and the package's error types.
+Tolerances are relative to the spectral norm with an absolute floor of
+``ABS_FLOOR``.  The one singularity test of S(lambda), and its inverse,
+live in :class:`rosenmu.rosenbrock.Point`.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import numpy as np
 
 # Absolute floor used when a matrix norm vanishes.
 ABS_FLOOR = 1e-14
-# Relative sigma_min threshold below which solves are refused.
-SOLVE_SINGULAR_TOL = 1e-12
 
 
 class InputError(ValueError):
@@ -25,7 +24,7 @@ class NumericError(RuntimeError):
 
 
 class SingularMatrixError(NumericError):
-    """Raised on solves with a numerically singular coefficient matrix."""
+    """Raised when the inverse of a numerically singular matrix is requested."""
 
     def __init__(self, msg: str, sigma_min: float):
         super().__init__(msg)
@@ -54,25 +53,3 @@ def sigma_min(m) -> float:
     """Smallest singular value."""
     a = as_matrix(m)
     return float(np.linalg.svd(a, compute_uv=False)[-1])
-
-
-def solve(a, b) -> np.ndarray:
-    """Solve ``a x = b``, refusing numerically singular systems."""
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
-    if am.shape[0] != am.shape[1]:
-        raise InputError(f"solve needs a square matrix, got {am.shape}")
-    s = np.linalg.svd(am, compute_uv=False)
-    if s[-1] <= SOLVE_SINGULAR_TOL * max(s[0], ABS_FLOOR):
-        raise SingularMatrixError(
-            f"matrix is numerically singular (sigma_min={s[-1]:.3e}, "
-            f"sigma_max={s[0]:.3e})",
-            sigma_min=float(s[-1]),
-        )
-    return np.linalg.solve(am, bm)
-
-
-def inverse(a) -> np.ndarray:
-    """Matrix inverse via :func:`solve` against the identity."""
-    am = as_matrix(a, "a")
-    return solve(am, np.eye(am.shape[0], dtype=complex))

@@ -86,17 +86,9 @@ class PartialIsometrySet:
 
 
 @dataclass
-class OptimizerTrace:
-    starts: int = 0
-    iterations: int = 0
-    final_grad_norm: float | None = None
-    multiplicity: int = 0
-    kernel_residual: float | None = None
-    refine_rounds: int = 0
-
-
-@dataclass
 class MuResult:
+    """Bracket [lower, upper] with its certificate and the two searches' records."""
+
     lower: float
     upper: float
     certificate_p: PartialIsometrySet | None
@@ -104,8 +96,8 @@ class MuResult:
     delta_residual: float | None
     exactness: str  # exact_n_le_3 | exact_simple_sigma | bracket_only
     possibly_zero: bool
-    x_star: np.ndarray
-    trace: OptimizerTrace
+    upper_bound: UpperBound
+    lower_bound: LowerBound
 
 
 def _check_shapes(m: np.ndarray, structure: BlockStructure) -> None:
@@ -650,14 +642,6 @@ def mu_bracket(m, structure: BlockStructure, opts: MuOptions = MuOptions(), seed
     if lower.certificate is not None and lower.value > TINY:
         cert_delta, resid = certificate_to_delta(lower.certificate, a)
 
-    trace = OptimizerTrace(
-        starts=upper.starts,
-        iterations=upper.iterations,
-        final_grad_norm=upper.grad_norm,
-        multiplicity=upper.multiplicity,
-        kernel_residual=lower.kernel_residual,
-        refine_rounds=lower.refine_rounds,
-    )
     return MuResult(
         lower=lower.value,
         upper=upper.value,
@@ -666,6 +650,6 @@ def mu_bracket(m, structure: BlockStructure, opts: MuOptions = MuOptions(), seed
         delta_residual=resid,
         exactness=exactness,
         possibly_zero=possibly_zero,
-        x_star=upper.x,
-        trace=trace,
+        upper_bound=upper,
+        lower_bound=lower,
     )

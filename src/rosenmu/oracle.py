@@ -25,7 +25,7 @@ from scipy.optimize import minimize
 
 from .linalg import InputError, as_matrix, sigma_max
 from .reduction import BlockStructure, Scenario, assemble_perturbation, block_shape
-from .rosenbrock import RosenbrockSystem, evaluate, is_eigenvalue
+from .rosenbrock import Point, RosenbrockSystem
 
 _TINY = 1e-300
 # Draws evaluated together; the chunk's arrays are the sampling phase's
@@ -201,10 +201,10 @@ def brute_force_backward_error(
     """
     if budget < 1:
         raise InputError("budget must be >= 1")
-    lam = complex(lam)
-    if is_eigenvalue(sys, lam):
+    point = Point(sys, lam)
+    if point.is_eigenvalue():
         return 0.0
-    s_mat = evaluate(sys, lam)
+    lam, s_mat = point.lam, point.s
     labels = scenario.labels(sys.d)
     layout = _Layout(block_shape(label, sys.r, sys.n) for label in labels)
     rng = np.random.default_rng(seed)

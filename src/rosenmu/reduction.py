@@ -3,9 +3,11 @@
 Each of the 15 nonempty subsets of perturbable blocks {A, B, C, P} reduces
 to a structured mu-value of a rectangular matrix M under a rectangular
 block diagonal perturbation class.  One table, :func:`_place`, records
-where each labelled block sits in S(lambda); ``reduce`` gathers M from
-S(lambda)^{-1} with it, and ``assemble_perturbation`` uses it to put a
-block list back into S(lambda), so certificates stay self-describing.
+where each labelled block sits in S(lambda); ``reduce`` gathers M with it
+from the inverse held by a :class:`~rosenmu.rosenbrock.Point`, which all
+scenarios at that point share, and ``assemble_perturbation`` uses it to
+put labelled blocks back into S(lambda), so certificates stay
+self-describing.
 The single-block cases (A, B, C, and P of degree zero) give 1-block
 problems, whose mu-value is sigma_max(M); their closed form
 1/sigma_max(M) is applied in ``backward_error``.
@@ -18,8 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import InputError, as_matrix, inverse, sigma_max
-from .rosenbrock import RosenbrockSystem, evaluate
+from .linalg import InputError, as_matrix, sigma_max
+from .rosenbrock import Point
 
 _BLOCK_ORDER = "ABCP"
 
@@ -163,25 +165,18 @@ class BlockStructure:
 
 @dataclass
 class ReducedProblem:
-    """mu-value problem (M, structure) plus the embedding back into S(lambda).
+    """mu-value problem (M, structure) of one scenario at one point.
 
     ``labels[i]`` names the block of the structured perturbation of
     S(lambda) that block i of Delta lands in: one of "A", "B", "C" or
-    "A<j>" for the degree-j polynomial coefficient.  ``inv_norm`` is
-    sigma_max(S(lambda)^{-1}), the scale against which M counts as zero,
-    and ``s`` is S(lambda) itself, as evaluated once by :func:`reduce`.
+    "A<j>" for the degree-j polynomial coefficient.  S(lambda) and its
+    norms stay with the :class:`~rosenmu.rosenbrock.Point` it came from.
     """
 
     m: np.ndarray
     structure: BlockStructure
     labels: tuple[str, ...]
     scenario: Scenario
-    r: int
-    n: int
-    d: int
-    lam: complex
-    inv_norm: float
-    s: np.ndarray
 
     def __post_init__(self):
         k, p = self.m.shape
@@ -198,8 +193,8 @@ def _power_row(r: int, n: int, d: int, lam: complex) -> np.ndarray:
     return np.hstack([lam**j * np.eye(r + n) for j in range(d + 1)])
 
 
-def reduce(sys: RosenbrockSystem, lam: complex, scenario: Scenario) -> ReducedProblem:
-    """Reduce a backward-error instance to a ReducedProblem.
+def reduce(point: Point, scenario: Scenario) -> ReducedProblem:
+    """Reduce one scenario at a point (system, lambda) to a ReducedProblem.
 
     With L placing the rows and R the columns of the perturbed blocks,
     det(S - L Delta R) = det(S) det(I - Delta M) for M = R S^{-1} L.  L and
@@ -208,24 +203,23 @@ def reduce(sys: RosenbrockSystem, lam: complex, scenario: Scenario) -> ReducedPr
     perturbed, the rows are first multiplied by [I, lambda I, ...,
     lambda^d I], and the columns of A_j are taken from the j-th copy.
 
-    Requires S(lambda) to be invertible; callers short-circuit eigenvalues
-    to a zero backward error before reaching this point.
+    Requires S(lambda) to be invertible (``point.inverse`` raises
+    :class:`SingularMatrixError` otherwise); callers short-circuit
+    eigenvalues to a zero backward error before reaching this point.
     """
-    lam = complex(lam)
-    r, n, d = sys.r, sys.n, sys.d
-    s = evaluate(sys, lam)
-    s_inv = inverse(s)
+    lam = point.lam
+    r, n, d = point.sys.r, point.sys.n, point.sys.d
     labels = scenario.labels(d)
     places = [_place(label, r, n) for label in labels]
     k_idx = np.concatenate([np.r_[cols] for _, cols, _ in places])
     p_idx = np.concatenate([np.r_[rows] + j * (r + n) for rows, _, j in places])
-    m = s_inv[k_idx]
+    m = point.inverse[k_idx]
     if scenario.perturb_p:
         m = m @ _power_row(r, n, d, lam)
     # m[:, p_idx] would be F-ordered, so products with M would sum in another order
     m = np.take(m, p_idx, axis=1)
     structure = BlockStructure(tuple(block_shape(label, r, n) for label in labels))
-    return ReducedProblem(m, structure, labels, scenario, r, n, d, lam, sigma_max(s_inv), s)
+    return ReducedProblem(m, structure, labels, scenario)
 
 
 def assemble_perturbation(
@@ -246,15 +240,6 @@ def assemble_perturbation(
             raise InputError(f"delta[{label}]: expected {p}x{k}, got {b.shape}")
         target += lam**j * b
     return delta_s
-
-
-def embed(problem: ReducedProblem, delta_blocks) -> np.ndarray:
-    """Map a block list for the reduced problem back to a perturbation of S."""
-    blocks = problem.structure.check_blocks(delta_blocks)
-    labeled: dict[str, np.ndarray] = {}
-    for label, blk in zip(problem.labels, blocks):
-        labeled[label] = labeled.get(label, 0) + blk
-    return assemble_perturbation(problem.r, problem.n, problem.lam, labeled)
 
 
 def perturbation_norm(delta_blocks) -> float:

@@ -3,17 +3,19 @@
 The polynomial block is P(z) = sum_j z^j A_j of degree d with n x n
 coefficients.  A scalar lambda is an eigenvalue of S(z) when S(lambda) is
 singular.  This module owns the system data model, its evaluation, the
-eigenvalue test, the unstructured backward error, and the JSON exchange
-format shared with the CLI.
+per-point record :class:`Point` (S(lambda), its singular-value extremes,
+the eigenvalue test and the inverse, each computed once), the unstructured
+backward error, and the JSON exchange format shared with the CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, InputError, as_matrix
+from .linalg import ABS_FLOOR, InputError, SingularMatrixError, as_matrix
 
 # Relative sigma_min threshold deciding "lambda is an eigenvalue".
 EIGENVALUE_TOL = 1e-10
@@ -88,10 +90,48 @@ def evaluate(sys: RosenbrockSystem, lam: complex) -> np.ndarray:
     return s
 
 
+class Point:
+    """S(lambda) of one system at one lambda, evaluated and factored once.
+
+    One values-only SVD of S(lambda) gives ``sigma_min`` and ``sigma_max``,
+    the eigenvalue test and ``inv_norm`` = sigma_max(S(lambda)^{-1}) =
+    1/sigma_min.  The inverse itself is solved for on first use and
+    refused at an eigenvalue, so every scenario at this point shares one
+    evaluation, one SVD and at most one solve.
+    """
+
+    def __init__(self, sys: RosenbrockSystem, lam: complex):
+        self.sys = sys
+        self.lam = complex(lam)
+        self.s = evaluate(sys, self.lam)
+        sv = np.linalg.svd(self.s, compute_uv=False)
+        self.sigma_max = float(sv[0])
+        self.sigma_min = float(sv[-1])
+
+    def is_eigenvalue(self, tol: float = EIGENVALUE_TOL) -> bool:
+        """True when sigma_min(S(lambda)) <= tol * |S(lambda)|."""
+        return self.sigma_min <= tol * max(self.sigma_max, ABS_FLOOR)
+
+    @property
+    def inv_norm(self) -> float:
+        """sigma_max(S(lambda)^{-1}), from the SVD of S(lambda)."""
+        return 1.0 / self.sigma_min
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """S(lambda)^{-1}; raises :class:`SingularMatrixError` at an eigenvalue."""
+        if self.is_eigenvalue():
+            raise SingularMatrixError(
+                f"S(lambda) is numerically singular (sigma_min={self.sigma_min:.3e}, "
+                f"sigma_max={self.sigma_max:.3e})",
+                sigma_min=self.sigma_min,
+            )
+        return np.linalg.solve(self.s, np.eye(self.s.shape[0], dtype=complex))
+
+
 def is_eigenvalue(sys: RosenbrockSystem, lam: complex, tol: float = EIGENVALUE_TOL) -> bool:
     """True when sigma_min(S(lambda)) <= tol * |S(lambda)|."""
-    s = np.linalg.svd(evaluate(sys, lam), compute_uv=False)
-    return bool(s[-1] <= tol * max(s[0], ABS_FLOOR))
+    return Point(sys, lam).is_eigenvalue(tol)
 
 
 def unstructured_backward_error(sys: RosenbrockSystem, lam: complex) -> float:
@@ -101,11 +141,10 @@ def unstructured_backward_error(sys: RosenbrockSystem, lam: complex) -> float:
     Viewed as a matrix polynomial, S(z) always carries a degree-1
     coefficient (the -I_r block), so deg = max(1, d).
     """
-    lam = complex(lam)
-    s_min = float(np.linalg.svd(evaluate(sys, lam), compute_uv=False)[-1])
+    point = Point(sys, lam)
     deg = max(1, sys.d)
-    denom = sum(abs(lam) ** j for j in range(deg + 1))
-    return s_min / denom
+    denom = sum(abs(point.lam) ** j for j in range(deg + 1))
+    return point.sigma_min / denom
 
 
 # ---------------------------------------------------------------------------

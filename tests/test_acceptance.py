@@ -18,9 +18,9 @@ from rosenmu import (
     RosenbrockSystem,
     Scenario,
     all_scenarios,
+    assemble_perturbation,
     backward_error,
     brute_force_mu,
-    embed,
     evaluate,
     is_eigenvalue,
     mu_bracket,
@@ -34,6 +34,7 @@ from rosenmu import (
 )
 from rosenmu.cli import main as cli_main
 from rosenmu.instances import fluid_solid_instance, golden_two_block_matrix
+from rosenmu.rosenbrock import Point
 
 from conftest import (
     GOLDEN_COMPETITOR_UPPER,
@@ -99,7 +100,7 @@ def test_criterion_2_fluid_solid_instance():
             _det_equivalence(sys_, lam, scenario, rng)
 
         # (b) gauge invariance and homogeneity on the full-scenario reduction
-        prob = reduce(sys_, lam, Scenario.from_string("ABCP"))
+        prob = reduce(Point(sys_, lam), Scenario.from_string("ABCP"))
         x = rng.uniform(-2, 2, prob.structure.n_blocks)
         c_shift = rng.uniform(-5, 5)
         v1 = scaled_sigma(prob.m, prob.structure, x)
@@ -145,13 +146,14 @@ def _central_diff(m, structure, x, h=1e-6):
 
 
 def _det_equivalence(sys_, lam, scenario, rng):
-    red = reduce(sys_, lam, scenario)
+    red = reduce(Point(sys_, lam), scenario)
     blocks = random_blocks(rng, red.structure)
     ev = np.linalg.eigvals(red.structure.assemble(blocks) @ red.m)
     lam_e = ev[np.argmax(np.abs(ev))]
     if abs(lam_e) < 1e-9:
         return
-    delta_s = embed(red, [b / lam_e for b in blocks])
+    labeled = {label: b / lam_e for label, b in zip(red.labels, blocks)}
+    delta_s = assemble_perturbation(sys_.r, sys_.n, lam, labeled)
     s_mat = evaluate(sys_, lam)
     assert sigma_min(s_mat - delta_s) <= 1e-8 * sigma_max(s_mat), scenario.name
 

@@ -18,6 +18,7 @@ from rosenmu import (
     sigma_max,
 )
 from rosenmu.instances import fluid_solid_instance
+from rosenmu.rosenbrock import Point
 
 from conftest import random_system
 
@@ -79,7 +80,7 @@ def test_exact_vs_mu_consistency(rng):
         eta = backward_error(sys_, lam, Scenario.from_string("A")).eta_upper
         if not np.isfinite(eta):
             continue
-        prob = reduce(sys_, lam, Scenario.from_string("A"))
+        prob = reduce(Point(sys_, lam), Scenario.from_string("A"))
         res = mu_bracket(prob.m, prob.structure, FAST)
         assert 1.0 / res.upper == pytest.approx(eta, rel=1e-9)
         assert 1.0 / res.lower == pytest.approx(eta, rel=1e-9)
@@ -137,10 +138,11 @@ def test_diagonal_eta_is_distance_to_spectrum(rng):
 
 
 def test_sweep_reduces_each_scenario_once(monkeypatch):
-    # rosenmu.backward_error is the function; its module holds the globals
-    module = importlib.import_module("rosenmu.backward_error")
+    # one S(lambda) serves all 15 scenarios; each scenario is reduced once
     calls = Counter()
-    for name in ("reduce", "is_eigenvalue"):
+    for module_name, name in (("rosenmu.rosenbrock", "evaluate"), ("rosenmu.backward_error", "reduce")):
+        # rosenmu.backward_error is the function; its module holds the globals
+        module = importlib.import_module(module_name)
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -149,4 +151,36 @@ def test_sweep_reduces_each_scenario_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     scenario_sweep(fluid_solid_instance(), 0.7)
-    assert calls == {"reduce": 15, "is_eigenvalue": 15}
+    assert calls == {"evaluate": 1, "reduce": 15}
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def _assert_same_row(row, alone):
+    name = row.scenario.name
+    assert (row.scenario, row.lam, row.exactness, row.possibly_infinite, row.mu) == (
+        alone.scenario, alone.lam, alone.exactness, alone.possibly_infinite, alone.mu
+    ), name
+    for field in ("eta_lower", "eta_upper", "certificate_norm", "residual"):
+        assert _hex(getattr(row, field)) == _hex(getattr(alone, field)), (name, field)
+    for field in ("certificate", "infinite_witness"):
+        np.testing.assert_array_equal(getattr(row, field), getattr(alone, field), err_msg=name)
+    assert (row.delta_blocks is None) == (alone.delta_blocks is None), name
+    if row.delta_blocks is not None:
+        assert row.delta_blocks.keys() == alone.delta_blocks.keys(), name
+        for label, blk in row.delta_blocks.items():
+            np.testing.assert_array_equal(blk, alone.delta_blocks[label], err_msg=name)
+
+
+def test_sweep_rows_match_standalone_backward_error(diag_sys):
+    # the shared point changes no bit of the rows that take no seeds
+    sys_ = fluid_solid_instance()
+    rows = {r.scenario.name: r for r in scenario_sweep(sys_, 0.7)}
+    for name in "ABC":
+        _assert_same_row(rows[name], backward_error(sys_, 0.7, Scenario.from_string(name)))
+    rows = scenario_sweep(diag_sys, 2.0)
+    assert all(r.exactness == "exact_eigenvalue" for r in rows)
+    for row in rows:
+        _assert_same_row(row, backward_error(diag_sys, 2.0, row.scenario))

@@ -278,6 +278,22 @@ def test_bad_structure_exit_2(golden_matrix_file):
     assert main(["mu", "--structure", "2x", golden_matrix_file]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--seed", "-3"), ("--starts", "-1")])
+def test_negative_seed_or_starts_exit_2(golden_matrix_file, diag_system_file, capsys, flag, value):
+    commands = [
+        ["mu", "--structure", "2x3,3x2", golden_matrix_file],
+        ["sweep", "--lambda", "0.7", diag_system_file],
+        ["backward-error", "--scenario", "AB", "--lambda", "0.7", diag_system_file],
+        # mu never runs for one block, yet the flag is still rejected
+        ["backward-error", "--scenario", "A", "--lambda", "0.7", diag_system_file],
+    ]
+    if flag == "--seed":
+        commands.append(["oracle", "--structure", "2x3,3x2", "--budget", "5", golden_matrix_file])
+    for argv in commands:
+        assert main(argv[:-1] + [flag, value, argv[-1]]) == 2, argv
+        assert f"error: {flag} must be nonnegative" in capsys.readouterr().err, argv
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["mu", "--structure", "1x1", "/nonexistent/m.json"]) == 2
 

@@ -6,13 +6,10 @@ import pytest
 from rosenmu import (
     BlockStructure,
     InputError,
-    SingularMatrixError,
     mu_upper,
     sigma_max,
     sigma_min,
-    solve,
 )
-from rosenmu.linalg import inverse
 
 from conftest import cgauss
 
@@ -49,43 +46,9 @@ def test_sigma_max_scaling(rng):
         assert sigma_max(c * m) == pytest.approx(abs(c) * sigma_max(m), rel=1e-12)
 
 
-def test_solve_identity(rng):
-    b = cgauss(rng, 3, 2)
-    np.testing.assert_allclose(solve(np.eye(3), b), b)
-
-
-def test_solve_diagonal_inverse():
-    np.testing.assert_allclose(
-        inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), atol=1e-15
-    )
-
-
-def test_solve_residual(rng):
-    for _ in range(10):
-        a = cgauss(rng, 5, 5)
-        b = cgauss(rng, 5, 2)
-        x = solve(a, b)
-        assert np.linalg.norm(a @ x - b, 2) <= 1e-10 * sigma_max(a) * max(
-            1.0, np.linalg.norm(x, 2)
-        )
-
-
-def test_solve_singular_raises():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError) as err:
-        solve(a, np.eye(2))
-    assert err.value.sigma_min >= 0.0
-
-
 def test_rejects_non_finite():
     with pytest.raises(InputError):
         sigma_min(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(InputError):
         sigma_max(np.array([[np.inf, 0], [0, 1]]))
 
-
-def test_rejects_nonsquare():
-    with pytest.raises(InputError):
-        inverse(np.ones((2, 3)))
-    with pytest.raises(InputError):
-        solve(np.ones((2, 3)), np.ones((2, 1)))

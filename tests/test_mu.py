@@ -33,6 +33,7 @@ from rosenmu.mu import (
     _scaled,
     _snap_partial_isometry,
 )
+from rosenmu.rosenbrock import Point
 
 from conftest import (
     GOLDEN_5X5,
@@ -386,7 +387,7 @@ def test_mu_upper_no_worse_than_full_search_fluid_solid():
     sys_ = fluid_solid_instance()
     seen = {}
     for scenario in all_scenarios():
-        problem = reduce(sys_, 0.7, scenario)
+        problem = reduce(Point(sys_, 0.7), scenario)
         if problem.structure.n_blocks > 1:
             seen[scenario.name] = mu_upper(problem.m, problem.structure).value
     assert sorted(seen) == sorted(PINNED_FLUID_SOLID_UPPER)
@@ -400,12 +401,12 @@ def test_mu_bracket_kink_bit_identical_to_full_search():
     m = np.random.default_rng(6).standard_normal((6, 6))
     structure = BlockStructure(((1, 1),) * 6)
     res = mu_bracket(m, structure)
-    assert res.trace.starts == MuOptions().starts
-    assert res.trace.multiplicity == 2
+    assert res.upper_bound.starts == MuOptions().starts
+    assert res.upper_bound.multiplicity == 2
     assert res.exactness == "bracket_only"
     assert res.upper.hex() == "0x1.a935877479862p+1"
     assert res.lower.hex() == "0x1.a935877479228p+1"
-    assert [v.hex() for v in res.x_star] == [
+    assert [v.hex() for v in res.upper_bound.x] == [
         "0x0.0p+0", "0x1.68d3285e9abe0p-1", "0x1.b916a810eb518p-3",
         "0x1.b06a95d8f0c05p-3", "-0x1.e645d042886ebp-6", "0x1.47c892254e1cdp-1",
     ]
@@ -414,17 +415,17 @@ def test_mu_bracket_kink_bit_identical_to_full_search():
 def test_mu_upper_one_start_at_smooth_optimum():
     m = cgauss(np.random.default_rng(404), 2, 2)
     res = mu_bracket(m, TWO_SCALARS, MuOptions(starts=5))
-    assert res.trace.starts == 1
-    assert res.trace.multiplicity == 1
-    assert res.trace.final_grad_norm <= STATIONARY_TOL
+    assert res.upper_bound.starts == 1
+    assert res.upper_bound.multiplicity == 1
+    assert res.upper_bound.grad_norm <= STATIONARY_TOL
 
 
 def test_mu_upper_all_starts_at_kink():
     # sigma_max(ANTIDIAG scaled) = max(2 e^-t, 3 e^t): both branches meet at the optimum
     for starts in (3, 8):
         res = mu_bracket(ANTIDIAG, TWO_SCALARS, MuOptions(starts=starts))
-        assert res.trace.starts == starts
-        assert res.trace.multiplicity == 2
+        assert res.upper_bound.starts == starts
+        assert res.upper_bound.multiplicity == 2
 
 
 def test_mu_lower_builds_one_kernel_candidate_when_it_meets_target(monkeypatch):

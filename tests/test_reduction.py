@@ -10,15 +10,15 @@ from rosenmu import (
     RosenbrockSystem,
     Scenario,
     all_scenarios,
+    assemble_perturbation,
     backward_error,
-    embed,
     evaluate,
     perturbation_norm,
     reduce,
     sigma_max,
     sigma_min,
 )
-from rosenmu.linalg import inverse
+from rosenmu.rosenbrock import Point
 
 from conftest import cgauss, random_blocks, random_system
 
@@ -33,7 +33,7 @@ def _selector_m(sys_, lam, scenario):
     A_1..A_d.  The product is formed in the order of the paper's formula.
     """
     r, n, d = sys_.r, sys_.n, sys_.d
-    s_inv = inverse(evaluate(sys_, lam))
+    s_inv = Point(sys_, lam).inverse
     labels = scenario.labels(d)
     top = np.vstack([np.eye(r), np.zeros((n, r))])
     bottom = np.vstack([np.zeros((r, n)), np.eye(n)])
@@ -58,7 +58,7 @@ def test_gather_matches_selector_form(rng):
             sys_ = random_system(rng, r=r, n=n, d=d)
             for lam in (complex(rng.standard_normal()), complex(*rng.standard_normal(2))):
                 for scenario in all_scenarios():
-                    m = reduce(sys_, lam, scenario).m
+                    m = reduce(Point(sys_, lam), scenario).m
                     ref = _selector_m(sys_, lam, scenario)
                     name = f"{scenario.name} d={d} r={r} n={n} lam={lam}"
                     assert np.array_equal(m.real, ref.real), name
@@ -90,7 +90,7 @@ def test_all_scenarios_order():
 
 def test_full_scenario_dimension_count(rng):
     sys_ = random_system(rng, r=1, n=1, d=1)
-    prob = reduce(sys_, 0.3, Scenario.from_string("ABCP"))
+    prob = reduce(Point(sys_, 0.3), Scenario.from_string("ABCP"))
     assert isinstance(prob, ReducedProblem)
     assert prob.m.shape == (5, 5)  # (d+2)n + 2r = 5
     assert prob.structure.blocks == ((1, 1),) * 5
@@ -120,7 +120,7 @@ def test_dimension_audit_all_scenarios(rng):
         sys_ = random_system(rng)
         lam = complex(rng.standard_normal(), rng.standard_normal())
         for scenario in all_scenarios():
-            red = reduce(sys_, lam, scenario)
+            red = reduce(Point(sys_, lam), scenario)
             k, p = _expected_mu_shape(scenario, sys_.r, sys_.n, sys_.d)
             assert red.m.shape == (k, p), scenario.name
             assert red.structure.k_total == k
@@ -131,7 +131,7 @@ def test_dimension_audit_all_scenarios(rng):
 def test_bc_matches_printed_factors(rng):
     sys_ = random_system(rng, r=2, n=3, d=1)
     lam = 0.4 - 0.2j
-    red = reduce(sys_, lam, Scenario.from_string("BC"))
+    red = reduce(Point(sys_, lam), Scenario.from_string("BC"))
     s_inv = np.linalg.inv(evaluate(sys_, lam))
     selector = np.block(
         [[np.zeros((3, 2)), np.eye(3)], [np.eye(2), np.zeros((2, 3))]]
@@ -142,7 +142,7 @@ def test_bc_matches_printed_factors(rng):
 
 def test_exact_formula_diagonal():
     sys_ = RosenbrockSystem([[2]], [[0]], [[0]], ([[1]],))
-    red = reduce(sys_, 0.0, Scenario.from_string("A"))
+    red = reduce(Point(sys_, 0.0), Scenario.from_string("A"))
     assert red.structure.blocks == ((1, 1),)
     np.testing.assert_allclose(red.m, [[0.5]])
     res = backward_error(sys_, 0.0, Scenario.from_string("A"))
@@ -162,20 +162,18 @@ def test_exact_formula_infinite_witness():
 
 def test_embed_zero_and_single_block(rng):
     sys_ = random_system(rng, r=2, n=2, d=0)
-    prob = reduce(sys_, 0.1, Scenario.from_string("AB"))
-    zero = embed(prob, [np.zeros((2, 2)), np.zeros((2, 2))])
-    np.testing.assert_allclose(zero, 0)
-    one_block = reduce(sys_, 0.1, Scenario.from_string("A"))
+    zero = assemble_perturbation(sys_.r, sys_.n, 0.1, {"A": np.zeros((2, 2)), "B": np.zeros((2, 2))})
+    np.testing.assert_array_equal(zero, 0)
     e = cgauss(rng, 2, 2)
-    ds = embed(one_block, [e])
-    np.testing.assert_allclose(ds[:2, :2], e)
-    np.testing.assert_allclose(ds[2:, :], 0)
-    np.testing.assert_allclose(ds[:, 2:], 0)
+    ds = assemble_perturbation(sys_.r, sys_.n, 0.1, {"A": e})
+    np.testing.assert_array_equal(ds[:2, :2], e)
+    np.testing.assert_array_equal(ds[2:, :], 0)
+    np.testing.assert_array_equal(ds[:, 2:], 0)
 
 
 def test_embed_norm_is_max_block_norm(rng):
     sys_ = random_system(rng, r=2, n=2, d=1)
-    prob = reduce(sys_, 0.3, Scenario.from_string("ABCP"))
+    prob = reduce(Point(sys_, 0.3), Scenario.from_string("ABCP"))
     blocks = random_blocks(rng, prob.structure)
     assert perturbation_norm(blocks) == pytest.approx(
         max(sigma_max(b) for b in blocks)
@@ -184,20 +182,20 @@ def test_embed_norm_is_max_block_norm(rng):
 
 def test_embed_shape_mismatch(rng):
     sys_ = random_system(rng, r=2, n=2, d=0)
-    prob = reduce(sys_, 0.1, Scenario.from_string("AB"))
     with pytest.raises(InputError):
-        embed(prob, [np.zeros((2, 2)), np.zeros((3, 3))])
+        assemble_perturbation(sys_.r, sys_.n, 0.1, {"A": np.zeros((2, 2)), "B": np.zeros((3, 3))})
 
 
 def _det_equivalence_check(sys_, lam, scenario, rng):
-    red = reduce(sys_, lam, scenario)
+    red = reduce(Point(sys_, lam), scenario)
     blocks = random_blocks(rng, red.structure)
     delta = red.structure.assemble(blocks)
     ev = np.linalg.eigvals(delta @ red.m)
     lam_e = ev[np.argmax(np.abs(ev))]
     if abs(lam_e) < 1e-9:
         return
-    delta_s = embed(red, [b / lam_e for b in blocks])
+    labeled = {label: b / lam_e for label, b in zip(red.labels, blocks)}
+    delta_s = assemble_perturbation(sys_.r, sys_.n, lam, labeled)
     s_mat = evaluate(sys_, lam)
     assert sigma_min(s_mat - delta_s) <= 1e-8 * sigma_max(s_mat), scenario.name
 
@@ -215,4 +213,4 @@ def test_reduce_requires_invertible_s():
     from rosenmu import SingularMatrixError
 
     with pytest.raises(SingularMatrixError):
-        reduce(sys_, 2.0, Scenario.from_string("A"))
+        reduce(Point(sys_, 2.0), Scenario.from_string("A"))

@@ -7,12 +7,14 @@ import scipy.linalg
 from rosenmu import (
     InputError,
     RosenbrockSystem,
+    SingularMatrixError,
     evaluate,
     is_eigenvalue,
     system_from_json,
     system_to_json,
     unstructured_backward_error,
 )
+from rosenmu.rosenbrock import Point
 
 from conftest import cgauss, random_system
 
@@ -85,6 +87,28 @@ def test_is_eigenvalue_matches_linearization(rng):
             assert is_eigenvalue(sys_, lam, tol=1e-8)
         lam_far = 10.0 + np.max(np.abs(eigs)) if eigs.size else 10.0
         assert not is_eigenvalue(sys_, lam_far)
+
+
+def test_point_inverse_and_norms(rng):
+    for _ in range(10):
+        sys_ = random_system(rng)
+        point = Point(sys_, complex(*rng.standard_normal(2)))
+        s = evaluate(sys_, point.lam)
+        np.testing.assert_array_equal(point.s, s)
+        sv = np.linalg.svd(s, compute_uv=False)
+        assert (point.sigma_max, point.sigma_min) == (sv[0], sv[-1])
+        assert not point.is_eigenvalue()
+        inv = point.inverse
+        assert np.linalg.norm(s @ inv - np.eye(len(s)), 2) <= 1e-10 * point.sigma_max * point.inv_norm
+        assert point.inv_norm == pytest.approx(np.linalg.svd(inv, compute_uv=False)[0], rel=1e-10)
+
+
+def test_point_refuses_inverse_at_eigenvalue(diag_sys):
+    point = Point(diag_sys, 2.0)
+    assert point.is_eigenvalue()
+    with pytest.raises(SingularMatrixError) as err:
+        point.inverse
+    assert err.value.sigma_min == point.sigma_min
 
 
 def test_unstructured_error_zero_at_eigenvalue(diag_sys):
