@@ -421,6 +421,10 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     lambdas = [_parse_lambda(t) for t in args.lambdas or []]
     if args.structure:
+        if args.scenario or lambdas:
+            raise InputError(
+                "oracle --structure (matrix mode) takes no --scenario or --lambda"
+            )
         structure = _parse_structure(args.structure)
         m = matrix_from_json(_load_json(args.input), "matrix")
         est = brute_force_mu(m, structure, budget=args.budget, seed=args.seed)
@@ -434,7 +438,9 @@ def _cmd_oracle(args) -> int:
             "samples_used": est.samples_used,
         }
         text = f"sampled mu lower bound {est.mu_sampled_lower:.9g} ({est.samples_used} samples)\n"
-    elif args.scenario and args.lambdas:
+    elif args.scenario and lambdas:
+        if len(lambdas) > 1:
+            raise InputError(f"oracle takes one --lambda, got {len(lambdas)}")
         system = system_from_json(_load_json(args.input))
         scenario = Scenario.from_string(args.scenario)
         lam = lambdas[0]

@@ -1,10 +1,12 @@
 """Independent brute-force estimators for validating the main pipeline.
 
-Random structured direction sampling with derivative-free sharpening.
-Every mu candidate evaluated here corresponds to an explicitly feasible
-perturbation, so the returned estimates are valid one-sided bounds no
-matter how well the search does.  Nothing in this module calls into the
-scaling/partial-isometry machinery it is meant to check.
+Random structured direction sampling, sharpened by projected
+eigenvalue-gradient ascent (``brute_force_mu``) or by random descent and
+simplex search (``brute_force_backward_error``).  Every candidate
+evaluated here corresponds to an explicitly feasible perturbation, so the
+returned estimates are valid one-sided bounds no matter how well the
+search does.  Nothing in this module calls into the scaling/partial-
+isometry machinery it is meant to check.
 
 Draws are taken ``_CHUNK`` at a time: one ``standard_normal`` call fills
 a chunk row by row, each row holding one draw in packed order (see
@@ -17,6 +19,7 @@ memory.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +27,15 @@ import scipy.linalg
 from scipy.optimize import minimize
 
 from .linalg import InputError, as_matrix, sigma_max
-from .reduction import BlockStructure, Scenario, assemble_perturbation, block_shape
+from .reduction import BlockStructure, Scenario, _place, _power, block_shape
 from .rosenbrock import Point, RosenbrockSystem
 
 _TINY = 1e-300
+_EPS = np.finfo(float).eps
+# Ascent: largest step along the unit gradient, and the stop after a stall.
+_STEP = 8.0
+_STALL = 8
+_GAIN_TOL = 1e-15
 # Draws evaluated together; the chunk's arrays are the sampling phase's
 # working memory whatever the budget.
 _CHUNK = 512
@@ -71,12 +79,6 @@ class _Layout:
         lead = z.shape[:-1]
         return [z[..., s].reshape(*lead, p, k) for s, (p, k) in zip(self.slices, self.shapes)]
 
-    def pack(self, z: np.ndarray) -> np.ndarray:
-        x = np.empty(self.n_x)
-        x[self.re] = z.real
-        x[self.im] = z.imag
-        return x
-
 
 def _max_norm(blocks) -> np.ndarray:
     """Largest block spectral norm (per stacked draw)."""
@@ -113,9 +115,11 @@ def brute_force_mu(
     Draws ``budget`` complex Gaussian block directions normalized to unit
     max block norm; each yields the feasible perturbation D / lambda_e and
     hence the candidate rho(D M).  Draws are evaluated in batches of
-    ``_CHUNK``, so memory stays bounded for any budget.  The best few
-    candidates are sharpened by restarted simplex search over the raw
-    block entries.
+    ``_CHUNK``, so memory stays bounded for any budget.  The best
+    ``refine_top`` candidates are sharpened by projected gradient ascent of
+    rho(Delta M) over blocks of spectral norm at most 1 (:func:`_ascend`),
+    at most ``refine_iters`` iterations each; every iterate is feasible, so
+    the result stays a lower bound.
     """
     a = as_matrix(m)
     if budget < 1:
@@ -152,34 +156,96 @@ def brute_force_mu(
     best_val = float(-top[0][0])
     best_blocks = layout.blocks(top[1][0])
 
-    # One draw per evaluation: the same steps as sampling, without the stack.
-    delta = delta[0]
-    delta_flat = delta.reshape(-1)
-
-    def neg(x: np.ndarray) -> float:
-        z = layout.flat(x)
-        scale = max([np.linalg.svd(b, compute_uv=False)[0] for b in layout.blocks(z)])
-        delta_flat[pos] = 0 if scale <= _TINY else z / scale
-        return -float(np.abs(np.linalg.eigvals(delta @ a)).max())
-
+    places = list(zip(structure.p_slices(), structure.k_slices()))
     for key, z in zip(top[0][:n_refine], top[1]):
-        x = layout.pack(z)
-        f = float(-key)
-        for _ in range(2):
-            res = minimize(
-                neg,
-                x,
-                method="Nelder-Mead",
-                options=dict(
-                    maxiter=refine_iters, xatol=1e-12, fatol=1e-14, adaptive=True
-                ),
-            )
-            if -res.fun > f:
-                f, x = float(-res.fun), res.x
+        delta = np.zeros((p_total, k_total), dtype=complex)
+        delta.reshape(-1)[pos] = z
+        f, delta = _ascend(a, delta, float(-key), places, refine_iters)
         if f > best_val:
-            best_val, best_blocks = f, layout.blocks(_normalize(layout.flat(x), layout))
+            best_val, best_blocks = f, [delta[sp, sk] for sp, sk in places]
 
     return OracleEstimate(best_val, tuple(best_blocks), budget)
+
+
+def _project(delta: np.ndarray, places) -> np.ndarray:
+    """Clip each block's singular values at 1, then scale to unit max block norm.
+
+    rho(c Delta M) = c rho(Delta M), so the scaling never lowers rho.  An
+    ascent direction has a positive inner product with Delta, so a step
+    from a Delta of unit max block norm keeps ``top`` away from 0.
+    """
+    factors = [np.linalg.svd(delta[sp, sk], full_matrices=False) for sp, sk in places]
+    top = max(s[0] for _, s, _ in factors)
+    out = np.zeros_like(delta)
+    for (sp, sk), (u, s, vh) in zip(places, factors):
+        out[sp, sk] = (u * (s / top if top < 1.0 else np.minimum(s, 1.0))) @ vh
+    return out
+
+
+def _unit(v: np.ndarray):
+    """v scaled to unit 2-norm without overflow, or None if v is 0 or not finite."""
+    top = np.abs(v).max()
+    if not 0 < top < np.inf:
+        return None
+    # real divisions: numpy's complex division overflows at a subnormal top
+    v = v.real / top + 1j * (v.imag / top)
+    return v / np.linalg.norm(v)
+
+
+def _ascent_direction(a: np.ndarray, w: np.ndarray, v: np.ndarray, places):
+    """Unit gradient of |lam_max(Delta M)| in the blocks, or None where undefined.
+
+    For a simple eigenvalue lam of Delta M with right and left eigenvectors
+    x and y, the gradient is (lam/|lam|) y (M x)^* / conj(y^* x).  With V
+    holding the right eigenvectors, y = V^{-*} e_j gives y^* x = 1.
+    """
+    j = int(np.argmax(np.abs(w)))
+    lam = w[j]
+    mx = _unit(a @ v[:, j])
+    if lam == 0 or mx is None:
+        return None
+    u, s, vh = np.linalg.svd(v)
+    # a near-singular V: lam is close to defective and y^* x ~ 0 for unit y
+    if not s[-1] > _EPS * s[0]:
+        return None
+    y = u @ (vh[:, j] / s)
+    # lam/|lam| from its angle: |lam| may be subnormal or overflow
+    g = cmath.exp(1j * cmath.phase(lam)) * np.outer(y, mx.conj())
+    grad = np.zeros_like(g)
+    for sp, sk in places:
+        grad[sp, sk] = g[sp, sk]
+    # <grad, Delta> is a positive multiple of |lam|, so grad is not 0
+    return grad / np.linalg.norm(grad)
+
+
+def _ascend(a: np.ndarray, delta: np.ndarray, rho: float, places, iters: int):
+    """Projected gradient ascent of rho(Delta M) over blocks of norm <= 1.
+
+    Follows Guglielmi & Overton (2011) and Guglielmi, Rehman & Kressner
+    (2017).  A step along :func:`_ascent_direction` is projected by
+    :func:`_project` and kept only if rho rises; the step doubles after a
+    kept step and halves after a rejected one.  The ascent ends after
+    ``_STALL`` iterations in a row gain at most ``_GAIN_TOL`` relative,
+    when the step falls below machine epsilon, after ``iters`` iterations,
+    or where the gradient is undefined.  Returns the best rho and its
+    Delta, the start if nothing rose.
+    """
+    w, v = np.linalg.eig(delta @ a)
+    direction = _ascent_direction(a, w, v, places)
+    step, stalled = _STEP, 0
+    for _ in range(iters):
+        if direction is None or step < _EPS or stalled >= _STALL:
+            break
+        trial = _project(delta + step * direction, places)
+        w, v = np.linalg.eig(trial @ a)
+        rho_t = float(np.abs(w).max())
+        if rho_t > rho:
+            stalled = stalled + 1 if rho_t - rho <= _GAIN_TOL * rho else 0
+            delta, rho, step = trial, rho_t, min(2.0 * step, _STEP)
+            direction = _ascent_direction(a, w, v, places)
+        else:
+            stalled, step = stalled + 1, step / 2.0
+    return rho, delta
 
 
 def brute_force_backward_error(
@@ -207,15 +273,20 @@ def brute_force_backward_error(
     lam, s_mat = point.lam, point.s
     labels = scenario.labels(sys.d)
     layout = _Layout(block_shape(label, sys.r, sys.n) for label in labels)
+    # where each block sits in S(lambda), and its power of lambda, once per call
+    places = [_place(label, sys.r, sys.n) for label in labels]
+    powers = [_power(lam, j) for _, _, j in places]
     rng = np.random.default_rng(seed)
+    w = np.zeros_like(s_mat)
 
     def feasible_size(x: np.ndarray) -> float:
         blocks = layout.blocks(layout.flat(x))
         scale = _max_norm(blocks)
         if scale <= _TINY:
             return np.inf
-        labeled = {lab: b / scale for lab, b in zip(labels, blocks)}
-        w = assemble_perturbation(sys.r, sys.n, lam, labeled)
+        w.fill(0)
+        for (rows, cols, _), power, b in zip(places, powers, blocks):
+            w[rows, cols] += power * (b / scale)
         # det(S - t W) = 0 at the generalized eigenvalues of the pencil (S, W).
         t = scipy.linalg.eigvals(s_mat, w)
         finite = t[np.isfinite(t)]

@@ -15,6 +15,7 @@ problems, whose mu-value is sigma_max(M); their closed form
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -189,8 +190,21 @@ class ReducedProblem:
             raise InputError("one label per block is required")
 
 
+def _power(lam: complex, j: int) -> complex:
+    """lambda**j, refused with InputError where it leaves the double range."""
+    try:
+        power = lam**j
+        if cmath.isfinite(power):
+            return power
+    except OverflowError:
+        pass
+    raise InputError(
+        f"lambda^{j} overflows the double range at lambda = {lam.real:g}{lam.imag:+g}i"
+    )
+
+
 def _power_row(r: int, n: int, d: int, lam: complex) -> np.ndarray:
-    return np.hstack([lam**j * np.eye(r + n) for j in range(d + 1)])
+    return np.hstack([_power(lam, j) * np.eye(r + n) for j in range(d + 1)])
 
 
 def reduce(point: Point, scenario: Scenario) -> ReducedProblem:
@@ -238,7 +252,7 @@ def assemble_perturbation(
         if b.shape != target.shape:
             p, k = target.shape
             raise InputError(f"delta[{label}]: expected {p}x{k}, got {b.shape}")
-        target += lam**j * b
+        target += _power(lam, j) * b
     return delta_s
 
 

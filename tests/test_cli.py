@@ -405,6 +405,45 @@ def test_verify_overflowing_difference_names_it_exit_2(diag_system_file, tmp_pat
     assert "S(lambda) - Delta S is not finite at lambda = 1e+308+0i" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["backward-error", "--scenario", "P"],
+        ["sweep"],
+        ["oracle", "--scenario", "P", "--budget", "5"],
+    ],
+)
+def test_overflowing_lambda_power_exit_2(tmp_path, capsys, argv):
+    # S(1e160) = [[2 - 1e160, 1], [1, 1 + 1e160]] is finite, but lambda^2 is not
+    path = tmp_path / "tiny_a2.json"
+    path.write_text(
+        json.dumps({"r": 1, "n": 1, "d": 2, "A": [[2]], "B": [[1]], "C": [[1]],
+                    "P": [[[1]], [[0]], [[1e-160]]]})
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv + ["--lambda", "1e160", str(path)])
+    assert rc == 2
+    assert "lambda^2 overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--scenario", "A", "--lambda", "0", "--lambda", "1.5"],
+        ["--structure", "1x1", "--scenario", "A"],
+        ["--structure", "1x1", "--lambda", "0"],
+    ],
+)
+def test_oracle_rejects_unused_arguments_exit_2(diag_system_file, tmp_path, capsys, flags):
+    # matrix mode reads the 1x1 matrix file, system mode the diagonal system
+    matrix = tmp_path / "one.json"
+    matrix.write_text(json.dumps([[1.0]]))
+    path = str(matrix) if "--structure" in flags else diag_system_file
+    assert main(["oracle", "--budget", "5"] + flags + [path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Malformed JSON never escapes as a traceback.
 # ---------------------------------------------------------------------------

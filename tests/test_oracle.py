@@ -76,6 +76,56 @@ def test_budget_validation():
         brute_force_backward_error(sys_, 0.0, Scenario.from_string("A"), budget=0)
 
 
+def test_refined_direction_is_feasible_and_reproduces_rho(rng):
+    for seed in range(4):
+        structure = random_structure(rng, n_blocks=3)
+        m = cgauss(rng, structure.k_total, structure.p_total)
+        est = brute_force_mu(m, structure, budget=300, seed=seed)
+        assert max(sigma_max(b) for b in est.best_direction) == pytest.approx(1.0, abs=1e-12)
+        rho = np.abs(np.linalg.eigvals(structure.assemble(est.best_direction) @ m)).max()
+        assert rho == pytest.approx(est.mu_sampled_lower, rel=1e-12)
+
+
+def test_refinement_never_lowers_the_sampled_bound(rng):
+    for seed in range(4):
+        structure = random_structure(rng)
+        m = cgauss(rng, structure.k_total, structure.p_total)
+        sampled = brute_force_mu(m, structure, budget=300, seed=seed, refine_top=0)
+        refined = brute_force_mu(m, structure, budget=300, seed=seed, refine_top=5)
+        assert refined.mu_sampled_lower >= sampled.mu_sampled_lower
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "m, structure, want",
+    [
+        (np.zeros((2, 2)), TWO_SCALARS, 0.0),
+        # Delta M = [[0, d1], [0, 0]] is nilpotent for every Delta: no gradient
+        (np.array([[0, 1], [0, 0]]), TWO_SCALARS, 0.0),
+        (np.array([[2 - 1j]]), BlockStructure(((1, 1),)), abs(2 - 1j)),
+    ],
+)
+def test_degenerate_refinement_starts(m, structure, want):
+    est = brute_force_mu(m, structure, budget=50, seed=0)
+    assert est.mu_sampled_lower == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e300, 1e-320])
+def test_refinement_at_extreme_scales(scale):
+    # the gradient's phase and scaling must neither overflow nor divide by a subnormal
+    m = scale * np.array([[1, 2], [3, 1]], dtype=complex)
+    est = brute_force_mu(m, TWO_SCALARS, budget=50, seed=0)
+    assert 0 < est.mu_sampled_lower < np.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_refinement_when_rho_overflows():
+    # mu = 2e308 is past the double range; the ascent must stop, not raise
+    est = brute_force_mu(np.full((2, 2), 1e308), TWO_SCALARS, budget=50, seed=0)
+    assert est.mu_sampled_lower == np.inf
+
+
 def _loop_sampled_mu(m, structure, budget, seed):
     """Reference sampling phase, one draw at a time, block by block."""
     rng = np.random.default_rng(seed)
@@ -109,13 +159,13 @@ def test_fixed_seed_estimates_are_pinned():
     sampling or the refinement cannot change results unnoticed."""
     m = np.array([[0, 2], [3, 0]], dtype=complex)
     est = brute_force_mu(m, TWO_SCALARS, budget=1000, seed=0)
-    assert est.mu_sampled_lower.hex() == "0x1.3988e14092134p+1"
+    assert est.mu_sampled_lower.hex() == "0x1.3988e14092133p+1"
 
     # a 3-block structure of acceptance test 3g; the budget spans several chunks
     structure = BlockStructure(((1, 1), (1, 2), (2, 1)))
     m3 = cgauss(np.random.default_rng(7), structure.k_total, structure.p_total)
     est = brute_force_mu(m3, structure, budget=1500, seed=2)
-    assert est.mu_sampled_lower.hex() == "0x1.ae0378d5323dfp+1"
+    assert est.mu_sampled_lower.hex() == "0x1.ae3c7e8098cdep+1"
 
     sys_ = random_system(np.random.default_rng(5), r=2, n=2, d=1)
     eta = brute_force_backward_error(
