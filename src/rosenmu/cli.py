@@ -254,13 +254,6 @@ def _backward_error_text(res: BackwardErrorResult) -> str:
 def _cmd_mu(args) -> int:
     structure = _parse_structure(args.structure)
     m = matrix_from_json(_load_json(args.matrix), "matrix")
-    k, p = m.shape
-    if (k, p) != (structure.k_total, structure.p_total):
-        raise InputError(
-            f"matrix is {k}x{p} but structure requires "
-            f"{structure.k_total}x{structure.p_total} "
-            f"(rows sum to p={structure.p_total}, cols to k={structure.k_total})"
-        )
     opts = MuOptions(starts=args.starts, seed=args.seed)
     res = mu_bracket(m, structure, opts)
     defect = res.certificate_p.max_defect() if res.certificate_p else None

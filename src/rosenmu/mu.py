@@ -100,14 +100,6 @@ class MuResult:
     lower_bound: LowerBound
 
 
-def _check_shapes(m: np.ndarray, structure: BlockStructure) -> None:
-    if m.shape != (structure.k_total, structure.p_total):
-        raise InputError(
-            f"M is {m.shape[0]}x{m.shape[1]} but structure totals are "
-            f"k={structure.k_total}, p={structure.p_total}"
-        )
-
-
 def _weights(structure: BlockStructure, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of D1(x) (k x k) and D2(-x) (p x p)."""
     ps, ks = zip(*structure.blocks)
@@ -122,7 +114,7 @@ def _scaled(m: np.ndarray, structure: BlockStructure, x: np.ndarray) -> np.ndarr
 def scaled_sigma(m, structure: BlockStructure, x) -> float:
     """sigma_max(D1(x) M D2(-x)), guarding the exponent range |x_i| <= 40."""
     a = as_matrix(m)
-    _check_shapes(a, structure)
+    structure.check_shape(a)
     x = np.asarray(x, dtype=float)
     if x.shape != (structure.n_blocks,):
         raise InputError(f"x must have length {structure.n_blocks}, got {x.shape}")
@@ -159,7 +151,7 @@ def scaled_sigma_gradient(m, structure: BlockStructure, x):
     singular vectors of the scaled matrix, blocked by (k_i) and (p_i).
     """
     a = as_matrix(m)
-    _check_shapes(a, structure)
+    structure.check_shape(a)
     x = np.asarray(x, dtype=float)
     value, grad, mult = _value_and_branch_grad(a, structure, x)
     if value > 0 and mult > 1:
@@ -209,7 +201,7 @@ def mu_upper(m, structure: BlockStructure, opts: MuOptions = MuOptions()) -> Upp
     never changes the objective.
     """
     a = as_matrix(m)
-    _check_shapes(a, structure)
+    structure.check_shape(a)
     nb = structure.n_blocks
     s0 = float(np.linalg.svd(a, compute_uv=False)[0])
     if s0 == 0.0:
@@ -533,7 +525,7 @@ def mu_lower(
     every tolerance still gets its own candidate.
     """
     a = as_matrix(m)
-    _check_shapes(a, structure)
+    structure.check_shape(a)
     s0 = float(np.linalg.svd(a, compute_uv=False)[0])
     if s0 == 0.0:
         return LowerBound(0.0, None, None, 0)
@@ -616,7 +608,10 @@ def certificate_to_delta(
 def mu_bracket(m, structure: BlockStructure, opts: MuOptions = MuOptions(), seed_isometries=()) -> MuResult:
     """Full bracket [lower, upper] with certificates and exactness record."""
     a = as_matrix(m)
-    _check_shapes(a, structure)
+    structure.check_shape(a)
+    scale = float(np.linalg.svd(a, compute_uv=False)[0])
+    if not np.isfinite(scale):
+        raise InputError("sigma_max(M) overflows the double range, so mu cannot be bracketed")
     upper = mu_upper(a, structure, opts)
     lower = mu_lower(
         a,
@@ -628,7 +623,6 @@ def mu_bracket(m, structure: BlockStructure, opts: MuOptions = MuOptions(), seed
     )
 
     nb = structure.n_blocks
-    scale = float(np.linalg.svd(a, compute_uv=False)[0])
     if nb <= 3 and upper.value - lower.value <= EXACT_GAP_TOL * upper.value:
         exactness = "exact_n_le_3"
     elif _is_stationary(upper.multiplicity, upper.grad_norm):

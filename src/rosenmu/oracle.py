@@ -1,12 +1,13 @@
 """Independent brute-force estimators for validating the main pipeline.
 
-Random structured direction sampling, sharpened by projected
-eigenvalue-gradient ascent (``brute_force_mu``) or by random descent and
-simplex search (``brute_force_backward_error``).  Every candidate
-evaluated here corresponds to an explicitly feasible perturbation, so the
-returned estimates are valid one-sided bounds no matter how well the
-search does.  Nothing in this module calls into the scaling/partial-
-isometry machinery it is meant to check.
+``brute_force_mu`` samples random structured directions and sharpens the
+best by projected eigenvalue-gradient ascent.  ``brute_force_backward_error``
+is 1 / ``brute_force_mu`` on the lifted matrix R S(lambda)^{-1} L_lambda,
+built from the block placement alone.  Every candidate evaluated here
+corresponds to an explicitly feasible perturbation, so the returned
+estimates are valid one-sided bounds no matter how well the search does.
+Nothing in this module calls ``reduce`` or the scaling/partial-isometry
+machinery it is meant to check.
 
 Draws are taken ``_CHUNK`` at a time: one ``standard_normal`` call fills
 a chunk row by row, each row holding one draw in packed order (see
@@ -23,8 +24,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import minimize
 
 from .linalg import InputError, as_matrix, sigma_max
 from .reduction import BlockStructure, Scenario, _place, _power, block_shape
@@ -80,11 +79,6 @@ class _Layout:
         return [z[..., s].reshape(*lead, p, k) for s, (p, k) in zip(self.slices, self.shapes)]
 
 
-def _max_norm(blocks) -> np.ndarray:
-    """Largest block spectral norm (per stacked draw)."""
-    return np.max([np.linalg.svd(b, compute_uv=False)[..., 0] for b in blocks], axis=0)
-
-
 def _keep_best(top, keys: np.ndarray, rows: np.ndarray, keep: int):
     """Merge a chunk into the ``keep`` smallest keys; ties go to the earlier draw."""
     if top is not None:
@@ -96,7 +90,7 @@ def _keep_best(top, keys: np.ndarray, rows: np.ndarray, keep: int):
 
 def _normalize(z: np.ndarray, layout: _Layout) -> np.ndarray:
     """Scale each row of block entries to unit max block norm (zero if tiny)."""
-    scale = _max_norm(layout.blocks(z))
+    scale = np.max([np.linalg.svd(b, compute_uv=False)[..., 0] for b in layout.blocks(z)], axis=0)
     z = z / np.maximum(scale, _TINY)[..., None]
     z[scale <= _TINY] = 0
     return z
@@ -124,11 +118,7 @@ def brute_force_mu(
     a = as_matrix(m)
     if budget < 1:
         raise InputError("budget must be >= 1")
-    if a.shape != (structure.k_total, structure.p_total):
-        raise InputError(
-            f"M is {a.shape[0]}x{a.shape[1]} but structure totals are "
-            f"k={structure.k_total}, p={structure.p_total}"
-        )
+    structure.check_shape(a)
     rng = np.random.default_rng(seed)
     if sigma_max(a) == 0.0:
         zero = tuple(np.zeros((p, k), dtype=complex) for p, k in structure.blocks)
@@ -257,77 +247,34 @@ def brute_force_backward_error(
     refine_top: int = 5,
     refine_iters: int = 1200,
 ) -> float:
-    """Sampled upper bound on the structured backward error.
+    """Sampled upper bound on the structured backward error, 1 / sampled mu.
 
-    Each random unit direction W in the admitted perturbation set is
-    scaled onto the singularity locus by solving the pencil
-    det(S(lambda) - t W(lambda)) = 0 for the smallest |t|; the minimum
-    |t| over all draws is achieved by an explicit feasible perturbation.
-    The best directions are sharpened by restarted simplex search.
+    With R stacking the 0/1 column selectors of the perturbed blocks and
+    L_lambda putting lambda^j I at each block's rows, a perturbation is
+    Delta S = L_lambda Delta R, and det(S - Delta S) = det(S) det(I - Delta K)
+    for the lifted matrix K = R S(lambda)^{-1} L_lambda.  So the sampled
+    lower bound of :func:`brute_force_mu` on K, an explicit feasible
+    perturbation, gives the sampled upper bound 1 / mu on the backward error
+    (infinite when every sampled rho vanishes).  The blocks of K's structure
+    are the scenario's blocks in label order, so a seed draws the same
+    directions as sampling the blocks of S(lambda) one by one.
+
+    K is built here by dense selector products from :func:`_place`, not
+    taken from :func:`~rosenmu.reduction.reduce`: this estimator is the
+    independent check of that reduction.
     """
     if budget < 1:
         raise InputError("budget must be >= 1")
     point = Point(sys, lam)
     if point.is_eigenvalue():
         return 0.0
-    lam, s_mat = point.lam, point.s
     labels = scenario.labels(sys.d)
-    layout = _Layout(block_shape(label, sys.r, sys.n) for label in labels)
-    # where each block sits in S(lambda), and its power of lambda, once per call
     places = [_place(label, sys.r, sys.n) for label in labels]
-    powers = [_power(lam, j) for _, _, j in places]
-    rng = np.random.default_rng(seed)
-    w = np.zeros_like(s_mat)
-
-    def feasible_size(x: np.ndarray) -> float:
-        blocks = layout.blocks(layout.flat(x))
-        scale = _max_norm(blocks)
-        if scale <= _TINY:
-            return np.inf
-        w.fill(0)
-        for (rows, cols, _), power, b in zip(places, powers, blocks):
-            w[rows, cols] += power * (b / scale)
-        # det(S - t W) = 0 at the generalized eigenvalues of the pencil (S, W).
-        t = scipy.linalg.eigvals(s_mat, w)
-        finite = t[np.isfinite(t)]
-        return float(np.min(np.abs(finite))) if finite.size else np.inf
-
-    n_refine = len(range(budget)[:refine_top])
-    top = None
-    for start in range(0, budget, _CHUNK):
-        xs = rng.standard_normal((min(_CHUNK, budget - start), layout.n_x))
-        top = _keep_best(top, np.array([feasible_size(x) for x in xs]), xs, max(n_refine, 1))
-    best = float(top[0][0])
-
-    for val, x in zip(top[0][:n_refine], top[1]):
-        if not np.isfinite(val):
-            continue
-        f = float(val)
-        # Cheap adaptive random descent first; simplex handles the endgame.
-        step, fails = 0.4, 0
-        for _ in range(2 * refine_iters):
-            x2 = x + step * rng.standard_normal(x.shape)
-            f2 = feasible_size(x2)
-            if f2 < f:
-                x, f = x2, f2
-                fails = 0
-            else:
-                fails += 1
-                if fails >= 25:
-                    step *= 0.7
-                    fails = 0
-                    if step < 1e-8:
-                        break
-        for _ in range(2):
-            res = minimize(
-                feasible_size,
-                x,
-                method="Nelder-Mead",
-                options=dict(
-                    maxiter=refine_iters, xatol=1e-12, fatol=1e-14, adaptive=True
-                ),
-            )
-            if float(res.fun) < f:
-                f, x = float(res.fun), res.x
-        best = min(best, f)
-    return best
+    eye = np.eye(sys.r + sys.n)
+    right = np.vstack([eye[cols] for _, cols, _ in places])
+    left = np.hstack([_power(point.lam, j) * eye[:, rows] for rows, _, j in places])
+    structure = BlockStructure(tuple(block_shape(label, sys.r, sys.n) for label in labels))
+    mu = brute_force_mu(
+        right @ point.inverse @ left, structure, budget, seed, refine_top, refine_iters
+    ).mu_sampled_lower
+    return 1.0 / mu if mu > 0 else np.inf

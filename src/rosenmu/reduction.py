@@ -144,6 +144,14 @@ class BlockStructure:
             off += k
         return out
 
+    def check_shape(self, m: np.ndarray) -> None:
+        """Refuse an M that is not k_total x p_total, naming both shapes."""
+        if m.shape != (self.k_total, self.p_total):
+            raise InputError(
+                f"M is {m.shape[0]}x{m.shape[1]} but blocks P_i x K_i require "
+                f"sum K_i x sum P_i = {self.k_total}x{self.p_total}"
+            )
+
     def assemble(self, blocks) -> np.ndarray:
         """Stack a block list into the dense p x k block-diagonal matrix."""
         blocks = self.check_blocks(blocks)
@@ -180,12 +188,7 @@ class ReducedProblem:
     scenario: Scenario
 
     def __post_init__(self):
-        k, p = self.m.shape
-        if (k, p) != (self.structure.k_total, self.structure.p_total):
-            raise InputError(
-                f"M is {k}x{p} but structure totals are "
-                f"k={self.structure.k_total}, p={self.structure.p_total}"
-            )
+        self.structure.check_shape(self.m)
         if len(self.labels) != self.structure.n_blocks:
             raise InputError("one label per block is required")
 

@@ -380,6 +380,20 @@ def test_subnormal_matrix_brackets_exit_0(tmp_path, capsys):
     assert report["possibly_zero"] is True
 
 
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_overflowing_mu_exit_2(tmp_path, capsys, as_json):
+    # every entry is finite, but mu = sigma_max(M) = 2e308 is past the double range
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps([[1e308, 1e308], [1e308, 1e308]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["mu", "--structure", "1x1,1x1", *as_json, str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "sigma_max(M) overflows" in captured.err
+    assert "nan" not in captured.out.lower()
+
+
 def test_overflowing_system_names_s_lambda_exit_2(tmp_path, capsys):
     # P(0.9) = 1e308 * 0.9 + 1e308 overflows although every entry is finite
     doc = dict(DIAG_SYSTEM, d=1, P=[[[[1e308, 0.0]]], [[[1e308, 0.0]]]])

@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rosenmu import (
     BlockStructure,
     MuOptions,
     RosenbrockSystem,
     Scenario,
+    assemble_perturbation,
     backward_error,
     brute_force_backward_error,
     brute_force_mu,
+    evaluate,
     mu_bracket,
     sigma_max,
 )
+from rosenmu.reduction import block_shape
 
 from conftest import cgauss, random_structure, random_system
 
@@ -61,9 +65,8 @@ def test_backward_error_vs_pipeline(rng):
     eta_sampled = brute_force_backward_error(
         sys_, lam, scenario, budget=3000, seed=7, refine_top=3, refine_iters=2500
     )
-    # random search cannot beat the certified optimum, and should land close
-    assert res.eta_upper <= eta_sampled + 1e-8
-    assert eta_sampled <= 1.05 * res.eta_upper
+    # a sampled upper bound cannot beat the certified lower bound, and lands on the optimum
+    assert res.eta_lower * (1 - 1e-12) <= eta_sampled <= res.eta_upper * (1 + 1e-8)
 
 
 def test_budget_validation():
@@ -154,6 +157,44 @@ def test_batched_sampling_matches_loop(rng):
         assert all(np.array_equal(b, r) for b, r in zip(est.best_direction, blocks))
 
 
+def _loop_sampled_backward_error(sys_, lam, scenario, budget, seed):
+    """Reference sampling, one draw at a time: the pencil det(S - t W) = 0.
+
+    Each unit direction W of the scenario's blocks, placed in S(lambda)
+    with its powers of lambda, is scaled onto the singularity locus by the
+    smallest |t| among the generalized eigenvalues of (S, W).
+    """
+    rng = np.random.default_rng(seed)
+    s_mat = evaluate(sys_, lam)
+    labels = scenario.labels(sys_.d)
+    best = np.inf
+    for _ in range(budget):
+        blocks = []
+        for label in labels:
+            p, k = block_shape(label, sys_.r, sys_.n)
+            blocks.append(rng.standard_normal((p, k)) + 1j * rng.standard_normal((p, k)))
+        scale = max(np.linalg.norm(b, 2) for b in blocks)
+        w = assemble_perturbation(
+            sys_.r, sys_.n, lam, {label: b / scale for label, b in zip(labels, blocks)}
+        )
+        t = scipy.linalg.eigvals(s_mat, w)
+        t = t[np.isfinite(t)]
+        if t.size:
+            best = min(best, float(np.abs(t).min()))
+    return best
+
+
+@pytest.mark.parametrize("d, spec", [(0, "AC"), (1, "P"), (1, "BP"), (2, "ABCP")])
+def test_sampled_backward_error_matches_pencil_loop(rng, d, spec):
+    # with d >= 1 the A_j blocks of P overlap in S(lambda); several chunks
+    sys_ = random_system(rng, r=2, n=2, d=d)
+    lam = 0.3 - 0.6j
+    scenario = Scenario.from_string(spec)
+    want = _loop_sampled_backward_error(sys_, lam, scenario, 600, seed=4)
+    eta = brute_force_backward_error(sys_, lam, scenario, budget=600, seed=4, refine_top=0)
+    assert eta == pytest.approx(want, rel=1e-12)
+
+
 def test_fixed_seed_estimates_are_pinned():
     """Exact float.hex of fixed-seed estimates, so a rewrite of the
     sampling or the refinement cannot change results unnoticed."""
@@ -172,4 +213,5 @@ def test_fixed_seed_estimates_are_pinned():
         sys_, 0.3 + 0.2j, Scenario.from_string("BP"), budget=700, seed=3,
         refine_top=2, refine_iters=150,
     )
-    assert float(eta).hex() == "0x1.1f2fbe632eabap+0"
+    # the exact eta of this case is 1.0995711795994276
+    assert float(eta).hex() == "0x1.197d7f3000f14p+0"
