@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ABS_FLOOR, sigma_max, sigma_min
-from .mu import MuOptions, MuResult, mu_bracket
+from .mu import ZERO_TOL, MuOptions, MuResult, mu_bracket, negligible
 from .reduction import (
     Scenario,
     all_scenarios,
@@ -29,8 +29,6 @@ from .reduction import (
 )
 from .rosenbrock import Point, RosenbrockSystem
 
-# mu lower bounds at or below this level cannot certify a finite error.
-MU_ZERO_TOL = 1e-12
 # A 1-block M is declared exactly zero (infinite backward error) below
 # this level relative to sigma_max(S(lambda)^{-1}) = 1/sigma_min(S(lambda)).
 WITNESS_ZERO_TOL = 1e-14
@@ -134,7 +132,7 @@ def _backward_error_at(
         mu = mu_bracket(problem.m, problem.structure, opts, seed_isometries=seed_isometries)
         exactness = mu.exactness
         eta_lower = 1.0 / mu.upper if mu.upper > 0 else np.inf
-        possibly_infinite = mu.lower <= MU_ZERO_TOL
+        possibly_infinite = negligible(mu.lower, sigma_max(problem.m), ZERO_TOL)
         if mu.lower > 0:
             # roundoff can cross the mu bounds by ~1e-15; keep the eta interval ordered
             eta_lower = min(eta_lower, 1.0 / mu.lower)

@@ -13,7 +13,8 @@ exists).  The engine computes
   diagonal X = diag(x-blocks of D1, x-blocks of D2), and Sezginer & Overton
   (1990) show sigma_max(e^X N e^{-X}) is convex on such sets.  A point
   where sigma_max is simple and the gradient vanishes is therefore the
-  global minimum, and the search stops there;
+  global minimum, and the search stops there.  At a kink (a repeated
+  sigma_max) a continuation on a smooth convex surrogate follows it in;
 * a certified lower bound: sup over block-diagonal partial isometries P of
   the spectral radius rho(P M), searched by extracting P from the top
   singular subspace at the scaling optimum and refining with an
@@ -25,7 +26,7 @@ bound is mathematically valid regardless of optimizer success.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -42,15 +43,22 @@ MULT_TOL = 1e-8
 CLUSTER_TOLS = (MULT_TOL, 1e-6, 1e-4, 1e-2)
 # Cap on the safeguarded Newton steps of the rank-two kernel direction.
 KERNEL_NEWTON_ITERS = 100
-# Norm below which a vector block is treated as vanished.
+# Norm below which a vector block is treated as vanished; relative to
+# sigma_max(M), the spectral radius below which rho(P M) certifies nothing.
 TINY = 1e-14
-# Stopping rules of each quasi-Newton start in the upper-bound search.
+# Relative to sigma_max(M), mu bounds at or below this level count as zero.
+ZERO_TOL = 1e-12
+# Stopping rules of each quasi-Newton descent in the upper-bound search.
 BFGS_MAX_ITERS = 200
 BFGS_GRAD_TOL = 1e-9
-# Gradient norm at a simple sigma_max below which a scaling is taken as the
-# (global, by convexity) minimizer: it ends the upper-bound search and
-# backs the exact_simple_sigma label.
+# Norm of the gradient of log sigma_max (relative, as sigma_max may tend to
+# zero) at a simple sigma_max below which a scaling is taken as the (global,
+# by convexity) minimizer: it ends the upper-bound search and backs the
+# exact_simple_sigma label.
 STATIONARY_TOL = 1e-6
+# Smoothing parameters tau of the continuation into a kink, one warm-started
+# BFGS stage each on g_tau (see _smoothed_value_and_grad).
+SMOOTHING_TAUS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
 # Relative bracket gap (upper - lower) / upper above which a structure with
 # at most three blocks is not labelled exact_n_le_3: the theorem makes the
 # upper bound exact there, but the label also needs a lower bound in the run
@@ -173,8 +181,26 @@ def _normalized(a: np.ndarray, s0: float) -> np.ndarray:
 
 
 def _is_stationary(mult: int, grad_norm: float | None) -> bool:
-    """Simple sigma_max and a vanishing gradient: the convex minimum."""
+    """Simple sigma_max and a vanishing relative gradient: the convex minimum."""
     return mult == 1 and grad_norm is not None and grad_norm <= STATIONARY_TOL
+
+
+def _smoothed_value_and_grad(m: np.ndarray, structure: BlockStructure, x: np.ndarray, tau: float):
+    """g_tau(x) = tau log sum_j sigma_j(x)^(1/tau) and its gradient.
+
+    The log of the Schatten-(1/tau) norm of D1(x) M D2(-x) (Nesterov 2005):
+    smooth, convex in x as sigma_max is, and at most tau log(rank) above
+    log sigma_max.  Its gradient sums w_j (|u_j|^2 - |v_j|^2) per block with
+    softmax weights w_j proportional to (sigma_j / sigma_1)^(1/tau).
+    """
+    u, s, vh = np.linalg.svd(_scaled(m, structure, x), full_matrices=False)
+    w = (s / s[0]) ** (1.0 / tau)
+    total = float(np.sum(w))
+    row, col = np.abs(u) ** 2 @ (w / total), np.abs(vh.T) ** 2 @ (w / total)
+    blocks = zip(structure.k_slices(), structure.p_slices())
+    grad = np.array([row[sk].sum() - col[sp].sum() for sk, sp in blocks])
+    grad[np.abs(x) >= X_BOUND] = 0.0  # where mu_upper's clip holds x constant
+    return float(np.log(s[0]) + tau * np.log(total)), grad
 
 
 @dataclass
@@ -182,21 +208,21 @@ class UpperBound:
     value: float
     x: np.ndarray
     multiplicity: int
-    grad_norm: float | None
+    grad_norm: float | None  # |gradient of log sigma_max|, None at a kink
     iterations: int
-    starts: int
 
 
-def mu_upper(m, structure: BlockStructure, opts: MuOptions = MuOptions()) -> UpperBound:
+def mu_upper(m, structure: BlockStructure) -> UpperBound:
     """Minimize the scaled largest singular value over block scalings.
 
     Quasi-Newton descent with the analytic branch gradient from x = 0.  The
     objective is convex in x (see the module docstring), so when that
-    descent ends where sigma_max is simple and the gradient norm is at most
-    STATIONARY_TOL, it has found the global minimum and is returned with
-    ``starts=1``.  Otherwise the optimum is at a kink where sigma_max is
-    repeated: the remaining ``opts.starts - 1`` random starts run, followed
-    by a simplex polish that reaches into the nonsmooth valley.  The first
+    descent ends where sigma_max is simple and STATIONARY_TOL bounds the
+    gradient of log sigma_max, it has found the global minimum.  Otherwise
+    it stopped short of a kink (a repeated sigma_max) or of an infimum past
+    X_BOUND: one descent per tau in SMOOTHING_TAUS on g_tau, each from the
+    last, follows it in, and the smallest sigma_max at the end of a descent
+    is returned.  The first
     scaling exponent is frozen at zero: shifting all exponents together
     never changes the objective.
     """
@@ -205,12 +231,12 @@ def mu_upper(m, structure: BlockStructure, opts: MuOptions = MuOptions()) -> Upp
     nb = structure.n_blocks
     s0 = float(np.linalg.svd(a, compute_uv=False)[0])
     if s0 == 0.0:
-        return UpperBound(0.0, np.zeros(nb), min(a.shape), None, 0, 0)
+        return UpperBound(0.0, np.zeros(nb), min(a.shape), None, 0)
     a_n = _normalized(a, s0)
 
     if nb == 1:
         value, _, mult = _value_and_branch_grad(a_n, structure, np.zeros(1))
-        return UpperBound(s0 * value, np.zeros(1), mult, 0.0, 0, 0)
+        return UpperBound(s0 * value, np.zeros(1), mult, 0.0, 0)
 
     def full(xf: np.ndarray) -> np.ndarray:
         return np.clip(np.concatenate(([0.0], xf)), -X_BOUND, X_BOUND)
@@ -219,51 +245,28 @@ def mu_upper(m, structure: BlockStructure, opts: MuOptions = MuOptions()) -> Upp
         value, grad, _ = _value_and_branch_grad(a_n, structure, full(xf))
         return value, grad[1:]
 
-    rng = np.random.default_rng(opts.seed)
-    starts = [np.zeros(nb - 1)]
-    for _ in range(max(0, opts.starts - 1)):
-        starts.append(rng.uniform(-2.0, 2.0, nb - 1))
+    def smoothed(xf: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
+        value, grad = _smoothed_value_and_grad(a_n, structure, full(xf), tau)
+        return value, grad[1:]
 
-    iterations = 0
-    candidates = []
-    for x0 in starts:
-        res = minimize(
-            fg,
-            x0,
-            jac=True,
-            method="BFGS",
-            options=dict(gtol=BFGS_GRAD_TOL, maxiter=BFGS_MAX_ITERS),
-        )
-        iterations += int(res.nit)
-        candidates.append((float(res.fun), res.x))
-        if len(candidates) == 1:
-            x_star = full(res.x)
-            value, grad, mult = _value_and_branch_grad(a_n, structure, x_star)
-            grad_norm = float(np.linalg.norm(grad[1:]))
-            if _is_stationary(mult, grad_norm):
-                return UpperBound(s0 * value, x_star, mult, grad_norm, iterations, 1)
-    candidates.sort(key=lambda c: c[0])
+    def descend(objective, x0: np.ndarray, args=()):
+        options = dict(gtol=BFGS_GRAD_TOL, maxiter=BFGS_MAX_ITERS)
+        res = minimize(objective, x0, args, jac=True, method="BFGS", options=options)
+        x_star = full(res.x)
+        value, grad, mult = _value_and_branch_grad(a_n, structure, x_star)
+        grad_norm = float(np.linalg.norm(grad[1:])) / value if mult == 1 else None
+        return UpperBound(s0 * value, x_star, mult, grad_norm, int(res.nit)), res.x
 
-    best_val, best_x = candidates[0]
-    # Simplex polish reaches into the nonsmooth valley the quasi-Newton
-    # steps stop short of; a restart tightens the final digits.
-    for _ in range(2):
-        res = minimize(
-            lambda xf: fg(xf)[0],
-            best_x,
-            method="Nelder-Mead",
-            options=dict(
-                xatol=1e-12, fatol=1e-14, maxiter=400 * max(1, nb - 1), maxfev=10**6
-            ),
-        )
-        iterations += int(res.nit)
-        if float(res.fun) <= best_val:
-            best_val, best_x = float(res.fun), res.x
-
-    x_star = full(best_x)
-    value, grad, mult = _value_and_branch_grad(a_n, structure, x_star)
-    grad_norm = float(np.linalg.norm(grad[1:])) if mult == 1 else None
-    return UpperBound(s0 * value, x_star, mult, grad_norm, iterations, len(starts))
+    best, xf = descend(fg, np.zeros(nb - 1))
+    if _is_stationary(best.multiplicity, best.grad_norm):
+        return best
+    iterations = best.iterations
+    for tau in SMOOTHING_TAUS:
+        stage, xf = descend(smoothed, xf, (tau,))
+        iterations += stage.iterations
+        if stage.value < best.value:
+            best = stage
+    return replace(best, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +564,13 @@ def mu_lower(
     best_rho, best_blocks = 0.0, None
     rounds_used = 0
     for cand in candidates():
-        rho0, _ = _rho(structure.assemble(cand), a_n)
+        # the refinement starts from cand's own rho and keeps the best seen
         rho, blocks, used = _alternating_refine(
             cand, a_n, structure, opts.refine_rounds, target_n
         )
         rounds_used += used
-        if max(rho, rho0) > best_rho:
-            best_rho, best_blocks = (
-                (rho, blocks) if rho >= rho0 else (rho0, cand)
-            )
+        if rho > best_rho:
+            best_rho, best_blocks = rho, blocks
         if target_n is not None and best_rho >= target_n * (1 - 1e-13):
             break
 
@@ -578,6 +579,11 @@ def mu_lower(
     best_blocks = _phase_align(best_blocks, a_n, structure)
     cert = PartialIsometrySet(tuple(best_blocks), structure)
     return LowerBound(s0 * best_rho, cert, kernel_residual, rounds_used)
+
+
+def negligible(value: float, scale: float, rel_tol: float) -> bool:
+    """value <= rel_tol * scale (scale = sigma_max(M)) or too small for 1/value."""
+    return value <= max(rel_tol * scale, float(np.finfo(float).tiny))
 
 
 class NoCertificateError(NumericError):
@@ -595,7 +601,7 @@ def certificate_to_delta(
     """
     a = as_matrix(m)
     rho, lam = _rho(pset.matrix(), a)
-    if rho <= TINY:
+    if negligible(rho, float(np.linalg.svd(a, compute_uv=False)[0]), TINY):
         raise NoCertificateError("rho(P M) vanishes; no finite perturbation exists")
     blocks = tuple(blk / lam for blk in pset.blocks)
     delta = pset.structure.assemble(blocks)
@@ -612,14 +618,9 @@ def mu_bracket(m, structure: BlockStructure, opts: MuOptions = MuOptions(), seed
     scale = float(np.linalg.svd(a, compute_uv=False)[0])
     if not np.isfinite(scale):
         raise InputError("sigma_max(M) overflows the double range, so mu cannot be bracketed")
-    upper = mu_upper(a, structure, opts)
+    upper = mu_upper(a, structure)
     lower = mu_lower(
-        a,
-        structure,
-        opts,
-        x_star=upper.x,
-        target=upper.value,
-        seed_isometries=seed_isometries,
+        a, structure, opts, x_star=upper.x, target=upper.value, seed_isometries=seed_isometries
     )
 
     nb = structure.n_blocks
@@ -629,11 +630,10 @@ def mu_bracket(m, structure: BlockStructure, opts: MuOptions = MuOptions(), seed
         exactness = "exact_simple_sigma"
     else:
         exactness = "bracket_only"
-    possibly_zero = lower.value <= 1e-12 and upper.value <= 1e-12 * max(1.0, scale)
+    possibly_zero = negligible(max(lower.value, upper.value), scale, ZERO_TOL)
 
-    cert_delta = None
-    resid = None
-    if lower.certificate is not None and lower.value > TINY:
+    cert_delta = resid = None
+    if lower.certificate is not None and not negligible(lower.value, scale, TINY):
         cert_delta, resid = certificate_to_delta(lower.certificate, a)
 
     return MuResult(

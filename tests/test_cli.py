@@ -128,6 +128,24 @@ def test_round_trip_verify(system_file, tmp_path, capsys):
     assert "VERIFIED" in out
 
 
+@pytest.mark.parametrize("s", [1e14, 1e15, 1e16])
+def test_certificate_at_large_scale_verifies(tmp_path, capsys, s):
+    # S(lambda) scales with s and mu with 1/s: the zero and certificate
+    # thresholds must scale with M, not sit at fixed levels
+    sys_ = rosenmu.RosenbrockSystem([[2 * s]], [[s]], [[s]], ([[s]], [[s]]))
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(system_to_json(sys_)))
+    cert = tmp_path / "cert.json"
+    argv = ["backward-error", "--lambda", "0.5", "--scenario", "AB", "--json", str(system)]
+    assert main(argv + ["--output", str(cert)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["eta_upper"] == pytest.approx(report["eta_lower"], rel=1e-8)
+    assert report["possibly_infinite"] is False
+    assert main(["verify", "--json", str(system), str(cert)]) == 0
+    checked = json.loads(capsys.readouterr().out)
+    assert checked["residual_ok"] and checked["norm_ok"]
+
+
 def test_verify_rejects_tampered_certificate(system_file, tmp_path, capsys):
     cert = tmp_path / "cert.json"
     main(

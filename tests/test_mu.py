@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from rosenmu import (
     BlockStructure,
@@ -27,10 +28,13 @@ from rosenmu import (
 from rosenmu.instances import fluid_solid_instance
 from rosenmu.mu import (
     EXACT_GAP_TOL,
+    SMOOTHING_TAUS,
     STATIONARY_TOL,
+    X_BOUND,
     _kernel_direction,
     _kernel_direction_bfgs,
     _scaled,
+    _smoothed_value_and_grad,
     _snap_partial_isometry,
 )
 from rosenmu.rosenbrock import Point
@@ -148,6 +152,33 @@ def test_gradient_matches_central_differences(rng):
         fd = central_difference_gradient(m, structure, x)
         assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
         done += 1
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.1])
+def test_smoothed_gradient_matches_central_differences(rng, tau):
+    h = 1e-6
+    for _ in range(10):
+        structure = random_structure(rng, n_blocks=int(rng.integers(2, 5)))
+        m = cgauss(rng, structure.k_total, structure.p_total)
+        x = rng.uniform(-1, 1, structure.n_blocks)
+        value, g = _smoothed_value_and_grad(m, structure, x, tau)
+        # log sigma_max <= g_tau <= log sigma_max + tau log(rank)
+        log_sigma = np.log(scaled_sigma(m, structure, x))
+        rank = min(structure.k_total, structure.p_total)
+        assert log_sigma - 1e-14 <= value <= log_sigma + tau * np.log(rank) + 1e-14
+        def g_tau(y):
+            return _smoothed_value_and_grad(m, structure, y, tau)[0]
+
+        fd = [(g_tau(x + e) - g_tau(x - e)) / (2 * h) for e in h * np.eye(structure.n_blocks)]
+        np.testing.assert_allclose(g, fd, rtol=0, atol=1e-7)
+
+
+def test_smoothed_gradient_zero_at_exponent_bound(rng):
+    structure = random_structure(rng, n_blocks=3)
+    m = cgauss(rng, structure.k_total, structure.p_total)
+    x = np.array([0.3, X_BOUND, -X_BOUND])
+    _, g = _smoothed_value_and_grad(m, structure, x, 1e-2)
+    assert g[1] == g[2] == 0.0
 
 
 def test_mu_upper_single_block(rng):
@@ -395,37 +426,92 @@ def test_mu_upper_no_worse_than_full_search_fluid_solid():
         assert value <= float.fromhex(PINNED_FLUID_SOLID_UPPER[name]) * (1 + UPPER_SLACK)
 
 
-def test_mu_bracket_kink_bit_identical_to_full_search():
-    # Six real scalar blocks whose optimum has a repeated sigma_max: the
-    # full search runs, and every bit of its result is as before.
-    m = np.random.default_rng(6).standard_normal((6, 6))
-    structure = BlockStructure(((1, 1),) * 6)
-    res = mu_bracket(m, structure)
-    assert res.upper_bound.starts == MuOptions().starts
+# Six real scalar blocks whose optimum has a repeated sigma_max.
+KINK_6X6 = (np.random.default_rng(6).standard_normal((6, 6)), BlockStructure(((1, 1),) * 6))
+
+
+def test_mu_bracket_kink_no_worse_than_full_search():
+    # Pinned: the bracket of eight BFGS starts and two simplex polishes.
+    res = mu_bracket(*KINK_6X6)
     assert res.upper_bound.multiplicity == 2
     assert res.exactness == "bracket_only"
-    assert res.upper.hex() == "0x1.a935877479862p+1"
-    assert res.lower.hex() == "0x1.a935877479228p+1"
-    assert [v.hex() for v in res.upper_bound.x] == [
-        "0x0.0p+0", "0x1.68d3285e9abe0p-1", "0x1.b916a810eb518p-3",
-        "0x1.b06a95d8f0c05p-3", "-0x1.e645d042886ebp-6", "0x1.47c892254e1cdp-1",
-    ]
+    assert res.upper <= float.fromhex("0x1.a935877479862p+1") * (1 + UPPER_SLACK)
+    assert res.lower >= float.fromhex("0x1.a935877479228p+1") * (1 - LOWER_SLACK)
 
 
-def test_mu_upper_one_start_at_smooth_optimum():
+def _counting_minimize(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr("rosenmu.mu.minimize", counting)
+    return calls
+
+
+def test_mu_upper_one_descent_at_smooth_optimum(monkeypatch):
+    calls = _counting_minimize(monkeypatch)
     m = cgauss(np.random.default_rng(404), 2, 2)
     res = mu_bracket(m, TWO_SCALARS, MuOptions(starts=5))
-    assert res.upper_bound.starts == 1
+    assert calls == ["BFGS"]
     assert res.upper_bound.multiplicity == 1
     assert res.upper_bound.grad_norm <= STATIONARY_TOL
 
 
-def test_mu_upper_all_starts_at_kink():
+def test_mu_upper_continuation_at_kink(monkeypatch):
     # sigma_max(ANTIDIAG scaled) = max(2 e^-t, 3 e^t): both branches meet at the optimum
-    for starts in (3, 8):
-        res = mu_bracket(ANTIDIAG, TWO_SCALARS, MuOptions(starts=starts))
-        assert res.upper_bound.starts == starts
-        assert res.upper_bound.multiplicity == 2
+    calls = _counting_minimize(monkeypatch)
+    res = mu_upper(ANTIDIAG, TWO_SCALARS)
+    assert calls == ["BFGS"] * (1 + len(SMOOTHING_TAUS))
+    assert res.multiplicity == 2
+    assert res.grad_norm is None
+    assert res.value == pytest.approx(np.sqrt(6), rel=1e-12)
+
+
+def test_mu_upper_kink_independent_of_starts_and_seed():
+    # the lower bound's restarts are the only readers of starts and seed
+    uppers = {
+        mu_bracket(*KINK_6X6, MuOptions(starts=starts, seed=seed)).upper.hex()
+        for starts in (1, 3, 8)
+        for seed in (0, 5)
+    }
+    assert len(uppers) == 1
+
+
+def test_mu_scalar_brackets_close():
+    # the twelve real matrices of the mu-scalar benchmark workload, all at kinks
+    base = np.random.default_rng(0)
+    for i in range(12):
+        nb = 6 + i % 3
+        res = mu_bracket(base.standard_normal((nb, nb)), BlockStructure(((1, 1),) * nb))
+        assert res.upper - res.lower <= EXACT_GAP_TOL * res.upper
+
+
+# mu_upper values (float.hex) of the full search on strictly upper
+# triangular 3x3, 5x5 and 7x7 matrices (mu = 0): the infimum lies past the
+# exponent bound X_BOUND, where the search must stop at the clip.
+PINNED_NILPOTENT_UPPER = ["0x1.a48e4c84b972ep-30", "0x1.08143399d4e39p-16", "0x1.1e9fb87d59cffp-10"]
+
+
+def test_mu_upper_nilpotent_no_worse_than_full_search():
+    rng = np.random.default_rng(3)
+    for n, pinned in zip((3, 5, 7), PINNED_NILPOTENT_UPPER):
+        m = np.triu(rng.standard_normal((n, n)), 1)
+        value = mu_upper(m, BlockStructure(((1, 1),) * n)).value
+        assert value <= float.fromhex(pinned) * (1 + UPPER_SLACK)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_vanishing_sigma_is_not_stationary(n):
+    # M = E_{0,n-1} has mu = 0, and scaling drives sigma_max, and with it the
+    # gradient of sigma_max, toward zero: not a smooth stationary optimum.
+    m = np.zeros((n, n))
+    m[0, n - 1] = 1.0
+    res = mu_bracket(m, BlockStructure(((1, 1),) * n))
+    assert res.lower == 0.0
+    assert res.exactness == "bracket_only"
+    assert res.possibly_zero
 
 
 def test_mu_lower_builds_one_kernel_candidate_when_it_meets_target(monkeypatch):
