@@ -19,15 +19,12 @@ from .linalg import (
     sigma_min,
 )
 from .mu import (
-    MuOptions,
     MuResult,
     PartialIsometrySet,
     certificate_to_delta,
     mu_bracket,
     mu_lower,
     mu_upper,
-    scaled_sigma,
-    scaled_sigma_gradient,
 )
 from .oracle import OracleEstimate, brute_force_backward_error, brute_force_mu
 from .reduction import (
@@ -56,7 +53,6 @@ __all__ = [
     "BackwardErrorResult",
     "BlockStructure",
     "InputError",
-    "MuOptions",
     "MuResult",
     "NumericError",
     "OracleEstimate",
@@ -80,8 +76,6 @@ __all__ = [
     "mu_upper",
     "perturbation_norm",
     "reduce",
-    "scaled_sigma",
-    "scaled_sigma_gradient",
     "scenario_sweep",
     "sigma_max",
     "sigma_min",

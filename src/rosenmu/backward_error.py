@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ABS_FLOOR, sigma_max, sigma_min
-from .mu import ZERO_TOL, MuOptions, MuResult, mu_bracket, negligible
+from .mu import ZERO_TOL, MuResult, mu_bracket, negligible
 from .reduction import (
     Scenario,
     all_scenarios,
@@ -100,16 +100,13 @@ def backward_error(
     sys: RosenbrockSystem,
     lam: complex,
     scenario: Scenario,
-    opts: MuOptions = MuOptions(),
     seed_isometries=(),
 ) -> BackwardErrorResult:
     """Backward error of lambda for S(z) under one perturbation scenario."""
-    return _backward_error_at(Point(sys, lam), scenario, opts, seed_isometries)
+    return _backward_error_at(Point(sys, lam), scenario, seed_isometries)
 
 
-def _backward_error_at(
-    point: Point, scenario: Scenario, opts: MuOptions, seed_isometries
-) -> BackwardErrorResult:
+def _backward_error_at(point: Point, scenario: Scenario, seed_isometries) -> BackwardErrorResult:
     if point.is_eigenvalue():
         return _eigenvalue_result(point, scenario)
 
@@ -129,7 +126,7 @@ def _backward_error_at(
             eta_lower = eta_upper = 1.0 / smax
             delta = [_rank_one_inverse_image(problem.m)]
     else:
-        mu = mu_bracket(problem.m, problem.structure, opts, seed_isometries=seed_isometries)
+        mu = mu_bracket(problem.m, problem.structure, seed_isometries)
         exactness = mu.exactness
         eta_lower = 1.0 / mu.upper if mu.upper > 0 else np.inf
         possibly_infinite = negligible(mu.lower, sigma_max(problem.m), ZERO_TOL)
@@ -179,9 +176,7 @@ def _seed_blocks_for(labels, r: int, n: int, pool: dict[str, dict[str, np.ndarra
     ]
 
 
-def scenario_sweep(
-    sys: RosenbrockSystem, lam: complex, opts: MuOptions = MuOptions()
-) -> list[BackwardErrorResult]:
+def scenario_sweep(sys: RosenbrockSystem, lam: complex) -> list[BackwardErrorResult]:
     """All 15 scenarios, ordered by scenario size then lexicographically.
 
     Later (larger) scenarios reuse the certificates of their subsets as
@@ -193,7 +188,7 @@ def scenario_sweep(
     pool: dict[str, dict[str, np.ndarray]] = {}
     for scenario in all_scenarios():
         seeds = _seed_blocks_for(scenario.labels(sys.d), sys.r, sys.n, pool)
-        res = _backward_error_at(point, scenario, opts, seeds)
+        res = _backward_error_at(point, scenario, seeds)
         results.append(res)
         if res.delta_blocks and res.certificate_norm and res.certificate_norm > 0:
             # Rescale the realized perturbation blocks to unit spectral norm

@@ -2,8 +2,8 @@
 
 All matrix data travels as JSON (entries are [re, im] pairs).  Reports are
 emitted as text or machine-readable JSON with a fixed field order and
-floats printed to 17 significant digits, so identical inputs and seeds
-produce byte-identical files.  Exit codes: 0 success, 1 failed verify,
+floats printed to 17 significant digits, so identical inputs (and oracle
+seeds) produce byte-identical files.  Exit codes: 0 success, 1 failed verify,
 2 input error, 3 numeric failure (including LAPACK non-convergence).
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .backward_error import BackwardErrorResult, backward_error, scenario_sweep
 from .linalg import ABS_FLOOR, InputError, NumericError, sigma_min
-from .mu import MuOptions, mu_bracket
+from .mu import mu_bracket
 from .oracle import brute_force_backward_error, brute_force_mu
 from .reduction import (
     BlockStructure,
@@ -151,9 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 metavar="RE[,IM]",
                 help="evaluation point; repeatable",
             )
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--starts", type=int, default=8)
-        p.add_argument("--tol", type=float, default=VERIFY_TOL)
         p.add_argument("--json", action="store_true", dest="as_json")
         p.add_argument("--output", default=None)
 
@@ -254,13 +251,11 @@ def _backward_error_text(res: BackwardErrorResult) -> str:
 def _cmd_mu(args) -> int:
     structure = _parse_structure(args.structure)
     m = matrix_from_json(_load_json(args.matrix), "matrix")
-    opts = MuOptions(starts=args.starts, seed=args.seed)
-    res = mu_bracket(m, structure, opts)
+    res = mu_bracket(m, structure)
     defect = res.certificate_p.max_defect() if res.certificate_p else None
     report = {
         "command": "mu",
         "structure": args.structure,
-        "seed": opts.seed,
         "lower": res.lower,
         "upper": res.upper,
         "exactness": res.exactness,
@@ -299,10 +294,9 @@ def _cmd_backward_error(args) -> int:
     system = system_from_json(_load_json(args.system))
     scenario = Scenario.from_string(args.scenario)
     lambdas = [_parse_lambda(t) for t in args.lambdas]
-    opts = MuOptions(starts=args.starts, seed=args.seed)
     reports, texts = [], []
     for lam in lambdas:
-        res = backward_error(system, lam, scenario, opts)
+        res = backward_error(system, lam, scenario)
         reports.append(_certificate_report(res))
         texts.append(_backward_error_text(res))
     report = reports[0] if len(reports) == 1 else {"results": reports}
@@ -313,10 +307,9 @@ def _cmd_backward_error(args) -> int:
 def _cmd_sweep(args) -> int:
     system = system_from_json(_load_json(args.system))
     lambdas = [_parse_lambda(t) for t in args.lambdas]
-    opts = MuOptions(starts=args.starts, seed=args.seed)
     reports, texts = [], []
     for lam in lambdas:
-        rows = scenario_sweep(system, lam, opts)
+        rows = scenario_sweep(system, lam)
         reports.append(
             {
                 "lambda": [float(lam.real), float(lam.imag)],
@@ -502,9 +495,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        for flag in ("seed", "starts"):
-            if getattr(args, flag, 0) < 0:
-                raise InputError(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
+        if getattr(args, "seed", 0) < 0:
+            raise InputError(f"--seed must be nonnegative, got {args.seed}")
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

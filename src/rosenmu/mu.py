@@ -17,15 +17,19 @@ exists).  The engine computes
   sigma_max) a continuation on a smooth convex surrogate follows it in;
 * a certified lower bound: sup over block-diagonal partial isometries P of
   the spectral radius rho(P M), searched by extracting P from the top
-  singular subspace at the scaling optimum and refining with an
-  alternating power-type iteration plus seeded random restarts.
+  singular subspace at the scaling optimum and refining it by projected
+  eigenvalue-gradient ascent over blocks of norm at most one (_ascend,
+  shared with the brute-force oracle).  The winner is snapped to a
+  partial isometry and evaluated once more.
 
-Every evaluated P lies in the admissible class, so every reported lower
-bound is mathematically valid regardless of optimizer success.
+Every evaluated Delta has max block norm at most one, so rho(Delta M) never
+exceeds mu and every reported lower bound is mathematically valid
+regardless of optimizer success.  The engine draws no random numbers.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,15 +68,14 @@ SMOOTHING_TAUS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
 # upper bound exact there, but the label also needs a lower bound in the run
 # that meets it.  Such a bracket is labelled as one with more blocks.
 EXACT_GAP_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class MuOptions:
-    """Effort knobs for the bracketing engine."""
-
-    starts: int = 8
-    seed: int = 0
-    refine_rounds: int = 200
+# Projected ascent of rho(Delta M) (see _ascend): the largest step along the
+# unit gradient, the stop after _STALL iterations in a row that gain at most
+# _GAIN_TOL relative, and the cap on iterations per ascent.
+_STEP = 8.0
+_STALL = 8
+_GAIN_TOL = 1e-15
+ASCENT_ITERS = 1200
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -285,13 +288,13 @@ def _top_subspace_forms(u: np.ndarray, vh: np.ndarray, rank: int, structure: Blo
     return alphas, betas, forms
 
 
-def _kernel_direction(forms, rng) -> tuple[np.ndarray, float]:
+def _kernel_direction(forms) -> tuple[np.ndarray, float]:
     """Unit v (nearly) annihilating every quadratic form v* H_i v.
 
     Minimizes sum_i |v* H_i v|^2 over the unit sphere of C^r and returns
     the v found with the attained residual sum.  Rank 1 is trivial and
-    rank 2 is solved exactly by _kernel_direction_2, which draws nothing
-    from rng; rank 3 and up run the multistart BFGS search.
+    rank 2 is solved exactly by _kernel_direction_2; rank 3 and up run the
+    multistart BFGS search.  Each is a deterministic function of the forms.
     """
     r = forms[0].shape[0]
     if r == 1:
@@ -300,7 +303,7 @@ def _kernel_direction(forms, rng) -> tuple[np.ndarray, float]:
     if r == 2:
         v = _kernel_direction_2(forms)
         return v, float(sum(np.vdot(v, h @ v).real ** 2 for h in forms))
-    return _kernel_direction_bfgs(forms, rng)
+    return _kernel_direction_bfgs(forms)
 
 
 def _kernel_direction_2(forms) -> np.ndarray:
@@ -366,12 +369,12 @@ def _kernel_direction_2(forms) -> np.ndarray:
     return np.array([complex(s[0], -s[1]) / (2.0 * v1), v1])
 
 
-def _kernel_direction_bfgs(forms, rng, n_starts: int = 16) -> tuple[np.ndarray, float]:
+def _kernel_direction_bfgs(forms) -> tuple[np.ndarray, float]:
     """Multistart BFGS for _kernel_direction at any rank r >= 2.
 
     Minimizes the scale-invariant quotient sum_i (v* H_i v / v* v)^2 from
-    the r canonical starts, then random ones drawn from rng; returns the
-    best v found and its residual sum.
+    each of the r canonical unit vectors; returns the best v found and its
+    residual sum.
     """
     r = forms[0].shape[0]
 
@@ -390,12 +393,7 @@ def _kernel_direction_bfgs(forms, rng, n_starts: int = 16) -> tuple[np.ndarray, 
         return val, np.concatenate([2.0 * gc.real, 2.0 * gc.imag])
 
     best_v, best_val = None, np.inf
-    for t in range(n_starts):
-        w0 = np.zeros(2 * r)
-        if t < r:
-            w0[t] = 1.0  # canonical starts first, then random ones
-        else:
-            w0 = rng.standard_normal(2 * r)
+    for w0 in np.eye(2 * r)[:r]:
         res = minimize(fg, w0, jac=True, method="BFGS", options=dict(gtol=1e-14, maxiter=300))
         if float(res.fun) < best_val:
             best_val, best_v = float(res.fun), res.x
@@ -427,62 +425,86 @@ def _rho(p_dense: np.ndarray, m: np.ndarray) -> tuple[float, complex]:
     return float(abs(ev[idx])), complex(ev[idx])
 
 
-def _phase_align(blocks, m: np.ndarray, structure: BlockStructure):
-    """Rotate P so its best product eigenvalue sits on the positive real axis."""
-    rho, lam = _rho(structure.assemble(blocks), m)
-    if rho <= TINY:
-        return blocks
-    phase = lam / abs(lam)
-    return [blk / phase for blk in blocks]
+def _project(delta: np.ndarray, places) -> np.ndarray:
+    """Clip each block's singular values at 1, then scale to unit max block norm.
 
-
-def _alternating_refine(
-    blocks, m: np.ndarray, structure: BlockStructure, rounds: int, target: float | None
-):
-    """Power-type alternating ascent of rho(P M), keeping the running best.
-
-    Each step re-aims every block at the current dominant eigenvector:
-    with unit right eigenvector w of P M and z = M w, the block update
-    w_i z_i* / (|w_i| |z_i|) maximizes |w* P z| over admissible P.  There
-    is no monotonicity guarantee, so every iterate is evaluated and only
-    improvements are kept.
+    rho(c Delta M) = c rho(Delta M), so the scaling never lowers rho.  An
+    ascent direction has a positive inner product with Delta, so a step
+    from a Delta of unit max block norm keeps ``top`` away from 0.
     """
-    p_slices = structure.p_slices()
-    k_slices = structure.k_slices()
-    best_rho, best_lam = _rho(structure.assemble(blocks), m)
-    best_blocks = [blk.copy() for blk in blocks]
-    cur = blocks
-    stall = 0
-    used = 0
-    for _ in range(rounds):
+    factors = [np.linalg.svd(delta[sp, sk], full_matrices=False) for sp, sk in places]
+    top = max(s[0] for _, s, _ in factors)
+    out = np.zeros_like(delta)
+    for (sp, sk), (u, s, vh) in zip(places, factors):
+        out[sp, sk] = (u * (s / top if top < 1.0 else np.minimum(s, 1.0))) @ vh
+    return out
+
+
+def _unit(v: np.ndarray):
+    """v scaled to unit 2-norm without overflow, or None if v is 0 or not finite."""
+    top = np.abs(v).max()
+    if not 0 < top < np.inf:
+        return None
+    # real divisions: numpy's complex division overflows at a subnormal top
+    v = v.real / top + 1j * (v.imag / top)
+    return v / np.linalg.norm(v)
+
+
+def _ascent_direction(a: np.ndarray, w: np.ndarray, v: np.ndarray, places):
+    """Unit gradient of |lam_max(Delta M)| in the blocks, or None where undefined.
+
+    For a simple eigenvalue lam of Delta M with right and left eigenvectors
+    x and y, the gradient is (lam/|lam|) y (M x)^* / conj(y^* x).  With V
+    holding the right eigenvectors, y = V^{-*} e_j gives y^* x = 1.
+    """
+    j = int(np.argmax(np.abs(w)))
+    lam = w[j]
+    mx = _unit(a @ v[:, j])
+    if lam == 0 or mx is None:
+        return None
+    u, s, vh = np.linalg.svd(v)
+    # a near-singular V: lam is close to defective and y^* x ~ 0 for unit y
+    if not s[-1] > _EPS * s[0]:
+        return None
+    y = u @ (vh[:, j] / s)
+    # lam/|lam| from its angle: |lam| may be subnormal or overflow
+    g = cmath.exp(1j * cmath.phase(lam)) * np.outer(y, mx.conj())
+    grad = np.zeros_like(g)
+    for sp, sk in places:
+        grad[sp, sk] = g[sp, sk]
+    # <grad, Delta> is a positive multiple of |lam|, so grad is not 0
+    return grad / np.linalg.norm(grad)
+
+
+def _ascend(a: np.ndarray, delta: np.ndarray, rho: float, places, iters: int = ASCENT_ITERS):
+    """Projected gradient ascent of rho(Delta M) over blocks of norm <= 1.
+
+    Follows Guglielmi & Overton (2011) and Guglielmi, Rehman & Kressner
+    (2017).  ``delta`` is the dense p x k Delta with rho = rho(Delta M), and
+    ``places`` holds the (row, column) slices of its blocks.  A step along
+    :func:`_ascent_direction` is projected by :func:`_project` and kept
+    only if rho rises; the step doubles after a kept step and halves after
+    a rejected one.  The ascent ends after ``_STALL`` iterations in a row
+    gain at most ``_GAIN_TOL`` relative, when the step falls below machine
+    epsilon, after ``iters`` iterations, or where the gradient is
+    undefined.  Returns the best rho, its Delta (the start if nothing rose)
+    and the number of iterations run.
+    """
+    w, v = np.linalg.eig(delta @ a)
+    direction = _ascent_direction(a, w, v, places)
+    step, stalled, used = _STEP, 0, 0
+    while used < iters and direction is not None and step >= _EPS and stalled < _STALL:
         used += 1
-        ev, vecs = np.linalg.eig(structure.assemble(cur) @ m)
-        idx = int(np.argmax(np.abs(ev)))
-        w = vecs[:, idx]
-        w /= np.linalg.norm(w)
-        z = m @ w
-        nxt = [_rank_one(w[sp], z[sk]) for sp, sk in zip(p_slices, k_slices)]
-        rho, lam = _rho(structure.assemble(nxt), m)
-        if rho > best_rho * (1 + 1e-14):
-            best_rho, best_lam, best_blocks = rho, lam, [b.copy() for b in nxt]
-            stall = 0
+        trial = _project(delta + step * direction, places)
+        w, v = np.linalg.eig(trial @ a)
+        rho_t = float(np.abs(w).max())
+        if rho_t > rho:
+            stalled = stalled + 1 if rho_t - rho <= _GAIN_TOL * rho else 0
+            delta, rho, step = trial, rho_t, min(2.0 * step, _STEP)
+            direction = _ascent_direction(a, w, v, places)
         else:
-            stall += 1
-        cur = nxt
-        if stall >= 25:
-            break
-        if target is not None and best_rho >= target * (1 - 1e-13):
-            break
-    return best_rho, best_blocks, used
-
-
-def _random_isometry(structure: BlockStructure, rng) -> list[np.ndarray]:
-    blocks = []
-    for p, k in structure.blocks:
-        g = rng.standard_normal((p, k)) + 1j * rng.standard_normal((p, k))
-        u, _, vh = np.linalg.svd(g, full_matrices=False)
-        blocks.append(u @ vh)
-    return blocks
+            stalled, step = stalled + 1, step / 2.0
+    return rho, delta, used
 
 
 def _snap_partial_isometry(blk: np.ndarray) -> np.ndarray:
@@ -503,13 +525,12 @@ class LowerBound:
     value: float
     certificate: PartialIsometrySet | None
     kernel_residual: float | None
-    refine_rounds: int
+    refine_rounds: int  # iterations of _ascend over all candidates
 
 
 def mu_lower(
     m,
     structure: BlockStructure,
-    opts: MuOptions = MuOptions(),
     x_star=None,
     target: float | None = None,
     seed_isometries=(),
@@ -518,14 +539,14 @@ def mu_lower(
 
     Candidates come from (a) kernel directions of the top singular
     subspace at the scaling optimum x_star, swept over the widening cluster
-    tolerances CLUSTER_TOLS, (b) caller-provided seed isometries, (c) seeded
-    random restarts; every candidate is refined by the alternating
-    iteration.  A tolerance that clusters the same rank r <= 2 as the one
-    before it is skipped: it sees the same subspace, and for r <= 2 the
-    kernel direction is a deterministic function of that subspace (r = 2
-    is solved in closed form), so its candidate would be a bit-identical
-    copy.  At r >= 3 the multistart kernel search draws from the rng, so
-    every tolerance still gets its own candidate.
+    tolerances CLUSTER_TOLS, then (b) caller-provided seed isometries.  A
+    candidate whose rho meets ``target`` ends the search; any other is
+    refined by :func:`_ascend`.  A tolerance that clusters the same rank as
+    the one before it is skipped: it sees the same subspace, and the kernel
+    direction is a deterministic function of that subspace, so its
+    candidate would be a bit-identical copy.  The best blocks are snapped
+    to partial isometries and rho is evaluated once more: that value is
+    the bound, and the snapped blocks are its certificate.
     """
     a = as_matrix(m)
     structure.check_shape(a)
@@ -533,24 +554,24 @@ def mu_lower(
     if s0 == 0.0:
         return LowerBound(0.0, None, None, 0)
     a_n = _normalized(a, s0)
-    target_n = None if target is None else target / s0
-    rng = np.random.default_rng(opts.seed + 1)
+    goal = np.inf if target is None else target / s0 * (1 - 1e-13)
+    places = list(zip(structure.p_slices(), structure.k_slices()))
     kernel_residual = None
 
     def candidates():
         # Built one at a time, so the search stops paying for candidates
-        # once one meets the target; the rng is drawn in the same order.
+        # once one meets the target.
         nonlocal kernel_residual
         if x_star is not None:
             u, s, vh = np.linalg.svd(_scaled(a_n, structure, np.asarray(x_star, dtype=float)))
             prev_rank = 0
             for tol in CLUSTER_TOLS:
                 rank = int(np.count_nonzero(s[0] - s <= tol * s[0]))
-                if rank == prev_rank and rank <= 2:
+                if rank == prev_rank:
                     continue  # same subspace, and the same deterministic candidate
                 prev_rank = rank
                 alphas, betas, forms = _top_subspace_forms(u, vh, rank, structure)
-                v, resid = _kernel_direction(forms, rng)
+                v, resid = _kernel_direction(forms)
                 if tol == MULT_TOL:
                     kernel_residual = resid
                 yield _isometries_from_direction(alphas, betas, v)
@@ -558,27 +579,26 @@ def mu_lower(
                     break
         for seed_p in seed_isometries:
             yield [_snap_partial_isometry(np.asarray(blk, dtype=complex)) for blk in seed_p]
-        for _ in range(opts.starts):
-            yield _random_isometry(structure, rng)
 
-    best_rho, best_blocks = 0.0, None
-    rounds_used = 0
+    best_rho, best_delta, iterations = 0.0, None, 0
     for cand in candidates():
-        # the refinement starts from cand's own rho and keeps the best seen
-        rho, blocks, used = _alternating_refine(
-            cand, a_n, structure, opts.refine_rounds, target_n
-        )
-        rounds_used += used
+        delta = structure.assemble(cand)
+        rho = _rho(delta, a_n)[0]
+        if rho < goal:
+            rho, delta, used = _ascend(a_n, delta, rho, places)
+            iterations += used
         if rho > best_rho:
-            best_rho, best_blocks = rho, blocks
-        if target_n is not None and best_rho >= target_n * (1 - 1e-13):
+            best_rho, best_delta = rho, delta
+        if best_rho >= goal:
             break
 
-    if best_blocks is None or best_rho <= 0.0:
-        return LowerBound(0.0, None, kernel_residual, rounds_used)
-    best_blocks = _phase_align(best_blocks, a_n, structure)
-    cert = PartialIsometrySet(tuple(best_blocks), structure)
-    return LowerBound(s0 * best_rho, cert, kernel_residual, rounds_used)
+    if best_delta is None:
+        return LowerBound(0.0, None, kernel_residual, iterations)
+    blocks = tuple(_snap_partial_isometry(best_delta[sp, sk]) for sp, sk in places)
+    rho = _rho(structure.assemble(blocks), a_n)[0]
+    if rho <= 0.0:
+        return LowerBound(0.0, None, kernel_residual, iterations)
+    return LowerBound(s0 * rho, PartialIsometrySet(blocks, structure), kernel_residual, iterations)
 
 
 def negligible(value: float, scale: float, rel_tol: float) -> bool:
@@ -611,7 +631,7 @@ def certificate_to_delta(
     return blocks, resid
 
 
-def mu_bracket(m, structure: BlockStructure, opts: MuOptions = MuOptions(), seed_isometries=()) -> MuResult:
+def mu_bracket(m, structure: BlockStructure, seed_isometries=()) -> MuResult:
     """Full bracket [lower, upper] with certificates and exactness record."""
     a = as_matrix(m)
     structure.check_shape(a)
@@ -620,7 +640,7 @@ def mu_bracket(m, structure: BlockStructure, opts: MuOptions = MuOptions(), seed
         raise InputError("sigma_max(M) overflows the double range, so mu cannot be bracketed")
     upper = mu_upper(a, structure)
     lower = mu_lower(
-        a, structure, opts, x_star=upper.x, target=upper.value, seed_isometries=seed_isometries
+        a, structure, x_star=upper.x, target=upper.value, seed_isometries=seed_isometries
     )
 
     nb = structure.n_blocks

@@ -14,7 +14,6 @@ import numpy as np
 
 from rosenmu import (
     BlockStructure,
-    MuOptions,
     RosenbrockSystem,
     Scenario,
     all_scenarios,
@@ -25,8 +24,6 @@ from rosenmu import (
     is_eigenvalue,
     mu_bracket,
     reduce,
-    scaled_sigma,
-    scaled_sigma_gradient,
     scenario_sweep,
     sigma_max,
     sigma_min,
@@ -34,6 +31,7 @@ from rosenmu import (
 )
 from rosenmu.cli import main as cli_main
 from rosenmu.instances import fluid_solid_instance, golden_two_block_matrix
+from rosenmu.mu import scaled_sigma, scaled_sigma_gradient
 from rosenmu.rosenbrock import Point
 
 from conftest import (
@@ -248,7 +246,6 @@ def test_criterion_3e_exactness_small_block_counts():
 def test_criterion_3f_scenario_monotonicity():
     with criterion("3f scenario monotonicity of eta brackets"):
         rng = np.random.default_rng(306)
-        opts = MuOptions(starts=6, refine_rounds=120)
         for _ in range(50):
             sys_ = random_system(
                 rng, r=int(rng.integers(1, 3)), n=int(rng.integers(1, 3)),
@@ -257,7 +254,7 @@ def test_criterion_3f_scenario_monotonicity():
             lam = complex(rng.standard_normal(), rng.standard_normal())
             if is_eigenvalue(sys_, lam):
                 continue
-            _assert_monotone(scenario_sweep(sys_, lam, opts))
+            _assert_monotone(scenario_sweep(sys_, lam))
 
 
 def test_criterion_3g_oracle_sandwich():
@@ -345,8 +342,6 @@ def test_criterion_5_certificate_round_trip(tmp_path):
                     f"{lam.real},{lam.imag}",
                     "--scenario",
                     scenario.name,
-                    "--seed",
-                    str(trial),
                     str(sys_path),
                     "--output",
                     str(cert_path),

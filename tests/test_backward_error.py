@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from rosenmu import (
-    MuOptions,
     RosenbrockSystem,
     Scenario,
     backward_error,
@@ -21,8 +20,6 @@ from rosenmu.instances import fluid_solid_instance
 from rosenmu.rosenbrock import Point
 
 from conftest import random_system
-
-FAST = MuOptions(starts=4, refine_rounds=80)
 
 
 @pytest.fixture
@@ -60,7 +57,7 @@ def test_certificate_invariants(rng):
         sys_ = random_system(rng, r=2, n=2, d=1)
         lam = complex(rng.standard_normal(), rng.standard_normal())
         for name in ("B", "AP", "BCP", "ABCP"):
-            res = backward_error(sys_, lam, Scenario.from_string(name), FAST)
+            res = backward_error(sys_, lam, Scenario.from_string(name))
             assert res.eta_lower <= res.eta_upper
             if res.certificate is None:
                 continue
@@ -81,13 +78,13 @@ def test_exact_vs_mu_consistency(rng):
         if not np.isfinite(eta):
             continue
         prob = reduce(Point(sys_, lam), Scenario.from_string("A"))
-        res = mu_bracket(prob.m, prob.structure, FAST)
+        res = mu_bracket(prob.m, prob.structure)
         assert 1.0 / res.upper == pytest.approx(eta, rel=1e-9)
         assert 1.0 / res.lower == pytest.approx(eta, rel=1e-9)
 
 
 def test_sweep_at_eigenvalue(diag_sys):
-    rows = scenario_sweep(diag_sys, 2.0, FAST)
+    rows = scenario_sweep(diag_sys, 2.0)
     assert len(rows) == 15
     assert all(r.eta_upper == 0.0 and r.eta_lower == 0.0 for r in rows)
 
@@ -95,7 +92,7 @@ def test_sweep_at_eigenvalue(diag_sys):
 def test_sweep_ordering_and_monotonicity(rng):
     sys_ = random_system(rng, r=2, n=2, d=1)
     lam = 0.3 + 0.7j
-    rows = scenario_sweep(sys_, lam, FAST)
+    rows = scenario_sweep(sys_, lam)
     names = [r.scenario.name for r in rows]
     assert names[:4] == ["A", "B", "C", "P"]
     assert names[-1] == "ABCP"
@@ -116,7 +113,7 @@ def test_full_scenario_finiteness_cap(rng):
     for _ in range(5):
         sys_ = random_system(rng, r=2, n=2, d=1)
         lam = complex(rng.standard_normal(), rng.standard_normal())
-        res = backward_error(sys_, lam, Scenario.from_string("ABCP"), FAST)
+        res = backward_error(sys_, lam, Scenario.from_string("ABCP"))
         cap = max(
             sigma_max(sys_.a),
             sigma_max(sys_.b),

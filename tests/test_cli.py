@@ -80,6 +80,11 @@ def test_mu_command_sqrt6(tmp_path, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["upper"] == pytest.approx(np.sqrt(6), rel=1e-8)
+    # the mu engine takes no seed, so the report names none
+    assert list(report) == [
+        "command", "structure", "lower", "upper", "exactness", "possibly_zero",
+        "certificate_norm", "det_residual", "partial_isometry_defect", "delta_blocks",
+    ]
 
 
 def test_mu_shape_mismatch_exit_2(golden_matrix_file, capsys):
@@ -200,8 +205,6 @@ def test_report_determinism(system_file, tmp_path):
                 "0.25,-0.4",
                 "--scenario",
                 "BCP",
-                "--seed",
-                "11",
                 system_file,
                 "--output",
                 str(out),
@@ -296,20 +299,39 @@ def test_bad_structure_exit_2(golden_matrix_file):
     assert main(["mu", "--structure", "2x", golden_matrix_file]) == 2
 
 
+def _mu_commands(matrix_file, system_file):
+    return [
+        ["mu", "--structure", "2x3,3x2", matrix_file],
+        ["sweep", "--lambda", "0.7", system_file],
+        ["backward-error", "--scenario", "AB", "--lambda", "0.7", system_file],
+        # mu never runs for one block, yet the flag is still rejected
+        ["backward-error", "--scenario", "A", "--lambda", "0.7", system_file],
+    ]
+
+
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--seed", "-3"), ("--starts", "-1")])
 def test_negative_seed_or_starts_exit_2(golden_matrix_file, diag_system_file, capsys, flag, value):
-    commands = [
-        ["mu", "--structure", "2x3,3x2", golden_matrix_file],
-        ["sweep", "--lambda", "0.7", diag_system_file],
-        ["backward-error", "--scenario", "AB", "--lambda", "0.7", diag_system_file],
-        # mu never runs for one block, yet the flag is still rejected
-        ["backward-error", "--scenario", "A", "--lambda", "0.7", diag_system_file],
-    ]
-    if flag == "--seed":
-        commands.append(["oracle", "--structure", "2x3,3x2", "--budget", "5", golden_matrix_file])
-    for argv in commands:
+    # only the oracle takes a seed; the mu commands take neither flag
+    for argv in _mu_commands(golden_matrix_file, diag_system_file):
         assert main(argv[:-1] + [flag, value, argv[-1]]) == 2, argv
-        assert f"error: {flag} must be nonnegative" in capsys.readouterr().err, argv
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, argv
+    argv = ["oracle", "--structure", "2x3,3x2", "--budget", "5", flag, value, golden_matrix_file]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    if flag == "--seed":
+        assert "error: --seed must be nonnegative" in err
+    else:
+        assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "0"), ("--starts", "8"), ("--tol", "1e-8")])
+def test_mu_commands_reject_removed_flags_exit_2(
+    golden_matrix_file, diag_system_file, capsys, flag, value
+):
+    # the mu engine draws no random numbers and reads no tolerance
+    for argv in _mu_commands(golden_matrix_file, diag_system_file):
+        assert main(argv[:-1] + [flag, value, argv[-1]]) == 2, argv
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, argv
 
 
 def test_missing_file_exit_2(capsys):
@@ -572,20 +594,20 @@ def test_cli_fuzz_exit_codes(case):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         if kind == "mu":
-            argv = ["mu", "--structure", _structure_for(doc), "--starts", "1", path]
+            argv = ["mu", "--structure", _structure_for(doc), path]
         elif kind == "verify":
             sys_path = os.path.join(tmp, "system.json")
             with open(sys_path, "w", encoding="utf-8") as fh:
                 json.dump(dict(VALID_SYSTEM, d=0, P=VALID_SYSTEM["P"][:1]), fh)
             argv = ["verify", sys_path, path]
         elif kind == "sweep":
-            argv = ["sweep", "--lambda", "0.5", "--starts", "1", path]
+            argv = ["sweep", "--lambda", "0.5", path]
         elif kind == "oracle-system":
             argv = ["oracle", "--scenario", "AB", "--lambda", "0.5", "--budget", "5", path]
         elif kind == "oracle-matrix":
             argv = ["oracle", "--structure", _structure_for(doc), "--budget", "5", path]
         else:
-            argv = ["backward-error", "--scenario", kind, "--lambda", "0.5", "--starts", "1", path]
+            argv = ["backward-error", "--scenario", kind, "--lambda", "0.5", path]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 1, 2, 3)

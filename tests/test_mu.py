@@ -1,6 +1,7 @@
 """The mu engine: scalings, gradient, bounds, certificates."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from scipy.optimize import minimize
 from rosenmu import (
     BlockStructure,
     InputError,
-    MuOptions,
     NumericError,
     PartialIsometrySet,
     all_scenarios,
@@ -21,8 +21,6 @@ from rosenmu import (
     mu_upper,
     perturbation_norm,
     reduce,
-    scaled_sigma,
-    scaled_sigma_gradient,
     sigma_max,
 )
 from rosenmu.instances import fluid_solid_instance
@@ -36,6 +34,8 @@ from rosenmu.mu import (
     _scaled,
     _smoothed_value_and_grad,
     _snap_partial_isometry,
+    scaled_sigma,
+    scaled_sigma_gradient,
 )
 from rosenmu.rosenbrock import Point
 
@@ -232,18 +232,21 @@ def test_mu_zero_bracket_flag():
     assert res.lower == res.upper == 0.0
 
 
-# The certificate extracted at the scaling optimum, alone: no random
-# restarts and no alternating refinement.
-KERNEL_ONLY = MuOptions(starts=0, refine_rounds=0)
+@pytest.fixture
+def kernel_only(monkeypatch):
+    """mu_lower without its ascent: each candidate is taken as built."""
+    monkeypatch.setattr("rosenmu.mu._ascend", lambda a, delta, rho, places: (rho, delta, 0))
+
+
 # a kernel direction is accepted up to this residual sum
 KERNEL_TOL = 1e-8
 
 
-def test_extract_certificate_simple_case(rng):
+def test_extract_certificate_simple_case(rng, kernel_only):
     # Generic single block: top pair is simple, certificate reaches sigma_max.
     m = cgauss(rng, 3, 3)
     structure = BlockStructure(((3, 3),))
-    low = mu_lower(m, structure, KERNEL_ONLY, x_star=np.zeros(1))
+    low = mu_lower(m, structure, x_star=np.zeros(1))
     assert low.kernel_residual <= KERNEL_TOL
     pset = low.certificate
     assert pset is not None
@@ -252,10 +255,10 @@ def test_extract_certificate_simple_case(rng):
     assert rho == pytest.approx(sigma_max(m), rel=1e-9)
 
 
-def test_extract_certificate_kink():
+def test_extract_certificate_kink(kernel_only):
     # At the sqrt(6) optimum both branches meet: repeated sigma_max.
     t_star = 0.5 * np.log(2.0 / 3.0)
-    low = mu_lower(ANTIDIAG, TWO_SCALARS, KERNEL_ONLY, x_star=np.array([0.0, t_star]))
+    low = mu_lower(ANTIDIAG, TWO_SCALARS, x_star=np.array([0.0, t_star]))
     assert low.kernel_residual <= KERNEL_TOL
     pset = low.certificate
     assert pset is not None
@@ -453,7 +456,7 @@ def _counting_minimize(monkeypatch):
 def test_mu_upper_one_descent_at_smooth_optimum(monkeypatch):
     calls = _counting_minimize(monkeypatch)
     m = cgauss(np.random.default_rng(404), 2, 2)
-    res = mu_bracket(m, TWO_SCALARS, MuOptions(starts=5))
+    res = mu_bracket(m, TWO_SCALARS)
     assert calls == ["BFGS"]
     assert res.upper_bound.multiplicity == 1
     assert res.upper_bound.grad_norm <= STATIONARY_TOL
@@ -467,16 +470,6 @@ def test_mu_upper_continuation_at_kink(monkeypatch):
     assert res.multiplicity == 2
     assert res.grad_norm is None
     assert res.value == pytest.approx(np.sqrt(6), rel=1e-12)
-
-
-def test_mu_upper_kink_independent_of_starts_and_seed():
-    # the lower bound's restarts are the only readers of starts and seed
-    uppers = {
-        mu_bracket(*KINK_6X6, MuOptions(starts=starts, seed=seed)).upper.hex()
-        for starts in (1, 3, 8)
-        for seed in (0, 5)
-    }
-    assert len(uppers) == 1
 
 
 def test_mu_scalar_brackets_close():
@@ -527,13 +520,16 @@ def test_mu_lower_builds_one_kernel_candidate_when_it_meets_target(monkeypatch):
     assert len(calls) == 1
 
 
-def test_mu_options_seed_determinism(rng):
-    structure = random_structure(rng, n_blocks=4)
+def test_mu_bracket_deterministic_without_options(rng):
+    # the engine takes no seed and no effort knobs, and repeats its bits
+    assert list(inspect.signature(mu_bracket).parameters) == ["m", "structure", "seed_isometries"]
+    assert list(inspect.signature(mu_lower).parameters)[2:] == ["x_star", "target", "seed_isometries"]
+    structure = random_structure(rng, n_blocks=5)
     m = cgauss(rng, structure.k_total, structure.p_total)
-    a = mu_bracket(m, structure, MuOptions(seed=42))
-    b = mu_bracket(m, structure, MuOptions(seed=42))
-    assert a.lower == b.lower
-    assert a.upper == b.upper
+    a, b = mu_bracket(m, structure), mu_bracket(m, structure)
+    assert (a.lower.hex(), a.upper.hex()) == (b.lower.hex(), b.upper.hex())
+    for blk_a, blk_b in zip(a.certificate_delta, b.certificate_delta):
+        assert blk_a.tobytes() == blk_b.tobytes()
 
 
 def test_exactness_n_le_3_needs_a_closed_bracket(monkeypatch):
@@ -584,10 +580,10 @@ def test_kernel_direction_2_no_worse_than_bfgs():
     rng = np.random.default_rng(2024)
     for trial in range(100):
         forms = _hermitian_forms(rng, int(rng.integers(1, 9)), complex_=trial % 2 == 1)
-        v, resid = _kernel_direction(forms, None)
+        v, resid = _kernel_direction(forms)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
         assert resid == _residual(forms, v)
-        w, _ = _kernel_direction_bfgs(forms, np.random.default_rng(trial), n_starts=8)
+        w, _ = _kernel_direction_bfgs(forms)
         floor = 1e-24 * sum(np.linalg.norm(h) ** 2 for h in forms)
         assert resid <= _residual(forms, w / np.linalg.norm(w)) * (1 + 1e-12) + floor
 
@@ -598,12 +594,12 @@ def test_kernel_direction_2_hard_case():
     # equator is optimal
     z = np.diag([1.0, -1.0]).astype(complex)
     for forms in ([z], [z, -2 * z, 0.5 * z]):
-        v, resid = _kernel_direction(forms, None)
+        v, resid = _kernel_direction(forms)
         assert resid <= 1e-30
         assert abs(v[0]) == pytest.approx(abs(v[1]), rel=1e-15)
     # real forms: zero sigma_y column, and a solvable rest completed along e_y
     forms = [np.array([[1.0, 0.2], [0.2, -0.5]], complex), np.array([[0.1, -0.3], [-0.3, 0.2]], complex)]
-    v, resid = _kernel_direction(forms, None)
+    v, resid = _kernel_direction(forms)
     assert resid <= 1e-30
     # the hard case completes s along e_y: s_y = 2 Im(v_1 conj(v_0)) = +-0.65
     assert abs(2 * (v[1] * v[0].conj()).imag) > 0.6
@@ -612,24 +608,16 @@ def test_kernel_direction_2_hard_case():
 def test_kernel_direction_2_single_and_zero_forms():
     # one indefinite form: its kernel cone is hit exactly
     h = np.array([[0.3, 1 - 2j], [1 + 2j, -0.7]])
-    v, resid = _kernel_direction([h], None)
+    v, resid = _kernel_direction([h])
     assert resid <= 1e-30
     # one definite form: the best v is its bottom eigenvector
     h = np.array([[3.0, 1j], [-1j, 2.0]])
-    v, resid = _kernel_direction([h], None)
+    v, resid = _kernel_direction([h])
     assert resid == pytest.approx(np.linalg.eigvalsh(h)[0] ** 2, rel=1e-12)
     # all forms zero: any unit v, residual 0
-    v, resid = _kernel_direction([np.zeros((2, 2), complex)] * 3, None)
+    v, resid = _kernel_direction([np.zeros((2, 2), complex)] * 3)
     assert resid == 0.0
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_kernel_direction_2_draws_nothing():
-    rng = np.random.default_rng(5)
-    state = rng.bit_generator.state
-    forms = _hermitian_forms(np.random.default_rng(6), 4, complex_=True)
-    _kernel_direction(forms, rng)
-    assert rng.bit_generator.state == state
 
 
 def _matrix_with_singular_values(rng, s):
@@ -644,20 +632,21 @@ def _matrix_with_singular_values(rng, s):
     [
         # ranks 1, 2, 2, 4 at the four cluster tolerances: the repeated 2 is skipped
         ([1, 1 - 1e-7, 1 - 1e-3, 1 - 1e-3, 0.5, 0.4], [1, 2, 4]),
-        # ranks 2, 2, 3, 3: rank 3 runs the random multistart, so it repeats
-        ([1, 1, 1 - 1e-5, 0.5, 0.4, 0.3], [2, 3, 3]),
+        # ranks 2, 2, 3, 3: the rank-3 search starts from canonical vectors only,
+        # so the repeated 3 is skipped too
+        ([1, 1, 1 - 1e-5, 0.5, 0.4, 0.3], [2, 3]),
     ],
 )
-def test_mu_lower_one_kernel_call_per_distinct_rank(monkeypatch, sigmas, kernel_ranks):
+def test_mu_lower_one_kernel_call_per_distinct_rank(monkeypatch, kernel_only, sigmas, kernel_ranks):
     ranks = []
 
-    def recording(forms, rng):
+    def recording(forms):
         ranks.append(forms[0].shape[0])
-        return _kernel_direction(forms, rng)
+        return _kernel_direction(forms)
 
     monkeypatch.setattr("rosenmu.mu._kernel_direction", recording)
     m = _matrix_with_singular_values(np.random.default_rng(8), sigmas)
-    mu_lower(m, BlockStructure(((1, 1),) * 6), KERNEL_ONLY, x_star=np.zeros(6))
+    mu_lower(m, BlockStructure(((1, 1),) * 6), x_star=np.zeros(6))
     assert ranks == kernel_ranks
 
 
@@ -690,3 +679,22 @@ def test_mu_lower_no_worse_than_parent():
         structure = random_structure(rng, n_blocks=4 + i % 3, max_dim=1 + i % 2)
         m = cgauss(rng, structure.k_total, structure.p_total)
         assert mu_bracket(m, structure).lower >= float.fromhex(pinned) * (1 - LOWER_SLACK)
+
+
+# brute_force_mu(budget=5000, seed=0) values (float.hex) of problems 59 and 68
+# of a seeded sample of 5-6 block problems whose brackets stay open at a
+# multiplicity-2 kink.  The old alternating refinement stopped 0.9% and 0.97%
+# below them; the shared projected ascent reaches them.
+PINNED_ORACLE_LOWER = {59: "0x1.963c0cdaa94d6p+2", 68: "0x1.76ed2f37e63cep+2"}
+
+
+def test_mu_lower_reaches_oracle_on_open_brackets():
+    rng = np.random.default_rng(777)
+    for i in range(max(PINNED_ORACLE_LOWER) + 1):
+        structure = random_structure(rng, n_blocks=2 + i % 5, max_dim=2)
+        m = cgauss(rng, structure.k_total, structure.p_total)
+        if i in PINNED_ORACLE_LOWER:
+            res = mu_bracket(m, structure)
+            assert res.exactness == "bracket_only"
+            assert res.lower >= float.fromhex(PINNED_ORACLE_LOWER[i]) * (1 - LOWER_SLACK)
+            assert res.certificate_p.max_defect() <= 1e-10

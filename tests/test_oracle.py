@@ -6,7 +6,6 @@ import scipy.linalg
 
 from rosenmu import (
     BlockStructure,
-    MuOptions,
     RosenbrockSystem,
     Scenario,
     assemble_perturbation,
@@ -61,7 +60,7 @@ def test_backward_error_vs_pipeline(rng):
     sys_ = random_system(rng, r=2, n=2, d=1)
     lam = 0.4 - 0.3j
     scenario = Scenario.from_string("ABCP")
-    res = backward_error(sys_, lam, scenario, MuOptions(starts=4, refine_rounds=80))
+    res = backward_error(sys_, lam, scenario)
     eta_sampled = brute_force_backward_error(
         sys_, lam, scenario, budget=3000, seed=7, refine_top=3, refine_iters=2500
     )
