@@ -129,7 +129,7 @@ def _backward_error_at(point: Point, scenario: Scenario, seed_isometries) -> Bac
         mu = mu_bracket(problem.m, problem.structure, seed_isometries)
         exactness = mu.exactness
         eta_lower = 1.0 / mu.upper if mu.upper > 0 else np.inf
-        possibly_infinite = negligible(mu.lower, sigma_max(problem.m), ZERO_TOL)
+        possibly_infinite = negligible(mu.lower, mu.scale, ZERO_TOL)
         if mu.lower > 0:
             # roundoff can cross the mu bounds by ~1e-15; keep the eta interval ordered
             eta_lower = min(eta_lower, 1.0 / mu.lower)

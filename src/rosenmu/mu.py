@@ -14,13 +14,15 @@ exists).  The engine computes
   (1990) show sigma_max(e^X N e^{-X}) is convex on such sets.  A point
   where sigma_max is simple and the gradient vanishes is therefore the
   global minimum, and the search stops there.  At a kink (a repeated
-  sigma_max) a continuation on a smooth convex surrogate follows it in;
+  sigma_max) a continuation on a smooth convex surrogate follows it in,
+  and stops once a certified lower bound (the floor of the kernel-direction
+  candidates below) meets it;
 * a certified lower bound: sup over block-diagonal partial isometries P of
   the spectral radius rho(P M), searched by extracting P from the top
   singular subspace at the scaling optimum and refining it by projected
   eigenvalue-gradient ascent over blocks of norm at most one (_ascend,
-  shared with the brute-force oracle).  The winner is snapped to a
-  partial isometry and evaluated once more.
+  shared with the brute-force oracle).  A winner that the ascent produced
+  is snapped to a partial isometry and evaluated once more.
 
 Every evaluated Delta has max block norm at most one, so rho(Delta M) never
 exceeds mu and every reported lower bound is mathematically valid
@@ -53,7 +55,7 @@ TINY = 1e-14
 # Relative to sigma_max(M), mu bounds at or below this level count as zero.
 ZERO_TOL = 1e-12
 # Stopping rules of each quasi-Newton descent in the upper-bound search.
-BFGS_MAX_ITERS = 200
+BFGS_MAX_ITERS = 60
 BFGS_GRAD_TOL = 1e-9
 # Norm of the gradient of log sigma_max (relative, as sigma_max may tend to
 # zero) at a simple sigma_max below which a scaling is taken as the (global,
@@ -61,8 +63,13 @@ BFGS_GRAD_TOL = 1e-9
 # exact_simple_sigma label.
 STATIONARY_TOL = 1e-6
 # Smoothing parameters tau of the continuation into a kink, one warm-started
-# BFGS stage each on g_tau (see _smoothed_value_and_grad).
+# BFGS stage each on g_tau (see _smoothed_value_and_grad).  A tau above the
+# relative gap between sigma_max and the floor is skipped.
 SMOOTHING_TAUS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
+# Relative gap (upper - lower) / upper at which the two bounds count as met:
+# mu_lower stops at a candidate whose rho comes within it of the upper bound,
+# and the continuation in mu_upper stops once such a candidate exists.
+CLOSE_TOL = 1e-13
 # Relative bracket gap (upper - lower) / upper above which a structure with
 # at most three blocks is not labelled exact_n_le_3: the theorem makes the
 # upper bound exact there, but the label also needs a lower bound in the run
@@ -109,12 +116,20 @@ class MuResult:
     possibly_zero: bool
     upper_bound: UpperBound
     lower_bound: LowerBound
+    scale: float  # sigma_max(M), the scale of every relative zero test
+
+
+def _sigma_max(a: np.ndarray) -> float:
+    """sigma_max(M), refused with InputError where it overflows."""
+    scale = float(np.linalg.svd(a, compute_uv=False)[0])
+    if not np.isfinite(scale):
+        raise InputError("sigma_max(M) overflows the double range, so mu cannot be bracketed")
+    return scale
 
 
 def _weights(structure: BlockStructure, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of D1(x) (k x k) and D2(-x) (p x p)."""
-    ps, ks = zip(*structure.blocks)
-    return np.repeat(np.exp(x), ks), np.repeat(np.exp(-x), ps)
+    return np.exp(x)[structure.k_index], np.exp(-x)[structure.p_index]
 
 
 def _scaled(m: np.ndarray, structure: BlockStructure, x: np.ndarray) -> np.ndarray:
@@ -200,8 +215,8 @@ def _smoothed_value_and_grad(m: np.ndarray, structure: BlockStructure, x: np.nda
     w = (s / s[0]) ** (1.0 / tau)
     total = float(np.sum(w))
     row, col = np.abs(u) ** 2 @ (w / total), np.abs(vh.T) ** 2 @ (w / total)
-    blocks = zip(structure.k_slices(), structure.p_slices())
-    grad = np.array([row[sk].sum() - col[sp].sum() for sk, sp in blocks])
+    nb = structure.n_blocks
+    grad = np.bincount(structure.k_index, row, nb) - np.bincount(structure.p_index, col, nb)
     grad[np.abs(x) >= X_BOUND] = 0.0  # where mu_upper's clip holds x constant
     return float(np.log(s[0]) + tau * np.log(total)), grad
 
@@ -213,6 +228,7 @@ class UpperBound:
     multiplicity: int
     grad_norm: float | None  # |gradient of log sigma_max|, None at a kink
     iterations: int
+    scale: float  # sigma_max(M), by which the search normalizes M
 
 
 def mu_upper(m, structure: BlockStructure) -> UpperBound:
@@ -225,21 +241,26 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
     it stopped short of a kink (a repeated sigma_max) or of an infimum past
     X_BOUND: one descent per tau in SMOOTHING_TAUS on g_tau, each from the
     last, follows it in, and the smallest sigma_max at the end of a descent
-    is returned.  The first
-    scaling exponent is frozen at zero: shifting all exponents together
-    never changes the objective.
+    is returned.  The continuation stops on a certified gap: after the
+    first descent and after each stage that lowers sigma_max, the floor
+    rho(P M) of mu_lower's kernel-direction candidates at the best x is a
+    lower bound on mu, and once it is within CLOSE_TOL of sigma_max no
+    scaling can do better.  A tau above the relative gap between the two is
+    skipped.  Where the floor stays below (mu = 0, or mu below the scaling
+    optimum) every tau runs.  The first scaling exponent is frozen at zero:
+    shifting all exponents together never changes the objective.
     """
     a = as_matrix(m)
     structure.check_shape(a)
     nb = structure.n_blocks
-    s0 = float(np.linalg.svd(a, compute_uv=False)[0])
+    s0 = _sigma_max(a)
     if s0 == 0.0:
-        return UpperBound(0.0, np.zeros(nb), min(a.shape), None, 0)
+        return UpperBound(0.0, np.zeros(nb), min(a.shape), None, 0, s0)
     a_n = _normalized(a, s0)
 
     if nb == 1:
         value, _, mult = _value_and_branch_grad(a_n, structure, np.zeros(1))
-        return UpperBound(s0 * value, np.zeros(1), mult, 0.0, 0)
+        return UpperBound(s0 * value, np.zeros(1), mult, 0.0, 0, s0)
 
     def full(xf: np.ndarray) -> np.ndarray:
         return np.clip(np.concatenate(([0.0], xf)), -X_BOUND, X_BOUND)
@@ -258,17 +279,29 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
         x_star = full(res.x)
         value, grad, mult = _value_and_branch_grad(a_n, structure, x_star)
         grad_norm = float(np.linalg.norm(grad[1:])) / value if mult == 1 else None
-        return UpperBound(s0 * value, x_star, mult, grad_norm, int(res.nit)), res.x
+        return UpperBound(s0 * value, x_star, mult, grad_norm, int(res.nit), s0), res.x
+
+    def gap(bound: UpperBound) -> float:
+        """Relative gap to the floor at bound.x, 0 where the floor meets it."""
+        goal = _goal(bound.value, s0)
+        floor = _floor(a_n, structure, bound.x, goal)
+        return 0.0 if floor >= goal else 1.0 - s0 * floor / bound.value
 
     best, xf = descend(fg, np.zeros(nb - 1))
     if _is_stationary(best.multiplicity, best.grad_norm):
         return best
     iterations = best.iterations
+    rel_gap = gap(best)
     for tau in SMOOTHING_TAUS:
+        if rel_gap == 0.0:
+            break
+        if tau > rel_gap:
+            continue
         stage, xf = descend(smoothed, xf, (tau,))
         iterations += stage.iterations
         if stage.value < best.value:
             best = stage
+            rel_gap = gap(best)
     return replace(best, iterations=iterations)
 
 
@@ -419,10 +452,64 @@ def _isometries_from_direction(alphas, betas, v):
     return [_rank_one(b @ v, a @ v) for a, b in zip(alphas, betas)]
 
 
+def _kernel_candidates(a_n: np.ndarray, structure: BlockStructure, x, max_rank=None):
+    """Lower-bound candidates from the top singular subspace at scaling x.
+
+    One candidate per distinct rank of the clusters at CLUSTER_TOLS, up to
+    ``max_rank``, built one at a time, as (rank-one blocks, kernel
+    residual); the first is at MULT_TOL.  A tolerance that clusters the same
+    rank as the one before it is skipped: it sees the same subspace, and the
+    kernel direction is a deterministic function of that subspace, so its
+    candidate would be a bit-identical copy.
+    """
+    u, s, vh = np.linalg.svd(_scaled(a_n, structure, np.asarray(x, dtype=float)))
+    prev_rank = 0
+    for tol in CLUSTER_TOLS:
+        rank = int(np.count_nonzero(s[0] - s <= tol * s[0]))
+        if max_rank is not None and rank > max_rank:
+            break
+        if rank == prev_rank:
+            continue
+        prev_rank = rank
+        alphas, betas, forms = _top_subspace_forms(u, vh, rank, structure)
+        v, resid = _kernel_direction(forms)
+        yield _isometries_from_direction(alphas, betas, v), resid
+        if rank == min(a_n.shape):
+            break
+
+
+def _goal(target: float, s0: float) -> float:
+    """The rho(Delta M / s0) within CLOSE_TOL of the upper bound ``target``."""
+    return target / s0 * (1 - CLOSE_TOL)
+
+
+def _floor(a_n: np.ndarray, structure: BlockStructure, x, goal: float) -> float:
+    """Largest rho(P M) over the kernel-direction candidates at x, up to goal.
+
+    Each candidate's P is block-diagonal with blocks of norm at most one, so
+    this is a certified lower bound on mu; mu_lower's search at the same x
+    starts from the same candidates.  Only ranks one and two are tried, whose
+    kernel directions are closed forms: a rank-three search costs more than
+    a continuation stage where the floor stays below (mu = 0, say).
+    """
+    floor = 0.0
+    for blocks, _ in _kernel_candidates(a_n, structure, x, max_rank=2):
+        floor = max(floor, _eigs(structure.assemble(blocks), a_n)[0])
+        if floor >= goal:
+            break
+    return floor
+
+
 def _rho(p_dense: np.ndarray, m: np.ndarray) -> tuple[float, complex]:
     ev = np.linalg.eigvals(p_dense @ m)
     idx = int(np.argmax(np.abs(ev)))
     return float(abs(ev[idx])), complex(ev[idx])
+
+
+def _eigs(delta: np.ndarray, a: np.ndarray):
+    """rho(Delta M) with the eigenvalues and right eigenvectors of Delta M."""
+    w, v = np.linalg.eig(delta @ a)
+    return float(np.abs(w).max()), (w, v)
 
 
 def _project(delta: np.ndarray, places) -> np.ndarray:
@@ -476,12 +563,15 @@ def _ascent_direction(a: np.ndarray, w: np.ndarray, v: np.ndarray, places):
     return grad / np.linalg.norm(grad)
 
 
-def _ascend(a: np.ndarray, delta: np.ndarray, rho: float, places, iters: int = ASCENT_ITERS):
+def _ascend(
+    a: np.ndarray, delta: np.ndarray, rho: float, places, iters: int = ASCENT_ITERS, eig=None
+):
     """Projected gradient ascent of rho(Delta M) over blocks of norm <= 1.
 
     Follows Guglielmi & Overton (2011) and Guglielmi, Rehman & Kressner
     (2017).  ``delta`` is the dense p x k Delta with rho = rho(Delta M), and
-    ``places`` holds the (row, column) slices of its blocks.  A step along
+    ``places`` holds the (row, column) slices of its blocks; ``eig`` holds
+    the eigenpairs of Delta M when the caller has them.  A step along
     :func:`_ascent_direction` is projected by :func:`_project` and kept
     only if rho rises; the step doubles after a kept step and halves after
     a rejected one.  The ascent ends after ``_STALL`` iterations in a row
@@ -490,7 +580,7 @@ def _ascend(a: np.ndarray, delta: np.ndarray, rho: float, places, iters: int = A
     undefined.  Returns the best rho, its Delta (the start if nothing rose)
     and the number of iterations run.
     """
-    w, v = np.linalg.eig(delta @ a)
+    w, v = np.linalg.eig(delta @ a) if eig is None else eig
     direction = _ascent_direction(a, w, v, places)
     step, stalled, used = _STEP, 0, 0
     while used < iters and direction is not None and step >= _EPS and stalled < _STALL:
@@ -534,27 +624,28 @@ def mu_lower(
     x_star=None,
     target: float | None = None,
     seed_isometries=(),
+    *,
+    scale: float | None = None,
 ) -> LowerBound:
     """Best certified lower bound sup rho(P M) over the searched P.
 
-    Candidates come from (a) kernel directions of the top singular
-    subspace at the scaling optimum x_star, swept over the widening cluster
-    tolerances CLUSTER_TOLS, then (b) caller-provided seed isometries.  A
-    candidate whose rho meets ``target`` ends the search; any other is
-    refined by :func:`_ascend`.  A tolerance that clusters the same rank as
-    the one before it is skipped: it sees the same subspace, and the kernel
-    direction is a deterministic function of that subspace, so its
-    candidate would be a bit-identical copy.  The best blocks are snapped
-    to partial isometries and rho is evaluated once more: that value is
-    the bound, and the snapped blocks are its certificate.
+    Candidates come from (a) :func:`_kernel_candidates` at the scaling
+    optimum x_star, then (b) caller-provided seed isometries.  A candidate
+    whose rho comes within CLOSE_TOL of ``target`` ends the search; any
+    other is refined by :func:`_ascend`.  A winner the ascent produced is
+    snapped to partial isometries and rho is evaluated once more: that
+    value is the bound, and the snapped blocks are its certificate.  A
+    winner taken as built is already a partial-isometry set and keeps its
+    rho, so at the x where mu_upper's floor met the target the bound is
+    that floor.  ``scale`` is sigma_max(M) when the caller has it.
     """
     a = as_matrix(m)
     structure.check_shape(a)
-    s0 = float(np.linalg.svd(a, compute_uv=False)[0])
+    s0 = _sigma_max(a) if scale is None else scale
     if s0 == 0.0:
         return LowerBound(0.0, None, None, 0)
     a_n = _normalized(a, s0)
-    goal = np.inf if target is None else target / s0 * (1 - 1e-13)
+    goal = np.inf if target is None else _goal(target, s0)
     places = list(zip(structure.p_slices(), structure.k_slices()))
     kernel_residual = None
 
@@ -563,42 +654,37 @@ def mu_lower(
         # once one meets the target.
         nonlocal kernel_residual
         if x_star is not None:
-            u, s, vh = np.linalg.svd(_scaled(a_n, structure, np.asarray(x_star, dtype=float)))
-            prev_rank = 0
-            for tol in CLUSTER_TOLS:
-                rank = int(np.count_nonzero(s[0] - s <= tol * s[0]))
-                if rank == prev_rank:
-                    continue  # same subspace, and the same deterministic candidate
-                prev_rank = rank
-                alphas, betas, forms = _top_subspace_forms(u, vh, rank, structure)
-                v, resid = _kernel_direction(forms)
-                if tol == MULT_TOL:
-                    kernel_residual = resid
-                yield _isometries_from_direction(alphas, betas, v)
-                if rank == min(a.shape):
-                    break
+            for blocks, resid in _kernel_candidates(a_n, structure, x_star):
+                if kernel_residual is None:
+                    kernel_residual = resid  # the MULT_TOL candidate's
+                yield blocks
         for seed_p in seed_isometries:
             yield [_snap_partial_isometry(np.asarray(blk, dtype=complex)) for blk in seed_p]
 
-    best_rho, best_delta, iterations = 0.0, None, 0
+    best_rho, best_delta, ascended, iterations = 0.0, None, False, 0
     for cand in candidates():
         delta = structure.assemble(cand)
-        rho = _rho(delta, a_n)[0]
-        if rho < goal:
-            rho, delta, used = _ascend(a_n, delta, rho, places)
+        rho, eig = _eigs(delta, a_n)
+        refine = rho < goal
+        if refine:
+            rho, delta, used = _ascend(a_n, delta, rho, places, eig=eig)
             iterations += used
         if rho > best_rho:
-            best_rho, best_delta = rho, delta
+            best_rho, best_delta, ascended = rho, delta, refine
         if best_rho >= goal:
             break
 
     if best_delta is None:
         return LowerBound(0.0, None, kernel_residual, iterations)
-    blocks = tuple(_snap_partial_isometry(best_delta[sp, sk]) for sp, sk in places)
-    rho = _rho(structure.assemble(blocks), a_n)[0]
-    if rho <= 0.0:
-        return LowerBound(0.0, None, kernel_residual, iterations)
-    return LowerBound(s0 * rho, PartialIsometrySet(blocks, structure), kernel_residual, iterations)
+    blocks = tuple(best_delta[sp, sk] for sp, sk in places)
+    if ascended:
+        # the ascent's blocks have norm <= 1 but need not be partial isometries
+        blocks = tuple(_snap_partial_isometry(blk) for blk in blocks)
+        best_rho = _rho(structure.assemble(blocks), a_n)[0]
+        if best_rho <= 0.0:
+            return LowerBound(0.0, None, kernel_residual, iterations)
+    certificate = PartialIsometrySet(blocks, structure)
+    return LowerBound(s0 * best_rho, certificate, kernel_residual, iterations)
 
 
 def negligible(value: float, scale: float, rel_tol: float) -> bool:
@@ -611,17 +697,20 @@ class NoCertificateError(NumericError):
 
 
 def certificate_to_delta(
-    pset: PartialIsometrySet, m
+    pset: PartialIsometrySet, m, *, scale: float | None = None
 ) -> tuple[tuple[np.ndarray, ...], float]:
     """Minimal structured perturbation from a partial-isometry certificate.
 
     With lambda_e the dominant eigenvalue of P M, Delta = P / lambda_e has
     max block norm 1 / rho(P M) and makes I - Delta M singular.  Returns
-    the blocks and the residual sigma_min(I - Delta M).
+    the blocks and the residual sigma_min(I - Delta M).  ``scale`` is
+    sigma_max(M) when the caller has it.
     """
     a = as_matrix(m)
     rho, lam = _rho(pset.matrix(), a)
-    if negligible(rho, float(np.linalg.svd(a, compute_uv=False)[0]), TINY):
+    if scale is None:
+        scale = float(np.linalg.svd(a, compute_uv=False)[0])
+    if negligible(rho, scale, TINY):
         raise NoCertificateError("rho(P M) vanishes; no finite perturbation exists")
     blocks = tuple(blk / lam for blk in pset.blocks)
     delta = pset.structure.assemble(blocks)
@@ -634,14 +723,9 @@ def certificate_to_delta(
 def mu_bracket(m, structure: BlockStructure, seed_isometries=()) -> MuResult:
     """Full bracket [lower, upper] with certificates and exactness record."""
     a = as_matrix(m)
-    structure.check_shape(a)
-    scale = float(np.linalg.svd(a, compute_uv=False)[0])
-    if not np.isfinite(scale):
-        raise InputError("sigma_max(M) overflows the double range, so mu cannot be bracketed")
-    upper = mu_upper(a, structure)
-    lower = mu_lower(
-        a, structure, x_star=upper.x, target=upper.value, seed_isometries=seed_isometries
-    )
+    upper = mu_upper(a, structure)  # checks the shape and the scale
+    scale = upper.scale
+    lower = mu_lower(a, structure, upper.x, upper.value, seed_isometries, scale=scale)
 
     nb = structure.n_blocks
     if nb <= 3 and upper.value - lower.value <= EXACT_GAP_TOL * upper.value:
@@ -654,7 +738,7 @@ def mu_bracket(m, structure: BlockStructure, seed_isometries=()) -> MuResult:
 
     cert_delta = resid = None
     if lower.certificate is not None and not negligible(lower.value, scale, TINY):
-        cert_delta, resid = certificate_to_delta(lower.certificate, a)
+        cert_delta, resid = certificate_to_delta(lower.certificate, a, scale=scale)
 
     return MuResult(
         lower=lower.value,
@@ -666,4 +750,5 @@ def mu_bracket(m, structure: BlockStructure, seed_isometries=()) -> MuResult:
         possibly_zero=possibly_zero,
         upper_bound=upper,
         lower_bound=lower,
+        scale=scale,
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -143,6 +144,16 @@ class BlockStructure:
             out.append(slice(off, off + k))
             off += k
         return out
+
+    @cached_property
+    def k_index(self) -> np.ndarray:
+        """Block number of each row of M (each column of Delta)."""
+        return np.repeat(np.arange(self.n_blocks), [k for _, k in self.blocks])
+
+    @cached_property
+    def p_index(self) -> np.ndarray:
+        """Block number of each column of M (each row of Delta)."""
+        return np.repeat(np.arange(self.n_blocks), [p for p, _ in self.blocks])
 
     def check_shape(self, m: np.ndarray) -> None:
         """Refuse an M that is not k_total x p_total, naming both shapes."""

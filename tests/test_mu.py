@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from rosenmu import (
     InputError,
     NumericError,
     PartialIsometrySet,
+    Scenario,
     all_scenarios,
+    backward_error,
     certificate_to_delta,
     mu_bracket,
     mu_lower,
@@ -25,15 +28,19 @@ from rosenmu import (
 )
 from rosenmu.instances import fluid_solid_instance
 from rosenmu.mu import (
+    CLOSE_TOL,
     EXACT_GAP_TOL,
     SMOOTHING_TAUS,
     STATIONARY_TOL,
     X_BOUND,
+    _ascend,
+    _floor,
     _kernel_direction,
     _kernel_direction_bfgs,
     _scaled,
     _smoothed_value_and_grad,
     _snap_partial_isometry,
+    _weights,
     scaled_sigma,
     scaled_sigma_gradient,
 )
@@ -173,6 +180,27 @@ def test_smoothed_gradient_matches_central_differences(rng, tau):
         np.testing.assert_allclose(g, fd, rtol=0, atol=1e-7)
 
 
+def test_block_sums_match_block_loops(rng):
+    # the scalings index exp(x) by block: the same bits as repeating it; the
+    # smoothed gradient sums each block in one bincount, which may reorder
+    # the sum of a block's entries (a few ulps)
+    for _ in range(20):
+        structure = random_structure(rng, n_blocks=int(rng.integers(1, 6)), max_dim=4)
+        ps, ks = zip(*structure.blocks)
+        x = rng.uniform(-3, 3, structure.n_blocks)
+        row, col = _weights(structure, x)
+        assert row.tobytes() == np.repeat(np.exp(x), ks).tobytes()
+        assert col.tobytes() == np.repeat(np.exp(-x), ps).tobytes()
+        m = cgauss(rng, structure.k_total, structure.p_total)
+        _, g = _smoothed_value_and_grad(m, structure, x, 1e-2)
+        u, s, vh = np.linalg.svd(_scaled(m, structure, x), full_matrices=False)
+        w = (s / s[0]) ** 100.0
+        r, c = np.abs(u) ** 2 @ (w / w.sum()), np.abs(vh.T) ** 2 @ (w / w.sum())
+        blocks = zip(structure.k_slices(), structure.p_slices())
+        loop = [r[sk].sum() - c[sp].sum() for sk, sp in blocks]
+        np.testing.assert_allclose(g, loop, rtol=0, atol=8 * np.finfo(float).eps)
+
+
 def test_smoothed_gradient_zero_at_exponent_bound(rng):
     structure = random_structure(rng, n_blocks=3)
     m = cgauss(rng, structure.k_total, structure.p_total)
@@ -235,7 +263,7 @@ def test_mu_zero_bracket_flag():
 @pytest.fixture
 def kernel_only(monkeypatch):
     """mu_lower without its ascent: each candidate is taken as built."""
-    monkeypatch.setattr("rosenmu.mu._ascend", lambda a, delta, rho, places: (rho, delta, 0))
+    monkeypatch.setattr("rosenmu.mu._ascend", lambda a, delta, rho, places, **_: (rho, delta, 0))
 
 
 # a kernel direction is accepted up to this residual sum
@@ -429,6 +457,54 @@ def test_mu_upper_no_worse_than_full_search_fluid_solid():
         assert value <= float.fromhex(PINNED_FLUID_SOLID_UPPER[name]) * (1 + UPPER_SLACK)
 
 
+# The first descent's exact bits (float.hex of the upper bound, then of x) on
+# every multi-block scenario at lambda = 0.7.  Each ends at a smooth
+# stationary point, so neither the gap stop nor the iteration cap reaches it.
+EARLY_EXIT_FLUID_SOLID = {
+    "P": ("0x1.3fb9ab5751a83p+0", ["0x0.0p+0", "-0x1.6d3c324001045p-3"]),
+    "AB": ("0x1.008d1174a6259p+2", ["0x0.0p+0", "0x1.e7331d34167f8p-2"]),
+    "AC": ("0x1.03f87e59b85dcp+2", ["0x0.0p+0", "-0x1.c7f8cce00e3e6p-2"]),
+    "AP": ("0x1.d5c99ec0d885cp+1", ["0x0.0p+0", "0x1.74cbb0c2ab86fp-6", "-0x1.3ea2bc335441ap-3"]),
+    "BC": ("0x1.353d769b16fb2p+1", ["0x0.0p+0", "-0x1.8836760334aecp-1"]),
+    "BP": ("0x1.153919f898ebap+1", ["0x0.0p+0", "-0x1.f82b13ef0153dp-3", "-0x1.b2b3a31e9eadep-2"]),
+    "CP": ("0x1.22d35532b30dfp+1", ["0x0.0p+0", "0x1.2f4dbef8ff84dp-2", "0x1.e2be97484febfp-4"]),
+    "ABC": ("0x1.4c86b2a1698e8p+2", ["0x0.0p+0", "0x1.d49c61388bfd7p-2", "-0x1.bd507fa4c6456p-2"]),
+    "ABP": (
+        "0x1.343b5539a6099p+2",
+        ["0x0.0p+0", "0x1.cdfac83cdcb20p-2", "0x1.0407b3e7b386ep-5", "-0x1.2c3a45535a6f1p-3"],
+    ),
+    "ACP": (
+        "0x1.380ec26ca701ap+2",
+        ["0x0.0p+0", "-0x1.aeb2d7ca90535p-2", "0x1.7e27ab34ed059p-6", "-0x1.3d773c416125cp-3"],
+    ),
+    "BCP": (
+        "0x1.b58d08101f414p+1",
+        ["0x0.0p+0", "-0x1.50fb0c522b8e2p-1", "-0x1.3fec40d454e10p-2", "-0x1.f68a5a25079d5p-2"],
+    ),
+    "ABCP": (
+        "0x1.8271e65cb5813p+2",
+        [
+            "0x0.0p+0", "0x1.be1f202244b87p-2", "-0x1.a4b246933cc54p-2",
+            "0x1.96cd9ac35c487p-6", "-0x1.3a627f37f07c9p-3",
+        ],
+    ),
+}
+
+
+def test_mu_bracket_early_exit_bits_fluid_solid():
+    point = Point(fluid_solid_instance(), 0.7)
+    seen = set()
+    for scenario in all_scenarios():
+        problem = reduce(point, scenario)
+        if problem.structure.n_blocks > 1:
+            upper = mu_bracket(problem.m, problem.structure).upper_bound
+            assert upper.grad_norm <= STATIONARY_TOL
+            bits = (upper.value.hex(), [float(v).hex() for v in upper.x])
+            assert bits == EARLY_EXIT_FLUID_SOLID[scenario.name]
+            seen.add(scenario.name)
+    assert seen == set(EARLY_EXIT_FLUID_SOLID)
+
+
 # Six real scalar blocks whose optimum has a repeated sigma_max.
 KINK_6X6 = (np.random.default_rng(6).standard_normal((6, 6)), BlockStructure(((1, 1),) * 6))
 
@@ -463,22 +539,57 @@ def test_mu_upper_one_descent_at_smooth_optimum(monkeypatch):
 
 
 def test_mu_upper_continuation_at_kink(monkeypatch):
-    # sigma_max(ANTIDIAG scaled) = max(2 e^-t, 3 e^t): both branches meet at the optimum
+    # sigma_max(ANTIDIAG scaled) = max(2 e^-t, 3 e^t): both branches meet at
+    # the optimum.  The first descent stops near the kink, every tau above the
+    # gap to the floor there is skipped, and one stage closes the gap.
     calls = _counting_minimize(monkeypatch)
     res = mu_upper(ANTIDIAG, TWO_SCALARS)
-    assert calls == ["BFGS"] * (1 + len(SMOOTHING_TAUS))
+    assert calls == ["BFGS"] * 2
     assert res.multiplicity == 2
     assert res.grad_norm is None
     assert res.value == pytest.approx(np.sqrt(6), rel=1e-12)
 
 
-def test_mu_scalar_brackets_close():
-    # the twelve real matrices of the mu-scalar benchmark workload, all at kinks
+def _mu_scalar_problems():
+    """The twelve real matrices of the mu-scalar benchmark workload, all at kinks."""
     base = np.random.default_rng(0)
     for i in range(12):
         nb = 6 + i % 3
-        res = mu_bracket(base.standard_normal((nb, nb)), BlockStructure(((1, 1),) * nb))
+        yield base.standard_normal((nb, nb)), BlockStructure(((1, 1),) * nb)
+
+
+def test_mu_scalar_brackets_close():
+    for m, structure in _mu_scalar_problems():
+        res = mu_bracket(m, structure)
         assert res.upper - res.lower <= EXACT_GAP_TOL * res.upper
+
+
+def test_mu_scalar_bfgs_iterations():
+    # all seven continuation stages on each matrix took 3,097 BFGS iterations
+    total = sum(mu_upper(m, structure).iterations for m, structure in _mu_scalar_problems())
+    assert total <= 2000
+
+
+def test_mu_scalar_continuation_stops_on_the_floor(monkeypatch):
+    # The continuation stops once the floor meets sigma_max.  mu_lower then
+    # starts from the same candidates at the same x, so the reported lower
+    # bound is the floor that stopped the search.
+    floors = []
+
+    def recording(a_n, structure, x, goal):
+        floor = _floor(a_n, structure, x, goal)
+        floors.append((floor, goal))
+        return floor
+
+    monkeypatch.setattr("rosenmu.mu._floor", recording)
+    for m, structure in _mu_scalar_problems():
+        floors.clear()
+        res = mu_bracket(m, structure)
+        floor, goal = floors[-1]
+        assert floor >= goal
+        assert res.upper - res.lower <= CLOSE_TOL * res.upper
+        assert res.lower >= res.scale * floor
+        assert res.lower_bound.refine_rounds == 0
 
 
 # mu_upper values (float.hex) of the full search on strictly upper
@@ -493,6 +604,17 @@ def test_mu_upper_nilpotent_no_worse_than_full_search():
         m = np.triu(rng.standard_normal((n, n)), 1)
         value = mu_upper(m, BlockStructure(((1, 1),) * n)).value
         assert value <= float.fromhex(pinned) * (1 + UPPER_SLACK)
+
+
+def test_mu_upper_nilpotent_runs_every_stage(monkeypatch):
+    # mu = 0, so no floor meets sigma_max and the relative gap stays 1: no
+    # tau is skipped and the search does not stop early
+    rng = np.random.default_rng(3)
+    for n in (3, 5, 7):
+        calls = _counting_minimize(monkeypatch)
+        m = np.triu(rng.standard_normal((n, n)), 1)
+        mu_upper(m, BlockStructure(((1, 1),) * n))
+        assert calls == ["BFGS"] * (1 + len(SMOOTHING_TAUS))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -520,10 +642,56 @@ def test_mu_lower_builds_one_kernel_candidate_when_it_meets_target(monkeypatch):
     assert len(calls) == 1
 
 
+def test_backward_error_takes_sigma_max_of_m_once(monkeypatch):
+    # mu_upper computes sigma_max(M); mu_lower, certificate_to_delta and the
+    # zero test of the backward error read it from the bracket
+    sys_, scenario = fluid_solid_instance(), Scenario.from_string("ABCP")
+    m = reduce(Point(sys_, 0.7), scenario).m
+    svd, values_of_m = np.linalg.svd, []
+
+    def recording(a, *args, **kwargs):
+        if not kwargs.get("compute_uv", True) and np.array_equal(a, m):
+            values_of_m.append(1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    res = backward_error(sys_, 0.7, scenario)
+    assert res.mu is not None and res.certificate is not None
+    assert len(values_of_m) == 1
+    assert res.mu.scale == svd(m, compute_uv=False)[0]
+
+
+def test_mu_lower_one_eigen_solve_per_candidate(monkeypatch):
+    # a candidate's eigenpairs come from one eig, which its ascent starts
+    # from; the one eigvals is that of the snapped winner
+    counts = Counter()
+    for name in ("eig", "eigvals"):
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    ascents = []
+
+    def recording(*args, **kwargs):
+        ascents.append(1)
+        return _ascend(*args, **kwargs)
+
+    monkeypatch.setattr("rosenmu.mu._ascend", recording)
+    m, structure = KINK_6X6
+    low = mu_lower(m, structure, x_star=np.zeros(6))  # no target: every candidate climbs
+    assert ascents
+    assert counts == {"eig": len(ascents) + low.refine_rounds, "eigvals": 1}
+
+
 def test_mu_bracket_deterministic_without_options(rng):
     # the engine takes no seed and no effort knobs, and repeats its bits
     assert list(inspect.signature(mu_bracket).parameters) == ["m", "structure", "seed_isometries"]
-    assert list(inspect.signature(mu_lower).parameters)[2:] == ["x_star", "target", "seed_isometries"]
+    assert list(inspect.signature(mu_lower).parameters)[2:] == [
+        "x_star", "target", "seed_isometries", "scale"
+    ]
     structure = random_structure(rng, n_blocks=5)
     m = cgauss(rng, structure.k_total, structure.p_total)
     a, b = mu_bracket(m, structure), mu_bracket(m, structure)
