@@ -2,13 +2,15 @@
 
 Top-level pipeline: evaluate S(lambda) once into a
 :class:`~rosenmu.rosenbrock.Point` (shared by all 15 scenarios of a
-sweep), short-circuit exact eigenvalues to zero, reduce each scenario at
-the point, solve it exactly when one block is
-perturbed (mu = sigma_max(M)) or bracket the mu-value otherwise, and
-invert the result into backward-error bounds.  The mu lower
-bound is the certified side: its partial-isometry certificate converts to
-an explicit structured perturbation whose max block norm realizes the
-backward-error upper bound, checkable by a sigma_min residual.
+sweep), short-circuit exact eigenvalues to zero, then give each scenario
+one reduce and one solve at that point: exactly when one block is
+perturbed (A, B, C, or the weighted P block at every degree, where
+mu = sigma_max(M)), by a bracket of the mu-value otherwise (at most four
+blocks).  The result is inverted into backward-error bounds.  The mu
+lower bound is the certified side: its partial-isometry certificate
+converts to an explicit structured perturbation whose max block norm
+realizes the backward-error upper bound, checkable by a sigma_min
+residual.  Certificates carry the coefficient blocks A0..Ad of P(z).
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ from .reduction import (
     Scenario,
     all_scenarios,
     assemble_perturbation,
-    block_shape,
+    labeled_blocks,
     perturbation_norm,
     reduce,
 )
-from .rosenbrock import Point, RosenbrockSystem
+from .rosenbrock import Point, RosenbrockSystem, weight
 
 # A 1-block M is declared exactly zero (infinite backward error) below
-# this level relative to sigma_max(S(lambda)^{-1}) = 1/sigma_min(S(lambda)).
+# this level relative to its bound w sigma_max(S(lambda)^{-1}) = w/sigma_min,
+# with w the weight of the P block and 1 for A, B and C.
 WITNESS_ZERO_TOL = 1e-14
 
 
@@ -96,17 +99,12 @@ def _rank_one_inverse_image(h: np.ndarray) -> np.ndarray:
     return np.outer(w, hw.conj()) / float(np.vdot(hw, hw).real)
 
 
-def backward_error(
-    sys: RosenbrockSystem,
-    lam: complex,
-    scenario: Scenario,
-    seed_isometries=(),
-) -> BackwardErrorResult:
+def backward_error(sys: RosenbrockSystem, lam: complex, scenario: Scenario) -> BackwardErrorResult:
     """Backward error of lambda for S(z) under one perturbation scenario."""
-    return _backward_error_at(Point(sys, lam), scenario, seed_isometries)
+    return _backward_error_at(Point(sys, lam), scenario)
 
 
-def _backward_error_at(point: Point, scenario: Scenario, seed_isometries) -> BackwardErrorResult:
+def _backward_error_at(point: Point, scenario: Scenario) -> BackwardErrorResult:
     if point.is_eigenvalue():
         return _eigenvalue_result(point, scenario)
 
@@ -114,19 +112,20 @@ def _backward_error_at(point: Point, scenario: Scenario, seed_isometries) -> Bac
     mu = delta = witness = None
     possibly_infinite = False
     if problem.structure.n_blocks == 1:
-        # One perturbed block (A, B, C, or P(z) of degree zero): mu
-        # degenerates to sigma_max(M) and the closed form 1/sigma_max(M)
-        # applies, +inf when M = 0.
+        # One perturbed block (A, B, C, or the weighted P): mu degenerates
+        # to sigma_max(M) and the closed form 1/sigma_max(M) applies, +inf
+        # when M = 0.
         exactness = "exact_formula"
         smax = sigma_max(problem.m)
-        if smax <= WITNESS_ZERO_TOL * max(point.inv_norm, ABS_FLOOR):
+        w = weight(point.lam, point.sys.d) if scenario.perturb_p else 1.0
+        if smax <= WITNESS_ZERO_TOL * max(w * point.inv_norm, ABS_FLOOR):
             eta_lower = eta_upper = np.inf
             witness = problem.m
         else:
             eta_lower = eta_upper = 1.0 / smax
             delta = [_rank_one_inverse_image(problem.m)]
     else:
-        mu = mu_bracket(problem.m, problem.structure, seed_isometries)
+        mu = mu_bracket(problem.m, problem.structure)
         exactness = mu.exactness
         eta_lower = 1.0 / mu.upper if mu.upper > 0 else np.inf
         possibly_infinite = negligible(mu.lower, mu.scale, ZERO_TOL)
@@ -140,7 +139,7 @@ def _backward_error_at(point: Point, scenario: Scenario, seed_isometries) -> Bac
 
     blocks = delta_s = resid = norm = None
     if delta is not None:
-        blocks = dict(zip(problem.labels, delta))
+        blocks = labeled_blocks(problem.labels, delta, point.lam, point.sys.d)
         delta_s = assemble_perturbation(point.sys.r, point.sys.n, point.lam, blocks)
         resid = sigma_min(point.s - delta_s)
         norm = perturbation_norm(delta)
@@ -160,42 +159,7 @@ def _backward_error_at(point: Point, scenario: Scenario, seed_isometries) -> Bac
     )
 
 
-def _seed_blocks_for(labels, r: int, n: int, pool: dict[str, dict[str, np.ndarray]]):
-    """Partial-isometry seeds for a scenario from its already-solved subsets.
-
-    A certificate for a subset scenario embeds into a superset by padding
-    the untouched blocks with zeros (zero blocks are partially isometric),
-    and its rho value carries over, so seeded lower bounds can only match
-    or improve the subset's certified bound.
-    """
-    shapes = {label: block_shape(label, r, n) for label in labels}
-    return [
-        [labeled.get(label, np.zeros(shapes[label], dtype=complex)) for label in labels]
-        for labeled in pool.values()
-        if set(labeled) <= set(labels)
-    ]
-
-
 def scenario_sweep(sys: RosenbrockSystem, lam: complex) -> list[BackwardErrorResult]:
-    """All 15 scenarios, ordered by scenario size then lexicographically.
-
-    Later (larger) scenarios reuse the certificates of their subsets as
-    lower-bound seeds, which keeps the reported brackets monotone under
-    scenario inclusion up to solver roundoff.
-    """
+    """All 15 scenarios at one point, ordered by size then lexicographically."""
     point = Point(sys, lam)
-    results = []
-    pool: dict[str, dict[str, np.ndarray]] = {}
-    for scenario in all_scenarios():
-        seeds = _seed_blocks_for(scenario.labels(sys.d), sys.r, sys.n, pool)
-        res = _backward_error_at(point, scenario, seeds)
-        results.append(res)
-        if res.delta_blocks and res.certificate_norm and res.certificate_norm > 0:
-            # Rescale the realized perturbation blocks to unit spectral norm
-            # so they can seed supersets as partial isometries.
-            pool[scenario.name] = {
-                label: blk / sigma_max(blk)
-                for label, blk in res.delta_blocks.items()
-                if sigma_max(blk) > 0
-            }
-    return results
+    return [_backward_error_at(point, scenario) for scenario in all_scenarios()]

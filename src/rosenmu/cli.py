@@ -330,6 +330,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be finite and > 0, got {args.tol!r}")
     system = system_from_json(_load_json(args.system))
     cert = _load_json(args.certificate)
     if not isinstance(cert, dict):

@@ -600,8 +600,7 @@ def _ascend(
 def _snap_partial_isometry(blk: np.ndarray) -> np.ndarray:
     """Project a block onto the partial isometries (singular values to 0/1).
 
-    Leaves genuine partial isometries unchanged up to roundoff, so seeded
-    candidates keep their spectral-radius value while guaranteed valid.
+    Leaves genuine partial isometries unchanged up to roundoff.
     """
     u, s, vh = np.linalg.svd(blk, full_matrices=False)
     keep = s >= 0.5
@@ -623,14 +622,13 @@ def mu_lower(
     structure: BlockStructure,
     x_star=None,
     target: float | None = None,
-    seed_isometries=(),
     *,
     scale: float | None = None,
 ) -> LowerBound:
     """Best certified lower bound sup rho(P M) over the searched P.
 
-    Candidates come from (a) :func:`_kernel_candidates` at the scaling
-    optimum x_star, then (b) caller-provided seed isometries.  A candidate
+    Candidates come from :func:`_kernel_candidates` at the scaling
+    optimum x_star (none without it).  A candidate
     whose rho comes within CLOSE_TOL of ``target`` ends the search; any
     other is refined by :func:`_ascend`.  A winner the ascent produced is
     snapped to partial isometries and rho is evaluated once more: that
@@ -648,21 +646,13 @@ def mu_lower(
     goal = np.inf if target is None else _goal(target, s0)
     places = list(zip(structure.p_slices(), structure.k_slices()))
     kernel_residual = None
-
-    def candidates():
-        # Built one at a time, so the search stops paying for candidates
-        # once one meets the target.
-        nonlocal kernel_residual
-        if x_star is not None:
-            for blocks, resid in _kernel_candidates(a_n, structure, x_star):
-                if kernel_residual is None:
-                    kernel_residual = resid  # the MULT_TOL candidate's
-                yield blocks
-        for seed_p in seed_isometries:
-            yield [_snap_partial_isometry(np.asarray(blk, dtype=complex)) for blk in seed_p]
+    # built one at a time, so the search stops paying for candidates once one meets the target
+    candidates = () if x_star is None else _kernel_candidates(a_n, structure, x_star)
 
     best_rho, best_delta, ascended, iterations = 0.0, None, False, 0
-    for cand in candidates():
+    for cand, resid in candidates:
+        if kernel_residual is None:
+            kernel_residual = resid  # the MULT_TOL candidate's
         delta = structure.assemble(cand)
         rho, eig = _eigs(delta, a_n)
         refine = rho < goal
@@ -720,12 +710,12 @@ def certificate_to_delta(
     return blocks, resid
 
 
-def mu_bracket(m, structure: BlockStructure, seed_isometries=()) -> MuResult:
+def mu_bracket(m, structure: BlockStructure) -> MuResult:
     """Full bracket [lower, upper] with certificates and exactness record."""
     a = as_matrix(m)
     upper = mu_upper(a, structure)  # checks the shape and the scale
     scale = upper.scale
-    lower = mu_lower(a, structure, upper.x, upper.value, seed_isometries, scale=scale)
+    lower = mu_lower(a, structure, upper.x, upper.value, scale=scale)
 
     nb = structure.n_blocks
     if nb <= 3 and upper.value - lower.value <= EXACT_GAP_TOL * upper.value:

@@ -2,13 +2,20 @@
 
 Each of the 15 nonempty subsets of perturbable blocks {A, B, C, P} reduces
 to a structured mu-value of a rectangular matrix M under a rectangular
-block diagonal perturbation class.  One table, :func:`_place`, records
-where each labelled block sits in S(lambda); ``reduce`` gathers M with it
-from the inverse held by a :class:`~rosenmu.rosenbrock.Point`, which all
-scenarios at that point share, and ``assemble_perturbation`` uses it to
-put labelled blocks back into S(lambda), so certificates stay
-self-describing.
-The single-block cases (A, B, C, and P of degree zero) give 1-block
+block diagonal perturbation class, with one block per letter.  One table,
+:func:`_place`, records where each labelled block sits in S(lambda);
+``reduce`` gathers M with it from the inverse held by a
+:class:`~rosenmu.rosenbrock.Point`, which all scenarios at that point
+share, and ``assemble_perturbation`` uses it to put labelled blocks back
+into S(lambda), so certificates stay self-describing.
+
+The coefficients A_0..A_d of P(z) all sit at the same place, so the set
+{sum_j lambda^j Delta A_j : max_j |Delta A_j| <= eps} is the ball of
+radius w eps with Tisseur's weight w = sum_j |lambda|^j.  P is therefore
+one n x n block whose columns of M carry the factor w, and
+:func:`labeled_blocks` turns its block X back into the coefficient
+perturbations Delta A_j = (conj(lambda)/|lambda|)^j X, each of norm |X|.
+The single-block scenarios (A, B, C and P at every degree) give 1-block
 problems, whose mu-value is sigma_max(M); their closed form
 1/sigma_max(M) is applied in ``backward_error``.
 """
@@ -23,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import InputError, as_matrix, sigma_max
-from .rosenbrock import Point
+from .rosenbrock import Point, weight
 
 _BLOCK_ORDER = "ABCP"
 
@@ -65,9 +72,6 @@ class Scenario:
     def size(self) -> int:
         return len(self.name)
 
-    def includes(self, other: "Scenario") -> bool:
-        return set(other.name) <= set(self.name)
-
     def labels(self, d: int) -> tuple[str, ...]:
         """Perturbed block labels: A, B, C in order, then A0..Ad for P(z)."""
         out = [ch for ch in self.name if ch != "P"]
@@ -85,13 +89,15 @@ def _place(label: str, r: int, n: int) -> tuple[slice, slice, int]:
         return top, bottom, 0
     if label == "C":
         return bottom, top, 0
+    if label == "P":
+        return bottom, bottom, 0
     if label.startswith("A") and label[1:].isdecimal():
         return bottom, bottom, int(label[1:])
     raise InputError(f"unknown block label {label!r}")
 
 
 def block_shape(label: str, r: int, n: int) -> tuple[int, int]:
-    """Shape of the perturbation block named A, B, C or A<j>."""
+    """Shape of the perturbation block named A, B, C, P or A<j>."""
     rows, cols, _ = _place(label, r, n)
     return rows.stop - rows.start, cols.stop - cols.start
 
@@ -187,10 +193,10 @@ class BlockStructure:
 class ReducedProblem:
     """mu-value problem (M, structure) of one scenario at one point.
 
-    ``labels[i]`` names the block of the structured perturbation of
-    S(lambda) that block i of Delta lands in: one of "A", "B", "C" or
-    "A<j>" for the degree-j polynomial coefficient.  S(lambda) and its
-    norms stay with the :class:`~rosenmu.rosenbrock.Point` it came from.
+    ``labels[i]`` names the block of S(lambda) that block i of Delta
+    lands in: one of "A", "B", "C" or "P", the weighted block of P(z)
+    (see :func:`labeled_blocks`).  S(lambda) and its norms stay with the
+    :class:`~rosenmu.rosenbrock.Point` it came from.
     """
 
     m: np.ndarray
@@ -217,10 +223,6 @@ def _power(lam: complex, j: int) -> complex:
     )
 
 
-def _power_row(r: int, n: int, d: int, lam: complex) -> np.ndarray:
-    return np.hstack([_power(lam, j) * np.eye(r + n) for j in range(d + 1)])
-
-
 def reduce(point: Point, scenario: Scenario) -> ReducedProblem:
     """Reduce one scenario at a point (system, lambda) to a ReducedProblem.
 
@@ -228,26 +230,39 @@ def reduce(point: Point, scenario: Scenario) -> ReducedProblem:
     det(S - L Delta R) = det(S) det(I - Delta M) for M = R S^{-1} L.  L and
     R are 0/1 selectors, so M is gathered from S^{-1} by index: the rows at
     the blocks' columns, then the columns at their rows.  When P(z) is
-    perturbed, the rows are first multiplied by [I, lambda I, ...,
-    lambda^d I], and the columns of A_j are taken from the j-th copy.
+    perturbed, L carries w I at the P block, so those columns of M are
+    multiplied by the weight w.
 
     Requires S(lambda) to be invertible (``point.inverse`` raises
     :class:`SingularMatrixError` otherwise); callers short-circuit
     eigenvalues to a zero backward error before reaching this point.
     """
-    lam = point.lam
-    r, n, d = point.sys.r, point.sys.n, point.sys.d
-    labels = scenario.labels(d)
+    r, n = point.sys.r, point.sys.n
+    labels = tuple(scenario.name)
     places = [_place(label, r, n) for label in labels]
     k_idx = np.concatenate([np.r_[cols] for _, cols, _ in places])
-    p_idx = np.concatenate([np.r_[rows] + j * (r + n) for rows, _, j in places])
-    m = point.inverse[k_idx]
-    if scenario.perturb_p:
-        m = m @ _power_row(r, n, d, lam)
+    p_idx = np.concatenate([np.r_[rows] for rows, _, _ in places])
     # m[:, p_idx] would be F-ordered, so products with M would sum in another order
-    m = np.take(m, p_idx, axis=1)
+    m = np.take(point.inverse[k_idx], p_idx, axis=1)
+    if scenario.perturb_p:
+        m[:, -n:] *= weight(point.lam, point.sys.d)  # P is the last block
     structure = BlockStructure(tuple(block_shape(label, r, n) for label in labels))
     return ReducedProblem(m, structure, labels, scenario)
+
+
+def labeled_blocks(labels, blocks, lam: complex, d: int) -> dict[str, np.ndarray]:
+    """Delta blocks of a reduced problem under the labels of ``Scenario.labels(d)``.
+
+    The weighted P block X becomes Delta A_j = (conj(lambda)/|lambda|)^j X
+    for j = 0..d: each has norm |X|, and sum_j lambda^j Delta A_j = w X.
+    At lambda = 0 every Delta A_j = X.
+    """
+    out = dict(zip(labels, blocks))
+    if "P" in out:
+        x = out.pop("P")
+        phase = lam.conjugate() / abs(lam) if lam else 1.0
+        out.update((f"A{j}", phase**j * x) for j in range(d + 1))
+    return out
 
 
 def assemble_perturbation(

@@ -4,12 +4,14 @@ The polynomial block is P(z) = sum_j z^j A_j of degree d with n x n
 coefficients.  A scalar lambda is an eigenvalue of S(z) when S(lambda) is
 singular.  This module owns the system data model, its evaluation, the
 per-point record :class:`Point` (S(lambda), its singular-value extremes,
-the eigenvalue test and the inverse, each computed once), the unstructured
-backward error, and the JSON exchange format shared with the CLI.
+the eigenvalue test and the inverse, each computed once), the weight
+sum_j |lambda|^j of the polynomial block, the unstructured backward
+error, and the JSON exchange format shared with the CLI.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -134,6 +136,20 @@ def is_eigenvalue(sys: RosenbrockSystem, lam: complex, tol: float = EIGENVALUE_T
     return Point(sys, lam).is_eigenvalue(tol)
 
 
+def weight(lam: complex, d: int) -> float:
+    """Tisseur's weight w = sum_j |lambda|^j, refused where it leaves the double range."""
+    try:
+        w = sum(abs(lam) ** j for j in range(d + 1))
+        if math.isfinite(w):
+            return w
+    except OverflowError:
+        pass
+    raise InputError(
+        f"the weight sum_j |lambda|^j of lambda^0..lambda^{d} overflows the double "
+        f"range at lambda = {lam.real:g}{lam.imag:+g}i"
+    )
+
+
 def unstructured_backward_error(sys: RosenbrockSystem, lam: complex) -> float:
     """Backward error ignoring the zero/identity block structure.
 
@@ -142,9 +158,7 @@ def unstructured_backward_error(sys: RosenbrockSystem, lam: complex) -> float:
     coefficient (the -I_r block), so deg = max(1, d).
     """
     point = Point(sys, lam)
-    deg = max(1, sys.d)
-    denom = sum(abs(point.lam) ** j for j in range(deg + 1))
-    return point.sigma_min / denom
+    return point.sigma_min / weight(point.lam, max(1, sys.d))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end backward errors: exact cases, sweeps, monotonicity."""
 
 import importlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,9 @@ from rosenmu import (
     reduce,
     scenario_sweep,
     sigma_max,
+    system_to_json,
 )
+from rosenmu.cli import main
 from rosenmu.instances import fluid_solid_instance
 from rosenmu.rosenbrock import Point
 
@@ -99,7 +102,7 @@ def test_sweep_ordering_and_monotonicity(rng):
     by_name = {r.scenario.name: r for r in rows}
     for small in rows:
         for big in rows:
-            if big.scenario.includes(small.scenario) and big is not small:
+            if set(small.scenario.name) <= set(big.scenario.name) and big is not small:
                 assert big.eta_upper <= small.eta_upper + 1e-8
                 assert big.eta_lower <= small.eta_lower + 1e-8
     # the diagonal example of the sweep contract
@@ -134,6 +137,38 @@ def test_diagonal_eta_is_distance_to_spectrum(rng):
         assert res.eta_upper == pytest.approx(np.min(np.abs(diag - lam)), rel=1e-10)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.0, 0.7, 1.7 + 0.2j])
+def test_scenario_p_is_the_weighted_closed_form(tmp_path, capsys, d, lam):
+    # A_0..A_d sit at one place in S(lambda), so perturbing them is one block
+    # of radius w = sum_j |lambda|^j: eta = 1 / (w sigma_max(S^{-1}[P, P]))
+    sys_ = random_system(np.random.default_rng(d), r=2, n=3, d=d)
+    res = backward_error(sys_, lam, Scenario.from_string("P"))
+    w = sum(abs(lam) ** j for j in range(d + 1))
+    want = 1.0 / (w * sigma_max(Point(sys_, lam).inverse[2:, 2:]))
+    assert res.exactness == "exact_formula"
+    assert res.eta_lower == res.eta_upper == pytest.approx(want, rel=1e-12)
+
+    system, cert = tmp_path / "system.json", tmp_path / "cert.json"
+    system.write_text(json.dumps(system_to_json(sys_)))
+    lam_arg = f"{complex(lam).real!r},{complex(lam).imag!r}"
+    argv = ["backward-error", "--scenario", "P", "--lambda", lam_arg, "--output", str(cert)]
+    assert main(argv + [str(system)]) == 0
+    assert list(json.loads(cert.read_text())["delta_blocks"]) == [f"A{j}" for j in range(d + 1)]
+    assert main(["verify", str(system), str(cert)]) == 0
+    assert "VERIFIED" in capsys.readouterr().out
+
+
+def test_scenario_p_infinite_at_lambda_equal_a():
+    # S(A) = [[0, B], [C, P(A)]] has det -BC whatever P(A) is: the P window
+    # of S^{-1} vanishes and no P perturbation makes A an eigenvalue
+    sys_ = RosenbrockSystem([[0.8]], [[1.5]], [[-0.5]], ([[1.0]], [[0.3]], [[-2.0]], [[0.5]]))
+    res = backward_error(sys_, 0.8, Scenario.from_string("P"))
+    assert res.exactness == "exact_formula"
+    assert res.eta_lower == res.eta_upper == np.inf
+    assert sigma_max(res.infinite_witness) <= 1e-14
+
+
 def test_sweep_reduces_each_scenario_once(monkeypatch):
     # one S(lambda) serves all 15 scenarios; each scenario is reduced once
     calls = Counter()
@@ -157,11 +192,16 @@ def _hex(x):
 
 def _assert_same_row(row, alone):
     name = row.scenario.name
-    assert (row.scenario, row.lam, row.exactness, row.possibly_infinite, row.mu) == (
-        alone.scenario, alone.lam, alone.exactness, alone.possibly_infinite, alone.mu
+    assert (row.scenario, row.lam, row.exactness, row.possibly_infinite) == (
+        alone.scenario, alone.lam, alone.exactness, alone.possibly_infinite
     ), name
+    assert (row.mu is None) == (alone.mu is None), name
     for field in ("eta_lower", "eta_upper", "certificate_norm", "residual"):
         assert _hex(getattr(row, field)) == _hex(getattr(alone, field)), (name, field)
+    if row.mu is not None:
+        assert (_hex(row.mu.lower), _hex(row.mu.upper)) == (
+            _hex(alone.mu.lower), _hex(alone.mu.upper)
+        ), name
     for field in ("certificate", "infinite_witness"):
         np.testing.assert_array_equal(getattr(row, field), getattr(alone, field), err_msg=name)
     assert (row.delta_blocks is None) == (alone.delta_blocks is None), name
@@ -172,11 +212,10 @@ def _assert_same_row(row, alone):
 
 
 def test_sweep_rows_match_standalone_backward_error(diag_sys):
-    # the shared point changes no bit of the rows that take no seeds
+    # the shared point changes no bit of any row
     sys_ = fluid_solid_instance()
-    rows = {r.scenario.name: r for r in scenario_sweep(sys_, 0.7)}
-    for name in "ABC":
-        _assert_same_row(rows[name], backward_error(sys_, 0.7, Scenario.from_string(name)))
+    for row in scenario_sweep(sys_, 0.7):
+        _assert_same_row(row, backward_error(sys_, 0.7, row.scenario))
     rows = scenario_sweep(diag_sys, 2.0)
     assert all(r.exactness == "exact_eigenvalue" for r in rows)
     for row in rows:

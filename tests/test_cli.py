@@ -174,6 +174,18 @@ def test_verify_rejects_tampered_certificate(system_file, tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_verify_tol_must_be_finite_and_positive_exit_2(system_file, tmp_path, capsys, tol):
+    cert = tmp_path / "cert.json"
+    argv = ["backward-error", "--lambda", "0.3,0.1", "--scenario", "AB", system_file]
+    assert main(argv + ["--output", str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--tol", tol, system_file, str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err
+    assert "VERIFIED" not in captured.out and "FAILED" not in captured.out
+
+
 def test_verify_rejects_wrong_block_label(system_file, tmp_path, capsys):
     cert = tmp_path / "cert.json"
     main(

@@ -8,6 +8,7 @@ from rosenmu import (
     BlockStructure,
     RosenbrockSystem,
     Scenario,
+    all_scenarios,
     assemble_perturbation,
     backward_error,
     brute_force_backward_error,
@@ -57,15 +58,19 @@ def test_backward_error_at_eigenvalue():
 
 
 def test_backward_error_vs_pipeline(rng):
-    sys_ = random_system(rng, r=2, n=2, d=1)
+    # the oracle lifts the uncollapsed A_0..A_d blocks, so on P scenarios it
+    # checks the weighted P block of the reduction independently
+    sys_ = random_system(rng, r=2, n=2, d=2)
     lam = 0.4 - 0.3j
-    scenario = Scenario.from_string("ABCP")
-    res = backward_error(sys_, lam, scenario)
-    eta_sampled = brute_force_backward_error(
-        sys_, lam, scenario, budget=3000, seed=7, refine_top=3, refine_iters=2500
-    )
-    # a sampled upper bound cannot beat the certified lower bound, and lands on the optimum
-    assert res.eta_lower * (1 - 1e-12) <= eta_sampled <= res.eta_upper * (1 + 1e-8)
+    for scenario in all_scenarios():
+        res = backward_error(sys_, lam, scenario)
+        eta_sampled = brute_force_backward_error(
+            sys_, lam, scenario, budget=3000, seed=7, refine_top=3, refine_iters=2500
+        )
+        # a sampled upper bound cannot beat the certified lower bound, and lands on the optimum
+        assert res.eta_lower * (1 - 1e-12) <= eta_sampled <= res.eta_upper * (1 + 1e-8), (
+            scenario.name
+        )
 
 
 def test_budget_validation():

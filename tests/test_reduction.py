@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 
 from rosenmu import (
     InputError,
@@ -18,38 +17,30 @@ from rosenmu import (
     sigma_max,
     sigma_min,
 )
+from rosenmu.reduction import labeled_blocks
 from rosenmu.rosenbrock import Point
 
 from conftest import cgauss, random_blocks, random_system
 
 
 def _selector_m(sys_, lam, scenario):
-    """M = R S^{-1} [I, lam I, ..., lam^d I] L from the 0/1 factors of the paper.
+    """M = R S^{-1} L from the dense 0/1 factors, with w I at the P block of L.
 
     Column block i of L places the rows of Delta_i among the rows of S and
-    row block i of R picks its columns.  When P(z) is perturbed, A_0 rides
-    in these heads, and the tilde factors J1 (the d-fold block diagonal of
-    [0_{r,n}; I_n]) and J2 (the d-fold stack of [0_{n,r}  I_n]) distribute
-    A_1..A_d.  The product is formed in the order of the paper's formula.
+    row block i of R picks its columns.  The P block perturbs
+    sum_j lam^j Delta A_j, the ball of radius w = sum_j |lam|^j, so L
+    carries w there.
     """
     r, n, d = sys_.r, sys_.n, sys_.d
     s_inv = Point(sys_, lam).inverse
-    labels = scenario.labels(d)
     top = np.vstack([np.eye(r), np.zeros((n, r))])
     bottom = np.vstack([np.zeros((r, n)), np.eye(n)])
-    heads = labels[: len(labels) - d] if scenario.perturb_p else labels
-    left = np.hstack([top if lab in ("A", "B") else bottom for lab in heads])
-    right = np.vstack([top.T if lab in ("A", "C") else bottom.T for lab in heads])
-    if not scenario.perturb_p:
-        return right @ s_inv @ left
-    j1 = np.zeros(((r + n) * d, n * d))
-    j2 = np.zeros((n * d, r + n))
-    for j in range(d):
-        j1[j * (r + n) + r : (j + 1) * (r + n), j * n : (j + 1) * n] = np.eye(n)
-        j2[j * n : (j + 1) * n, r:] = np.eye(n)
-    left, right = block_diag(left, j1), np.vstack([right, j2])
-    power_row = np.hstack([lam**j * np.eye(r + n) for j in range(d + 1)])
-    return right @ s_inv @ power_row @ left
+    w = sum(abs(lam) ** j for j in range(d + 1))
+    left = np.hstack(
+        [top if lab in "AB" else bottom * (w if lab == "P" else 1) for lab in scenario.name]
+    )
+    right = np.vstack([top.T if lab in "AC" else bottom.T for lab in scenario.name])
+    return right @ s_inv @ left
 
 
 def test_gather_matches_selector_form(rng):
@@ -92,12 +83,12 @@ def test_full_scenario_dimension_count(rng):
     sys_ = random_system(rng, r=1, n=1, d=1)
     prob = reduce(Point(sys_, 0.3), Scenario.from_string("ABCP"))
     assert isinstance(prob, ReducedProblem)
-    assert prob.m.shape == (5, 5)  # (d+2)n + 2r = 5
-    assert prob.structure.blocks == ((1, 1),) * 5
-    assert prob.labels == ("A", "B", "C", "A0", "A1")
+    assert prob.m.shape == (4, 4)  # 2r + 2n = 4 whatever d is
+    assert prob.structure.blocks == ((1, 1),) * 4
+    assert prob.labels == ("A", "B", "C", "P")
 
 
-def _expected_mu_shape(scenario, r, n, d):
+def _expected_mu_shape(scenario, r, n):
     """Structure row/column totals implied by the perturbed block shapes."""
     p = k = 0
     if scenario.perturb_a:
@@ -110,8 +101,8 @@ def _expected_mu_shape(scenario, r, n, d):
         p += n
         k += r
     if scenario.perturb_p:
-        p += (d + 1) * n
-        k += (d + 1) * n
+        p += n
+        k += n
     return k, p
 
 
@@ -121,7 +112,7 @@ def test_dimension_audit_all_scenarios(rng):
         lam = complex(rng.standard_normal(), rng.standard_normal())
         for scenario in all_scenarios():
             red = reduce(Point(sys_, lam), scenario)
-            k, p = _expected_mu_shape(scenario, sys_.r, sys_.n, sys_.d)
+            k, p = _expected_mu_shape(scenario, sys_.r, sys_.n)
             assert red.m.shape == (k, p), scenario.name
             assert red.structure.k_total == k
             assert red.structure.p_total == p
@@ -194,7 +185,7 @@ def _det_equivalence_check(sys_, lam, scenario, rng):
     lam_e = ev[np.argmax(np.abs(ev))]
     if abs(lam_e) < 1e-9:
         return
-    labeled = {label: b / lam_e for label, b in zip(red.labels, blocks)}
+    labeled = labeled_blocks(red.labels, [b / lam_e for b in blocks], lam, sys_.d)
     delta_s = assemble_perturbation(sys_.r, sys_.n, lam, labeled)
     s_mat = evaluate(sys_, lam)
     assert sigma_min(s_mat - delta_s) <= 1e-8 * sigma_max(s_mat), scenario.name
