@@ -29,7 +29,6 @@ from .rosenbrock import (
     Point,
     _is_number,
     matrix_from_json,
-    matrix_to_json,
     system_from_json,
 )
 
@@ -50,7 +49,21 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _dumps_matrix(m: np.ndarray) -> str:
+    """A matrix as rows of [re, im] pairs, as ``dumps_report`` writes lists."""
+    # + 0.0 turns -0.0 into 0.0, as _fmt_float does
+    re, im = (m.real + 0.0).tolist(), (m.imag + 0.0).tolist()
+    if not np.isfinite(m).all():
+        return dumps_report([[[a, b] for a, b in zip(*row)] for row in zip(re, im)])
+    rows = (
+        ", ".join([f"[{a:.17g}, {b:.17g}]" for a, b in zip(*row)])
+        for row in zip(re, im)
+    )
+    return "[" + ", ".join([f"[{row}]" for row in rows]) + "]"
+
+
 def dumps_report(obj, indent: int = 0) -> str:
+    """Deterministic JSON; a 2-d ndarray is written as rows of [re, im] pairs."""
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -62,6 +75,8 @@ def dumps_report(obj, indent: int = 0) -> str:
         return _fmt_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray) and obj.ndim == 2:
+        return _dumps_matrix(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -82,12 +97,17 @@ def _eta_json(x: float):
     return "inf" if np.isinf(x) else float(x)
 
 
-def _emit(report: dict, text: str, args) -> None:
-    rendered = dumps_report(report) + "\n"
+def _emit(report: dict, text, args) -> None:
+    """Write the report; ``text`` is the text form or a function rendering it.
+
+    Each form is rendered only when it is written: the JSON once, for
+    stdout under --json and for --output, and the text only without --json.
+    """
+    rendered = dumps_report(report) + "\n" if args.as_json or args.output else None
     if args.as_json:
         sys.stdout.write(rendered)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text if isinstance(text, str) else text())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(rendered)
@@ -198,13 +218,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _certificate_report(res: BackwardErrorResult) -> dict:
     """Certificate document; also the machine-readable result report."""
-    blocks = None
-    if res.delta_blocks is not None:
-        blocks = {label: matrix_to_json(blk) for label, blk in res.delta_blocks.items()}
     report = {
         "lambda": [float(res.lam.real), float(res.lam.imag)],
         "scenario": res.scenario.name,
-        "delta_blocks": blocks,
+        "delta_blocks": res.delta_blocks,
         "claimed_eta": _eta_json(res.eta_upper),
         "residual": res.residual,
         "eta_lower": _eta_json(res.eta_lower),
@@ -219,7 +236,7 @@ def _certificate_report(res: BackwardErrorResult) -> dict:
         report["mu_upper"] = res.mu.upper
     if res.infinite_witness is not None:
         # the vanished inverse window proving no finite perturbation exists
-        report["witness"] = matrix_to_json(res.infinite_witness)
+        report["witness"] = res.infinite_witness
     return report
 
 
@@ -248,6 +265,17 @@ def _backward_error_text(res: BackwardErrorResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sweep_text(lam: complex, rows: list[BackwardErrorResult]) -> str:
+    lines = [f"lambda = {lam.real:g}{lam.imag:+g}i"]
+    lines.append(f"{'scenario':<10}{'eta_lower':>16}{'eta_upper':>16}  exactness")
+    for r in rows:
+        lines.append(
+            f"{r.scenario.name:<10}{_eta_text(r.eta_lower):>16}"
+            f"{_eta_text(r.eta_upper):>16}  {r.exactness}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_mu(args) -> int:
     structure = _parse_structure(args.structure)
     m = matrix_from_json(_load_json(args.matrix), "matrix")
@@ -267,11 +295,7 @@ def _cmd_mu(args) -> int:
         ),
         "det_residual": res.delta_residual,
         "partial_isometry_defect": defect,
-        "delta_blocks": (
-            [matrix_to_json(blk) for blk in res.certificate_delta]
-            if res.certificate_delta
-            else None
-        ),
+        "delta_blocks": res.certificate_delta or None,
     }
     tag = {
         "exact_n_le_3": "exact (n<=3)",
@@ -294,38 +318,26 @@ def _cmd_backward_error(args) -> int:
     system = system_from_json(_load_json(args.system))
     scenario = Scenario.from_string(args.scenario)
     lambdas = [_parse_lambda(t) for t in args.lambdas]
-    reports, texts = [], []
-    for lam in lambdas:
-        res = backward_error(system, lam, scenario)
-        reports.append(_certificate_report(res))
-        texts.append(_backward_error_text(res))
+    results = [backward_error(system, lam, scenario) for lam in lambdas]
+    reports = [_certificate_report(res) for res in results]
     report = reports[0] if len(reports) == 1 else {"results": reports}
-    _emit(report, "".join(texts), args)
+    _emit(report, lambda: "".join(map(_backward_error_text, results)), args)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     system = system_from_json(_load_json(args.system))
     lambdas = [_parse_lambda(t) for t in args.lambdas]
-    reports, texts = [], []
-    for lam in lambdas:
-        rows = scenario_sweep(system, lam)
-        reports.append(
-            {
-                "lambda": [float(lam.real), float(lam.imag)],
-                "rows": [_certificate_report(r) for r in rows],
-            }
-        )
-        lines = [f"lambda = {lam.real:g}{lam.imag:+g}i"]
-        lines.append(f"{'scenario':<10}{'eta_lower':>16}{'eta_upper':>16}  exactness")
-        for r in rows:
-            lines.append(
-                f"{r.scenario.name:<10}{_eta_text(r.eta_lower):>16}"
-                f"{_eta_text(r.eta_upper):>16}  {r.exactness}"
-            )
-        texts.append("\n".join(lines) + "\n")
+    sweeps = [(lam, scenario_sweep(system, lam)) for lam in lambdas]
+    reports = [
+        {
+            "lambda": [float(lam.real), float(lam.imag)],
+            "rows": [_certificate_report(r) for r in rows],
+        }
+        for lam, rows in sweeps
+    ]
     report = reports[0] if len(reports) == 1 else {"results": reports}
-    _emit(report, "".join(texts), args)
+    _emit(report, lambda: "".join(_sweep_text(lam, rows) for lam, rows in sweeps), args)
     return 0
 
 

@@ -38,7 +38,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         raise InputError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
     if a.size == 0:
         raise InputError(f"{name} must be nonempty, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InputError(f"{name} contains non-finite entries")
     return a
 

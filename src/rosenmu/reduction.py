@@ -271,10 +271,17 @@ def assemble_perturbation(
     """Assemble labeled delta blocks into the dense perturbation of S(lambda).
 
     Each block lands where :func:`_place` puts it, times its power of lambda.
+    The labels are those of ``Scenario.labels(d)``; the reduced label P,
+    whose block stands for w times itself, is refused.
     """
     lam = complex(lam)
     delta_s = np.zeros((r + n, r + n), dtype=complex)
     for label, blk in labeled_blocks.items():
+        if label == "P":
+            raise InputError(
+                "delta[P]: the reduced P block must first be expanded into "
+                "A0..Ad by labeled_blocks"
+            )
         b = as_matrix(blk, f"delta[{label}]")
         rows, cols, j = _place(label, r, n)
         target = delta_s[rows, cols]

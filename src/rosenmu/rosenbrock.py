@@ -81,9 +81,15 @@ def evaluate(sys: RosenbrockSystem, lam: complex) -> np.ndarray:
     lam = complex(lam)
     if not np.isfinite(lam.real) or not np.isfinite(lam.imag):
         raise InputError("lambda must be finite")
+    r, size = sys.r, sys.r + sys.n
+    s = np.empty((size, size), dtype=complex)
+    s[:r, :r] = sys.a
+    s[:r, r:] = sys.b
+    s[r:, :r] = sys.c
     # finite data can still overflow, e.g. in the Horner sum of P(lambda)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.block([[sys.a - lam * np.eye(sys.r), sys.b], [sys.c, sys.poly_eval(lam)]])
+        s[r:, r:] = sys.poly_eval(lam)
+        s.ravel()[: r * size : size + 1] -= lam  # the diagonal of A - lam I
     if not np.isfinite(s).all():
         raise InputError(
             f"S(lambda) is not finite at lambda = {lam.real:g}{lam.imag:+g}i "

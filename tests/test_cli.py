@@ -1,6 +1,7 @@
 """CLI surface: parsing, reports, exit codes, certificate round-trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 
 import rosenmu
 from rosenmu import InputError, matrix_from_json, matrix_to_json, system_from_json, system_to_json
-from rosenmu.cli import main
+from rosenmu.cli import dumps_report, main
+from rosenmu.instances import fluid_solid_instance
 
-from conftest import GOLDEN_5X5, random_system
+from conftest import GOLDEN_5X5, cgauss, random_system
 
 
 @pytest.fixture
@@ -458,6 +460,17 @@ def test_overflowing_system_names_s_lambda_exit_2(tmp_path, capsys):
     assert "S(lambda) is not finite at lambda = 0.9+0i" in capsys.readouterr().err
 
 
+def test_overflowing_a_minus_lambda_names_s_lambda_exit_2(tmp_path, capsys):
+    # A - lambda I = 1e308 + 1e308 overflows although A and lambda are finite
+    path = tmp_path / "big_a.json"
+    path.write_text(json.dumps(dict(DIAG_SYSTEM, A=[[[1e308, 0.0]]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["backward-error", "--scenario", "A", "--lambda", "-1e308", str(path)])
+    assert rc == 2
+    assert "S(lambda) is not finite at lambda = -1e+308+0i" in capsys.readouterr().err
+
+
 def test_verify_overflowing_difference_names_it_exit_2(diag_system_file, tmp_path, capsys):
     # S(lambda) and Delta S are finite; A - lambda - Delta A = -2e308 is not
     doc = dict(DIAG_CERTIFICATE, delta_blocks={"A": [[[1e308, 0.0]]]})
@@ -508,6 +521,106 @@ def test_oracle_rejects_unused_arguments_exit_2(diag_system_file, tmp_path, caps
     path = str(matrix) if "--structure" in flags else diag_system_file
     assert main(["oracle", "--budget", "5"] + flags + [path]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Report bytes: matrices written in one pass, pinned CLI reports.
+# ---------------------------------------------------------------------------
+
+
+def _reference_dumps(obj) -> str:
+    """The recursive writer report matrices went through before the one-pass path."""
+    if isinstance(obj, list):
+        return "[" + ", ".join(_reference_dumps(v) for v in obj) + "]" if obj else "[]"
+    x = float(obj)
+    if np.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    if x == 0.0:
+        x = 0.0  # normalize -0.0
+    return format(x, ".17g")
+
+
+def _edge_matrix(rng, rows, cols):
+    """Random complex matrix salted with signed zeros, integers and extreme doubles."""
+    m = cgauss(rng, rows, cols)
+    special = [0.0, -0.0, 1.0, -3.0, 1e-320, -1e-320, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+    flat = m.reshape(-1)
+    for k in rng.choice(flat.size, size=min(flat.size, 2 * len(special)), replace=False):
+        flat[k] = complex(special[rng.integers(len(special))], special[rng.integers(len(special))])
+    return m
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (11, 1), (1, 11), (11, 11)])
+def test_matrix_report_bytes_match_reference(rng, shape):
+    for _ in range(20):
+        m = _edge_matrix(rng, *shape)
+        assert dumps_report(m) == _reference_dumps(matrix_to_json(m))
+    for z in (0.0, -0.0):
+        m = np.full(shape, complex(z, -z))
+        assert dumps_report(m) == _reference_dumps(matrix_to_json(m))
+        assert "-0" not in dumps_report(m)
+    assert dumps_report(np.full(shape, 1.0 + 2.0j)).startswith("[[[1, 2]")
+
+
+def test_matrix_report_non_finite_entries_match_reference():
+    m = np.array([[np.inf, complex(1.5, -np.inf)], [complex(-0.0, np.nan), 2.0]])
+    listed = [[[float(e.real), float(e.imag)] for e in row] for row in m]
+    assert dumps_report(m) == _reference_dumps(listed)
+
+
+def test_reports_rendered_only_where_written(diag_system_file, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rendered a form that is not written")
+
+    argv = ["--lambda", "0.3", "--lambda", "0.7", diag_system_file]
+    with monkeypatch.context() as patch:
+        patch.setattr(rosenmu.cli, "_backward_error_text", refuse)
+        patch.setattr(rosenmu.cli, "_sweep_text", refuse)
+        assert main(["backward-error", "--scenario", "AB", "--json", *argv]) == 0
+        assert main(["sweep", "--json", "--output", str(tmp_path / "s.json"), *argv]) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(rosenmu.cli, "dumps_report", refuse)
+        assert main(["backward-error", "--scenario", "AB", *argv]) == 0
+        assert main(["sweep", *argv]) == 0
+    assert "scenario AB  lambda = 0.7+0i" in capsys.readouterr().out
+
+
+# A system with d = 2, whose P block carries the weight sum_j |lambda|^j.
+SYSTEM_D2 = {
+    "r": 1, "n": 2, "d": 2, "A": [[[2, 0]]], "B": [[[1, 0], [0, 1]]], "C": [[[1, 0]], [[0, -1]]],
+    "P": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[0, 0], [2, 0]], [[1, 0], [0, 0]]],
+          [[[0, 1], [0, 0]], [[0, 0], [0, 1]]]],
+}
+
+
+def _stdout_sha256(argv, capsys) -> str:
+    capsys.readouterr()
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+# The digests below pin every byte of two reports, as written before
+# matrices took the one-pass path; they hold for one LAPACK/BLAS build
+# (numpy 2.4, x86-64) and may need re-recording on another.
+def test_backward_error_p_scan_bytes_pinned(tmp_path, capsys):
+    path = tmp_path / "system_d2.json"
+    path.write_text(json.dumps(SYSTEM_D2))
+    argv = ["backward-error", "--json", "--scenario", "P"]
+    for k in range(25):
+        argv += ["--lambda", f"{-1.2 + 0.1 * k:.2f},{0.6 - 0.05 * k:.2f}"]
+    assert _stdout_sha256(argv + [str(path)], capsys) == (
+        "872ec8277a52e7a254092eee1aef3a27c8d730ffca6b34c1d57b6f68e04bd0b5"
+    )
+
+
+def test_sweep_fluid_solid_bytes_pinned(tmp_path, capsys):
+    path = tmp_path / "fluid_solid.json"
+    path.write_text(json.dumps(system_to_json(fluid_solid_instance())))
+    argv = ["sweep", "--json", "--lambda", "0.5", "--lambda", "1.5,0.25", str(path)]
+    assert _stdout_sha256(argv, capsys) == (
+        "0d5091a2a0af18aebbf8ccf54f53636767c7e901ca7a4b882f65a85cb01101b4"
+    )
 
 
 # ---------------------------------------------------------------------------

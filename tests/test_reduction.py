@@ -177,6 +177,18 @@ def test_embed_shape_mismatch(rng):
         assemble_perturbation(sys_.r, sys_.n, 0.1, {"A": np.zeros((2, 2)), "B": np.zeros((3, 3))})
 
 
+def test_assemble_refuses_reduced_p_label(rng):
+    # the reduced P block X stands for w X; placed raw at power 0 it would give X
+    lam, d = 0.7 + 0.2j, 2
+    x = cgauss(rng, 2, 2)
+    with pytest.raises(InputError, match="labeled_blocks"):
+        assemble_perturbation(1, 2, lam, {"P": x})
+    delta_s = assemble_perturbation(1, 2, lam, labeled_blocks(("P",), [x], lam, d))
+    w = sum(abs(lam) ** j for j in range(d + 1))
+    assert np.allclose(delta_s[1:, 1:], w * x, rtol=1e-14, atol=0)
+    assert not delta_s[:1].any() and not delta_s[:, :1].any()
+
+
 def _det_equivalence_check(sys_, lam, scenario, rng):
     red = reduce(Point(sys_, lam), scenario)
     blocks = random_blocks(rng, red.structure)
