@@ -163,7 +163,7 @@ def _value_and_branch_grad(
     u = u_full[:, 0]
     v = vh[0].conj()
     grad = np.empty(structure.n_blocks)
-    for i, (sk, sp) in enumerate(zip(structure.k_slices(), structure.p_slices())):
+    for i, (sp, sk) in enumerate(structure.places):
         grad[i] = s[0] * (
             float(np.vdot(u[sk], u[sk]).real) - float(np.vdot(v[sp], v[sp]).real)
         )
@@ -315,8 +315,8 @@ def _top_subspace_forms(u: np.ndarray, vh: np.ndarray, rank: int, structure: Blo
     SVD u, vh and the Hermitian forms H_i = alpha_i* alpha_i - beta_i* beta_i."""
     u1 = u[:, :rank]
     v1 = vh[:rank].conj().T
-    alphas = [u1[sk] for sk in structure.k_slices()]
-    betas = [v1[sp] for sp in structure.p_slices()]
+    alphas = [u1[sk] for _, sk in structure.places]
+    betas = [v1[sp] for sp, _ in structure.places]
     forms = [a.conj().T @ a - b.conj().T @ b for a, b in zip(alphas, betas)]
     return alphas, betas, forms
 
@@ -644,7 +644,6 @@ def mu_lower(
         return LowerBound(0.0, None, None, 0)
     a_n = _normalized(a, s0)
     goal = np.inf if target is None else _goal(target, s0)
-    places = list(zip(structure.p_slices(), structure.k_slices()))
     kernel_residual = None
     # built one at a time, so the search stops paying for candidates once one meets the target
     candidates = () if x_star is None else _kernel_candidates(a_n, structure, x_star)
@@ -657,7 +656,7 @@ def mu_lower(
         rho, eig = _eigs(delta, a_n)
         refine = rho < goal
         if refine:
-            rho, delta, used = _ascend(a_n, delta, rho, places, eig=eig)
+            rho, delta, used = _ascend(a_n, delta, rho, structure.places, eig=eig)
             iterations += used
         if rho > best_rho:
             best_rho, best_delta, ascended = rho, delta, refine
@@ -666,7 +665,7 @@ def mu_lower(
 
     if best_delta is None:
         return LowerBound(0.0, None, kernel_residual, iterations)
-    blocks = tuple(best_delta[sp, sk] for sp, sk in places)
+    blocks = tuple(best_delta[sp, sk] for sp, sk in structure.places)
     if ascended:
         # the ascent's blocks have norm <= 1 but need not be partial isometries
         blocks = tuple(_snap_partial_isometry(blk) for blk in blocks)

@@ -14,12 +14,14 @@ matrix stay independent: nothing here calls ``reduce``, the scaling upper
 bound or the kernel-direction candidates it is meant to check.
 
 Draws are taken ``_CHUNK`` at a time: one ``standard_normal`` call fills
-a chunk row by row, each row holding one draw in packed order (see
-:class:`_Layout`), so the random stream is the same as drawing block by
-block.  ``brute_force_mu`` evaluates a whole chunk with stacked SVDs, one
-batched product and one batched ``eigvals``, and keeps only the running
-best candidates.  The chunk size, not the budget, bounds the working
-memory.
+a chunk, one row per draw.  Block after block, a row holds the row-major
+real parts of a block and then its imaginary parts, so the random stream
+is the same as drawing block by block.  Each block is cut out of the row
+and written at its place in a dense chunk of Deltas
+(:attr:`~rosenmu.reduction.BlockStructure.places`).  ``brute_force_mu``
+evaluates a whole chunk with stacked SVDs, one batched product and one
+batched ``eigvals``, and keeps only the running best Deltas.  The chunk
+size, not the budget, bounds the working memory.
 """
 
 from __future__ import annotations
@@ -48,36 +50,6 @@ class OracleEstimate:
     samples_used: int
 
 
-class _Layout:
-    """Packing of complex blocks into one real vector x.
-
-    Block after block, x holds the row-major real parts of a block and
-    then its imaginary parts.  ``flat`` gathers the complex entries of all
-    blocks in that block order; ``blocks`` cuts them back into matrices.
-    Both accept a leading stack axis.
-    """
-
-    def __init__(self, shapes):
-        self.shapes = list(shapes)
-        re, im, self.slices, off = [], [], [], 0
-        for p, k in self.shapes:
-            cnt = p * k
-            re.append(np.arange(2 * off, 2 * off + cnt))
-            im.append(np.arange(2 * off + cnt, 2 * off + 2 * cnt))
-            self.slices.append(slice(off, off + cnt))
-            off += cnt
-        self.re = np.concatenate(re)
-        self.im = np.concatenate(im)
-        self.n_x = 2 * off
-
-    def flat(self, x: np.ndarray) -> np.ndarray:
-        return x[..., self.re] + 1j * x[..., self.im]
-
-    def blocks(self, z: np.ndarray) -> list[np.ndarray]:
-        lead = z.shape[:-1]
-        return [z[..., s].reshape(*lead, p, k) for s, (p, k) in zip(self.slices, self.shapes)]
-
-
 def _keep_best(top, keys: np.ndarray, rows: np.ndarray, keep: int):
     """Merge a chunk into the ``keep`` smallest keys; ties go to the earlier draw."""
     if top is not None:
@@ -85,14 +57,6 @@ def _keep_best(top, keys: np.ndarray, rows: np.ndarray, keep: int):
         rows = np.concatenate([top[1], rows])
     order = np.argsort(keys, kind="stable")[:keep]
     return keys[order], rows[order]
-
-
-def _normalize(z: np.ndarray, layout: _Layout) -> np.ndarray:
-    """Scale each row of block entries to unit max block norm (zero if tiny)."""
-    scale = np.max([np.linalg.svd(b, compute_uv=False)[..., 0] for b in layout.blocks(z)], axis=0)
-    z = z / np.maximum(scale, _TINY)[..., None]
-    z[scale <= _TINY] = 0
-    return z
 
 
 def brute_force_mu(
@@ -124,37 +88,35 @@ def brute_force_mu(
         zero = tuple(np.zeros((p, k), dtype=complex) for p, k in structure.blocks)
         return OracleEstimate(0.0, zero, budget)
 
-    layout = _Layout(structure.blocks)
-    p_total, k_total = structure.p_total, structure.k_total
-    # flat position in the dense Delta of each block entry, in layout order
-    flat_index = np.arange(p_total * k_total).reshape(p_total, k_total)
-    pos = np.concatenate(
-        [flat_index[sp, sk].ravel() for sp, sk in zip(structure.p_slices(), structure.k_slices())]
-    )
+    n_x = 2 * sum(p * k for p, k in structure.blocks)
     # the candidates that the refinement sharpens, as in slicing a sorted list
     n_refine = len(range(budget)[:refine_top])
     keep = max(n_refine, 1)
-    delta = np.zeros((min(budget, _CHUNK), p_total, k_total), dtype=complex)
+    # only the blocks of these Deltas are ever written; the rest stays 0
+    delta = np.zeros((min(budget, _CHUNK), structure.p_total, structure.k_total), dtype=complex)
     top = None
     for start in range(0, budget, _CHUNK):
         n = min(_CHUNK, budget - start)
-        z = _normalize(layout.flat(rng.standard_normal((n, layout.n_x))), layout)
-        # only the block positions of the Deltas are ever written; the rest stays 0
-        delta[:n].reshape(n, -1)[:, pos] = z
-        rho = np.abs(np.linalg.eigvals(delta[:n] @ a)).max(axis=1)
-        top = _keep_best(top, -rho, z, keep)
-    best_val = float(-top[0][0])
-    best_blocks = layout.blocks(top[1][0])
+        x, chunk = rng.standard_normal((n, n_x)), delta[:n]
+        scale, off = np.zeros(n), 0
+        for (p, k), (sp, sk) in zip(structure.blocks, structure.places):
+            parts = x[:, off : off + 2 * p * k].reshape(n, 2, p, k)
+            chunk[:, sp, sk] = parts[:, 0] + 1j * parts[:, 1]
+            scale = np.maximum(scale, np.linalg.svd(chunk[:, sp, sk], compute_uv=False)[:, 0])
+            off += 2 * p * k
+        chunk /= np.maximum(scale, _TINY)[:, None, None]
+        chunk[scale <= _TINY] = 0
+        rho = np.abs(np.linalg.eigvals(chunk @ a)).max(axis=1)
+        top = _keep_best(top, -rho, chunk, keep)
 
-    places = list(zip(structure.p_slices(), structure.k_slices()))
-    for key, z in zip(top[0][:n_refine], top[1]):
-        delta = np.zeros((p_total, k_total), dtype=complex)
-        delta.reshape(-1)[pos] = z
-        f, delta, _ = _ascend(a, delta, float(-key), places, refine_iters)
+    best_val, best_delta = float(-top[0][0]), top[1][0]
+    for key, delta in zip(top[0][:n_refine], top[1]):
+        f, delta, _ = _ascend(a, delta, float(-key), structure.places, refine_iters)
         if f > best_val:
-            best_val, best_blocks = f, [delta[sp, sk] for sp, sk in places]
-
-    return OracleEstimate(best_val, tuple(best_blocks), budget)
+            best_val, best_delta = f, delta
+    return OracleEstimate(
+        best_val, tuple(best_delta[sp, sk] for sp, sk in structure.places), budget
+    )
 
 
 def brute_force_backward_error(

@@ -68,10 +68,6 @@ class Scenario:
             if on
         )
 
-    @property
-    def size(self) -> int:
-        return len(self.name)
-
     def labels(self, d: int) -> tuple[str, ...]:
         """Perturbed block labels: A, B, C in order, then A0..Ad for P(z)."""
         out = [ch for ch in self.name if ch != "P"]
@@ -137,19 +133,14 @@ class BlockStructure:
     def k_total(self) -> int:
         return sum(k for _, k in self.blocks)
 
-    def p_slices(self) -> list[slice]:
-        out, off = [], 0
-        for p, _ in self.blocks:
-            out.append(slice(off, off + p))
-            off += p
-        return out
-
-    def k_slices(self) -> list[slice]:
-        out, off = [], 0
-        for _, k in self.blocks:
-            out.append(slice(off, off + k))
-            off += k
-        return out
+    @cached_property
+    def places(self) -> tuple[tuple[slice, slice], ...]:
+        """Row and column slices of each block in the dense p_total x k_total Delta."""
+        out, row, col = [], 0, 0
+        for p, k in self.blocks:
+            out.append((slice(row, row + p), slice(col, col + k)))
+            row, col = row + p, col + k
+        return tuple(out)
 
     @cached_property
     def k_index(self) -> np.ndarray:
@@ -173,7 +164,7 @@ class BlockStructure:
         """Stack a block list into the dense p x k block-diagonal matrix."""
         blocks = self.check_blocks(blocks)
         delta = np.zeros((self.p_total, self.k_total), dtype=complex)
-        for sp, sk, blk in zip(self.p_slices(), self.k_slices(), blocks):
+        for (sp, sk), blk in zip(self.places, blocks):
             delta[sp, sk] = blk
         return delta
 
@@ -240,8 +231,8 @@ def reduce(point: Point, scenario: Scenario) -> ReducedProblem:
     r, n = point.sys.r, point.sys.n
     labels = tuple(scenario.name)
     places = [_place(label, r, n) for label in labels]
-    k_idx = np.concatenate([np.r_[cols] for _, cols, _ in places])
-    p_idx = np.concatenate([np.r_[rows] for rows, _, _ in places])
+    k_idx = np.concatenate([np.arange(cols.start, cols.stop) for _, cols, _ in places])
+    p_idx = np.concatenate([np.arange(rows.start, rows.stop) for rows, _, _ in places])
     # m[:, p_idx] would be F-ordered, so products with M would sum in another order
     m = np.take(point.inverse[k_idx], p_idx, axis=1)
     if scenario.perturb_p:

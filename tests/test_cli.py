@@ -352,6 +352,53 @@ def test_missing_file_exit_2(capsys):
     assert main(["mu", "--structure", "1x1", "/nonexistent/m.json"]) == 2
 
 
+def test_non_json_file_exit_2_names_the_file(tmp_path, capsys):
+    path = tmp_path / "garbage.json"
+    path.write_text("[[1, 2], not json")
+    assert main(["mu", "--structure", "1x1", str(path)]) == 2
+    assert f"{path} is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("2xa", "'2xa' is not of the form PxK"),
+        ("2x2x2", "'2x2x2' is not of the form PxK"),
+        ("0x1", "block 0: shapes must be >= 1, got (0, 1)"),
+    ],
+)
+def test_malformed_structure_exit_2(golden_matrix_file, capsys, spec, message):
+    assert main(["mu", "--structure", spec, golden_matrix_file]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_backward_error_text_bracket_only(tmp_path, capsys):
+    # a multiplicity-2 kink at the scaling optimum keeps the 4-block bracket open
+    path = tmp_path / "fluid0.json"
+    path.write_text(json.dumps(system_to_json(fluid_solid_instance(0))))
+    assert main(["backward-error", "--scenario", "ABCP", "--lambda", "1", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "scenario ABCP  lambda = 1+0i"
+    assert lines[1].startswith("eta in [0.29479963")
+    assert lines[1].endswith("] (bracket_only; upper side certified)")
+    assert lines[2].startswith("certificate: max block norm 0.29479963")
+    assert len(lines) == 3
+
+
+def test_possibly_infinite_warning_in_text_report(tmp_path, capsys):
+    # entries near the double limit leave mu ~ 1e-308, below the smallest
+    # normal double, so the lower bound counts as vanished and no
+    # certificate is built
+    big = {"r": 1, "n": 1, "d": 0, "A": [[[1e308, 0]]], "B": [[[5e307, 0]]],
+           "C": [[[2.5e307, 0]]], "P": [[[[1e308, 0]]]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(big))
+    assert main(["backward-error", "--scenario", "AB", "--lambda", "0", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "warning: mu lower bound vanished; eta possibly infinite\n" in out
+    assert "certificate:" not in out
+
+
 def test_infinite_eta_rendered_as_string(tmp_path, capsys):
     a0 = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=complex)
     doc = {

@@ -196,8 +196,7 @@ def test_block_sums_match_block_loops(rng):
         u, s, vh = np.linalg.svd(_scaled(m, structure, x), full_matrices=False)
         w = (s / s[0]) ** 100.0
         r, c = np.abs(u) ** 2 @ (w / w.sum()), np.abs(vh.T) ** 2 @ (w / w.sum())
-        blocks = zip(structure.k_slices(), structure.p_slices())
-        loop = [r[sk].sum() - c[sp].sum() for sk, sp in blocks]
+        loop = [r[sk].sum() - c[sp].sum() for sp, sk in structure.places]
         np.testing.assert_allclose(g, loop, rtol=0, atol=8 * np.finfo(float).eps)
 
 

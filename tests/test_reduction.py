@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rosenmu import (
+    BlockStructure,
     InputError,
     ReducedProblem,
     RosenbrockSystem,
@@ -20,7 +21,7 @@ from rosenmu import (
 from rosenmu.reduction import labeled_blocks
 from rosenmu.rosenbrock import Point
 
-from conftest import cgauss, random_blocks, random_system
+from conftest import cgauss, random_blocks, random_structure, random_system
 
 
 def _selector_m(sys_, lam, scenario):
@@ -187,6 +188,59 @@ def test_assemble_refuses_reduced_p_label(rng):
     w = sum(abs(lam) ** j for j in range(d + 1))
     assert np.allclose(delta_s[1:, 1:], w * x, rtol=1e-14, atol=0)
     assert not delta_s[:1].any() and not delta_s[:, :1].any()
+
+
+def test_places_tile_the_block_diagonal(rng):
+    for _ in range(30):
+        structure = random_structure(rng, n_blocks=int(rng.integers(1, 6)), max_dim=4)
+        assert structure.places is structure.places
+        owner = np.full((structure.p_total, structure.k_total), -1)
+        for i, ((sp, sk), shape) in enumerate(zip(structure.places, structure.blocks)):
+            assert owner[sp, sk].shape == shape
+            assert (owner[sp, sk] == -1).all()
+            owner[sp, sk] = i
+        # block i owns exactly the entries whose row and column both belong to block i
+        on_diagonal = structure.p_index[:, None] == structure.k_index[None, :]
+        np.testing.assert_array_equal(owner, np.where(on_diagonal, structure.p_index[:, None], -1))
+        blocks = random_blocks(rng, structure)
+        delta = structure.assemble(blocks)
+        for (sp, sk), blk in zip(structure.places, blocks):
+            assert delta[sp, sk].tobytes() == blk.tobytes()
+        assert not delta[~on_diagonal].any()
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ((), "block structure must be nonempty"),
+        (((1, 2), (0, 1)), r"block 1: shapes must be >= 1, got \(0, 1\)"),
+        (((2, -1),), r"block 0: shapes must be >= 1, got \(2, -1\)"),
+    ],
+)
+def test_block_structure_refuses_empty_or_zero_shapes(blocks, message):
+    with pytest.raises(InputError, match=message):
+        BlockStructure(blocks)
+
+
+def test_check_blocks_refuses_wrong_count_or_shape():
+    structure = BlockStructure(((1, 2), (2, 1)))
+    with pytest.raises(InputError, match="expected 2 blocks, got 1"):
+        structure.assemble([np.zeros((1, 2))])
+    with pytest.raises(InputError, match=r"block 1: expected 2x1, got \(1, 2\)"):
+        structure.assemble([np.zeros((1, 2)), np.zeros((1, 2))])
+
+
+def test_unknown_block_label_refused():
+    with pytest.raises(InputError, match="unknown block label 'Q'"):
+        assemble_perturbation(1, 1, 0.5, {"Q": [[1.0]]})
+    with pytest.raises(InputError, match="unknown block label 'Ax'"):
+        assemble_perturbation(1, 1, 0.5, {"Ax": [[1.0]]})
+
+
+def test_reduced_problem_needs_one_label_per_block():
+    structure = BlockStructure(((1, 1), (1, 1)))
+    with pytest.raises(InputError, match="one label per block is required"):
+        ReducedProblem(np.eye(2), structure, ("A",), Scenario.from_string("AB"))
 
 
 def _det_equivalence_check(sys_, lam, scenario, rng):
