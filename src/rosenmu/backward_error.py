@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, sigma_max, sigma_min
+from .linalg import ABS_FLOOR, sigma_min
 from .mu import ZERO_TOL, MuResult, mu_bracket, negligible
 from .reduction import (
     Scenario,
@@ -87,14 +87,12 @@ def _eigenvalue_result(point: Point, scenario: Scenario):
     )
 
 
-def _rank_one_inverse_image(h: np.ndarray) -> np.ndarray:
-    """Minimal-norm Delta with Delta (H w) = w for the top singular pair.
+def _rank_one_inverse_image(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Minimal-norm Delta with Delta (H w) = w for the top right singular vector w.
 
-    With w the top right singular vector, Delta = w (H w)* / |H w|^2 has
-    spectral norm 1/sigma_max(H) and puts an eigenvalue one into Delta H.
+    Delta = w (H w)* / |H w|^2 has spectral norm 1/sigma_max(H) and puts an
+    eigenvalue one into Delta H.
     """
-    u, s, vh = np.linalg.svd(h)
-    w = vh[0].conj()
     hw = h @ w
     return np.outer(w, hw.conj()) / float(np.vdot(hw, hw).real)
 
@@ -109,21 +107,23 @@ def _backward_error_at(point: Point, scenario: Scenario) -> BackwardErrorResult:
         return _eigenvalue_result(point, scenario)
 
     problem = reduce(point, scenario)
-    mu = delta = witness = None
+    mu = delta = witness = norm = None
     possibly_infinite = False
     if problem.structure.n_blocks == 1:
         # One perturbed block (A, B, C, or the weighted P): mu degenerates
         # to sigma_max(M) and the closed form 1/sigma_max(M) applies, +inf
-        # when M = 0.
+        # when M = 0.  One SVD of M gives sigma_max, the certificate and its
+        # norm 1/sigma_max.
         exactness = "exact_formula"
-        smax = sigma_max(problem.m)
+        _, s, vh = np.linalg.svd(problem.m)
+        smax = float(s[0])
         w = weight(point.lam, point.sys.d) if scenario.perturb_p else 1.0
         if smax <= WITNESS_ZERO_TOL * max(w * point.inv_norm, ABS_FLOOR):
             eta_lower = eta_upper = np.inf
             witness = problem.m
         else:
-            eta_lower = eta_upper = 1.0 / smax
-            delta = [_rank_one_inverse_image(problem.m)]
+            eta_lower = eta_upper = norm = 1.0 / smax
+            delta = [_rank_one_inverse_image(problem.m, vh[0].conj())]
     else:
         mu = mu_bracket(problem.m, problem.structure)
         exactness = mu.exactness
@@ -136,13 +136,13 @@ def _backward_error_at(point: Point, scenario: Scenario) -> BackwardErrorResult:
         if mu.certificate_delta is not None and mu.lower > 0:
             eta_upper = 1.0 / mu.lower
             delta = mu.certificate_delta
+            norm = perturbation_norm(delta)
 
-    blocks = delta_s = resid = norm = None
+    blocks = delta_s = resid = None
     if delta is not None:
         blocks = labeled_blocks(problem.labels, delta, point.lam, point.sys.d)
         delta_s = assemble_perturbation(point.sys.r, point.sys.n, point.lam, blocks)
         resid = sigma_min(point.s - delta_s)
-        norm = perturbation_norm(delta)
     return BackwardErrorResult(
         scenario=scenario,
         lam=point.lam,

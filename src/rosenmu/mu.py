@@ -13,10 +13,12 @@ exists).  The engine computes
   diagonal X = diag(x-blocks of D1, x-blocks of D2), and Sezginer & Overton
   (1990) show sigma_max(e^X N e^{-X}) is convex on such sets.  A point
   where sigma_max is simple and the gradient vanishes is therefore the
-  global minimum, and the search stops there.  At a kink (a repeated
-  sigma_max) a continuation on a smooth convex surrogate follows it in,
-  and stops once a certified lower bound (the floor of the kernel-direction
-  candidates below) meets it;
+  global minimum.  Where sigma_max is simple, one SVD also gives the exact
+  Hessian (Overton & Womersley 1995), and damped Newton finds that minimum
+  in a few SVDs.  At a kink (a repeated sigma_max) Newton gives up, and a
+  quasi-Newton (BFGS) continuation on a smooth convex surrogate follows
+  the kink in and stops once a certified lower bound (the floor of the
+  kernel-direction candidates below) meets it;
 * a certified lower bound: sup over block-diagonal partial isometries P of
   the spectral radius rho(P M), searched by extracting P from the top
   singular subspace at the scaling optimum and refining it by projected
@@ -54,9 +56,20 @@ KERNEL_NEWTON_ITERS = 100
 TINY = 1e-14
 # Relative to sigma_max(M), mu bounds at or below this level count as zero.
 ZERO_TOL = 1e-12
-# Stopping rules of each quasi-Newton descent in the upper-bound search.
+# Stopping rules of the upper-bound search: the cap on the Newton steps and
+# on the iterations of each quasi-Newton descent, and the latter's gradient
+# tolerance.
 BFGS_MAX_ITERS = 60
 BFGS_GRAD_TOL = 1e-9
+# Newton descent of the upper-bound search (see _newton): the stop on the
+# Newton decrement relative to sigma_max, the Armijo constant and the number
+# of trial steps (halving from the full step) before it gives up.  Smooth
+# optima rarely need more than one halving; at a kink the halvings grow with
+# every step, as the step overshoots the crossing of the top two singular
+# values by more and more.
+NEWTON_DECREMENT_TOL = 8 * np.finfo(float).eps
+ARMIJO = 1e-4
+NEWTON_BACKTRACKS = 4
 # Norm of the gradient of log sigma_max (relative, as sigma_max may tend to
 # zero) at a simple sigma_max below which a scaling is taken as the (global,
 # by convexity) minimizer: it ends the upper-bound search and backs the
@@ -170,6 +183,46 @@ def _value_and_branch_grad(
     return float(s[0]), grad, mult
 
 
+def _branch_derivatives(
+    u: np.ndarray, s: np.ndarray, vh: np.ndarray, structure: BlockStructure
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian in x of sigma_1(D1(x) M D2(-x)) at a simple sigma_1.
+
+    u, s, vh is an SVD (thin or full) of the scaled matrix A.  sigma_1 is
+    the top eigenvalue of the dilation [[0, A], [A*, 0]], whose other
+    eigenvalues are +-sigma_j, with eigenvectors [u_j; +-v_j]/sqrt(2), and
+    0 on the null vectors [u_j; 0] and [0; v_j] beyond the rank.  Over the
+    rows R_l and the columns C_l of M that belong to block l, write
+    alpha_l[j] = u_j[R_l]* u_1[R_l], beta_l[j] = v_j[C_l]* v_1[C_l] and
+    t_l = alpha_l[1] + beta_l[1] = |u_1[R_l]|^2 + |v_1[C_l]|^2.  The
+    gradient is sigma_1 (alpha_l[1] - beta_l[1]).  Second-order
+    perturbation theory (Overton & Womersley 1995) sums over the other
+    eigenvectors; pairing +sigma_j with -sigma_j, and using that the
+    columns of the full U and V are orthonormal, it comes to
+
+        H = 2 sigma_1 diag(t) - sigma_1 t t^T
+            + Re sum_{1 < j <= rank} [2 sigma_1 sigma_j / (sigma_1 - sigma_j)] d_j d_j*
+                                   - [2 sigma_1 sigma_j / (sigma_1 + sigma_j)] e_j e_j*
+
+    for the vectors d_j = alpha[j] - beta[j] and e_j = alpha[j] + beta[j]
+    over the blocks, so only the leading singular vectors enter.
+    """
+    ek, ep = structure.indicators
+    r = len(s)
+    u1, v1 = u[:, 0], vh[0].conj()
+    alpha = ek @ (u[:, :r].conj() * u1[:, None])
+    beta = ep @ (vh[:r].T * v1[:, None])
+    s1, sj = float(s[0]), s[1:]
+    a1, b1 = alpha[:, 1:], beta[:, 1:]
+    d, e = a1 - b1, a1 + b1
+    t = (alpha[:, 0] + beta[:, 0]).real
+    twice = 2.0 * s1 * sj
+    hess = ((d * (twice / (s1 - sj))) @ d.conj().T - (e * (twice / (s1 + sj))) @ e.conj().T).real
+    hess -= s1 * np.outer(t, t)
+    hess[np.diag_indices(structure.n_blocks)] += 2.0 * s1 * t
+    return s1 * (alpha[:, 0] - beta[:, 0]).real, hess
+
+
 def scaled_sigma_gradient(m, structure: BlockStructure, x):
     """Analytic gradient of scaled_sigma, or None when sigma_max is repeated.
 
@@ -221,46 +274,107 @@ def _smoothed_value_and_grad(m: np.ndarray, structure: BlockStructure, x: np.nda
     return float(np.log(s[0]) + tau * np.log(total)), grad
 
 
+def _newton(a_n: np.ndarray, structure: BlockStructure, full):
+    """Damped Newton on sigma_max over the free exponents x[1:], from x = 0.
+
+    ``full`` maps the free exponents to the clipped x.  Each step solves the
+    free block of the Hessian (:func:`_branch_derivatives`) by Cholesky and
+    halves until the Armijo condition holds; the derivatives are formed only
+    at accepted points.  The descent converges where the Newton decrement
+    -g . step = |L^-1 g|^2 is at most NEWTON_DECREMENT_TOL sigma_max, and
+    gives up (for the continuation to take over) at a repeated sigma_max, a
+    Hessian that is not positive definite, NEWTON_BACKTRACKS halvings
+    without decrease, or after BFGS_MAX_ITERS steps.  Returns the last x,
+    its sigma_max, its gradient (None where the descent gave up), the steps
+    taken and the number of evaluations.
+    """
+
+    def evaluate(xf):
+        u, s, vh = np.linalg.svd(_scaled(a_n, structure, full(xf)), full_matrices=False)
+        return float(s[0]), (u, s, vh)
+
+    xf = np.zeros(structure.n_blocks - 1)
+    (value, svd), evaluations = evaluate(xf), 1
+    for steps in range(BFGS_MAX_ITERS):
+        s = svd[1]
+        if s[0] - s[1] <= MULT_TOL * s[0]:
+            break
+        grad, hess = _branch_derivatives(*svd, structure)
+        g = grad[1:]
+        try:
+            chol = np.linalg.cholesky(hess[1:, 1:])
+        except np.linalg.LinAlgError:
+            break
+        y = np.linalg.solve(chol, g)
+        decrement = float(y @ y)
+        if decrement <= NEWTON_DECREMENT_TOL * value:
+            return full(xf), value, grad, steps, evaluations
+        step = -np.linalg.solve(chol.T, y)
+        t = 1.0
+        for _ in range(NEWTON_BACKTRACKS):
+            trial, trial_svd = evaluate(xf + t * step)
+            evaluations += 1
+            if trial <= value - ARMIJO * t * decrement:
+                break
+            t /= 2.0
+        else:
+            break
+        xf, value, svd = xf + t * step, trial, trial_svd
+    else:
+        steps = BFGS_MAX_ITERS
+    return full(xf), value, None, steps, evaluations
+
+
 @dataclass
 class UpperBound:
     value: float
     x: np.ndarray
     multiplicity: int
     grad_norm: float | None  # |gradient of log sigma_max|, None at a kink
-    iterations: int
+    iterations: int  # Newton steps plus BFGS iterations
     scale: float  # sigma_max(M), by which the search normalizes M
+    evaluations: int  # SVDs of the scaled matrix, Newton and continuation together
 
 
 def mu_upper(m, structure: BlockStructure) -> UpperBound:
     """Minimize the scaled largest singular value over block scalings.
 
-    Quasi-Newton descent with the analytic branch gradient from x = 0.  The
-    objective is convex in x (see the module docstring), so when that
-    descent ends where sigma_max is simple and STATIONARY_TOL bounds the
-    gradient of log sigma_max, it has found the global minimum.  Otherwise
-    it stopped short of a kink (a repeated sigma_max) or of an infimum past
-    X_BOUND: one descent per tau in SMOOTHING_TAUS on g_tau, each from the
-    last, follows it in, and the smallest sigma_max at the end of a descent
-    is returned.  The continuation stops on a certified gap: after the
-    first descent and after each stage that lowers sigma_max, the floor
-    rho(P M) of mu_lower's kernel-direction candidates at the best x is a
-    lower bound on mu, and once it is within CLOSE_TOL of sigma_max no
-    scaling can do better.  A tau above the relative gap between the two is
-    skipped.  Where the floor stays below (mu = 0, or mu below the scaling
-    optimum) every tau runs.  The first scaling exponent is frozen at zero:
-    shifting all exponents together never changes the objective.
+    Damped Newton from x = 0 with the exact gradient and Hessian of the top
+    singular branch (see :func:`_newton`).  The objective is convex in x
+    (see the module docstring), so when Newton converges where sigma_max is
+    simple and STATIONARY_TOL bounds the gradient of log sigma_max, it has
+    found the global minimum, and its last evaluation is returned.
+
+    Otherwise Newton gave up short of a kink (a repeated sigma_max) or of an
+    infimum past X_BOUND, and a continuation takes over: a quasi-Newton
+    (BFGS) descent with the branch gradient from x = 0, then one descent
+    per tau in SMOOTHING_TAUS on g_tau, each from the last; the smallest
+    sigma_max at the end of a descent is returned.  Starting from x = 0,
+    not from where Newton stopped, makes the continuation's path, and so a
+    kink's bound, independent of how far Newton got.  The continuation
+    stops on a certified gap: after its first descent and after each stage
+    that lowers sigma_max, the floor rho(P M) of mu_lower's kernel-direction
+    candidates at the best x is a lower bound on mu, and once it is within
+    CLOSE_TOL of sigma_max no scaling can do better.  A tau above the
+    relative gap between the two is skipped.  Where the floor stays below
+    (mu = 0, or mu below the scaling optimum) every tau runs.
+
+    The first scaling exponent is frozen at zero: shifting all exponents
+    together never changes the objective.
     """
     a = as_matrix(m)
     structure.check_shape(a)
     nb = structure.n_blocks
     s0 = _sigma_max(a)
     if s0 == 0.0:
-        return UpperBound(0.0, np.zeros(nb), min(a.shape), None, 0, s0)
+        return UpperBound(0.0, np.zeros(nb), min(a.shape), None, 0, s0, 0)
     a_n = _normalized(a, s0)
 
     if nb == 1:
         value, _, mult = _value_and_branch_grad(a_n, structure, np.zeros(1))
-        return UpperBound(s0 * value, np.zeros(1), mult, 0.0, 0, s0)
+        return UpperBound(s0 * value, np.zeros(1), mult, 0.0, 0, s0, 1)
+
+    evaluations = 0
 
     def full(xf: np.ndarray) -> np.ndarray:
         return np.clip(np.concatenate(([0.0], xf)), -X_BOUND, X_BOUND)
@@ -273,13 +387,17 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
         value, grad = _smoothed_value_and_grad(a_n, structure, full(xf), tau)
         return value, grad[1:]
 
+    def bound(x_star, value, grad, mult, iterations) -> UpperBound:
+        grad_norm = float(np.linalg.norm(grad[1:])) / value if mult == 1 else None
+        return UpperBound(s0 * value, x_star, mult, grad_norm, iterations, s0, evaluations)
+
     def descend(objective, x0: np.ndarray, args=()):
+        nonlocal evaluations
         options = dict(gtol=BFGS_GRAD_TOL, maxiter=BFGS_MAX_ITERS)
         res = minimize(objective, x0, args, jac=True, method="BFGS", options=options)
         x_star = full(res.x)
-        value, grad, mult = _value_and_branch_grad(a_n, structure, x_star)
-        grad_norm = float(np.linalg.norm(grad[1:])) / value if mult == 1 else None
-        return UpperBound(s0 * value, x_star, mult, grad_norm, int(res.nit), s0), res.x
+        evaluations += int(res.nfev) + 1
+        return bound(x_star, *_value_and_branch_grad(a_n, structure, x_star), int(res.nit)), res.x
 
     def gap(bound: UpperBound) -> float:
         """Relative gap to the floor at bound.x, 0 where the floor meets it."""
@@ -287,10 +405,13 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
         floor = _floor(a_n, structure, bound.x, goal)
         return 0.0 if floor >= goal else 1.0 - s0 * floor / bound.value
 
+    x_star, value, grad, iterations, evaluations = _newton(a_n, structure, full)
+    if grad is not None:
+        newton = bound(x_star, value, grad, 1, iterations)
+        if _is_stationary(1, newton.grad_norm):
+            return newton
     best, xf = descend(fg, np.zeros(nb - 1))
-    if _is_stationary(best.multiplicity, best.grad_norm):
-        return best
-    iterations = best.iterations
+    iterations += best.iterations
     rel_gap = gap(best)
     for tau in SMOOTHING_TAUS:
         if rel_gap == 0.0:
@@ -302,7 +423,7 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
         if stage.value < best.value:
             best = stage
             rel_gap = gap(best)
-    return replace(best, iterations=iterations)
+    return replace(best, iterations=iterations, evaluations=evaluations)
 
 
 # ---------------------------------------------------------------------------

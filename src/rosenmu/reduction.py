@@ -152,6 +152,16 @@ class BlockStructure:
         """Block number of each column of M (each row of Delta)."""
         return np.repeat(np.arange(self.n_blocks), [p for p, _ in self.blocks])
 
+    @cached_property
+    def indicators(self) -> tuple[np.ndarray, np.ndarray]:
+        """0/1 matrices (n_blocks x k_total, n_blocks x p_total) of k_index and p_index.
+
+        Row i of each marks block i's rows (first) and columns (second) of M,
+        so ``E @ y`` sums y over every block at once.
+        """
+        blocks = np.arange(self.n_blocks)[:, None]
+        return (self.k_index == blocks).astype(float), (self.p_index == blocks).astype(float)
+
     def check_shape(self, m: np.ndarray) -> None:
         """Refuse an M that is not k_total x p_total, naming both shapes."""
         if m.shape != (self.k_total, self.p_total):

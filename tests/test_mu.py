@@ -34,6 +34,7 @@ from rosenmu.mu import (
     STATIONARY_TOL,
     X_BOUND,
     _ascend,
+    _branch_derivatives,
     _floor,
     _kernel_direction,
     _kernel_direction_bfgs,
@@ -158,6 +159,34 @@ def test_gradient_matches_central_differences(rng):
             continue
         fd = central_difference_gradient(m, structure, x)
         assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
+        done += 1
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_branch_hessian_matches_central_differences(real):
+    # the Hessian of sigma_1 from one SVD against central differences of the
+    # analytic gradient, on rectangular M (k != p) under 2-4 blocks
+    rng = np.random.default_rng(77 + real)
+    h, done = 1e-5, 0
+    while done < 20:
+        structure = random_structure(rng, n_blocks=int(rng.integers(2, 5)), max_dim=3)
+        if structure.k_total == structure.p_total:
+            continue
+        m = rng.standard_normal((structure.k_total, structure.p_total))
+        if not real:
+            m = m + 1j * rng.standard_normal(m.shape)
+        x = rng.uniform(-1, 1, structure.n_blocks)
+        u, s, vh = np.linalg.svd(_scaled(np.asarray(m, dtype=complex), structure, x))
+        if s[0] - s[1] <= 1e-3 * s[0]:
+            continue  # too near a kink for differences of step h
+        grad, hess = _branch_derivatives(u, s, vh, structure)
+        np.testing.assert_allclose(grad, scaled_sigma_gradient(m, structure, x), rtol=0, atol=1e-13)
+        fd = np.column_stack([
+            (scaled_sigma_gradient(m, structure, x + e) - scaled_sigma_gradient(m, structure, x - e))
+            / (2 * h)
+            for e in h * np.eye(structure.n_blocks)
+        ])
+        assert np.abs(hess - fd).max() <= 1e-6 * np.abs(hess).max()
         done += 1
 
 
@@ -456,24 +485,32 @@ def test_mu_upper_no_worse_than_full_search_fluid_solid():
         assert value <= float.fromhex(PINNED_FLUID_SOLID_UPPER[name]) * (1 + UPPER_SLACK)
 
 
-# The first descent's exact bits (float.hex of the upper bound, then of x) on
-# every multi-block scenario at lambda = 0.7.  Each ends at a smooth
-# stationary point, so neither the gap stop nor the iteration cap reaches it.
+# The Newton descent's exact bits (float.hex of the upper bound, then of x)
+# on every multi-block scenario at lambda = 0.7.  Each ends at a smooth
+# stationary point, so the continuation never runs.
 EARLY_EXIT_FLUID_SOLID = {
-    "AB": ("0x1.008d1174a6259p+2", ["0x0.0p+0", "0x1.e7331d34167f8p-2"]),
-    "AC": ("0x1.03f87e59b85dcp+2", ["0x0.0p+0", "-0x1.c7f8cce00e3e6p-2"]),
-    "AP": ("0x1.d5c99ec0d8859p+1", ["0x0.0p+0", "0x1.26fb3c9e13e6dp-2"]),
-    "BC": ("0x1.353d769b16fb2p+1", ["0x0.0p+0", "-0x1.8836760334aecp-1"]),
-    "BP": ("0x1.153919f898ebbp+1", ["0x0.0p+0", "0x1.398f60e4c8029p-6"]),
-    "CP": ("0x1.22d35532b30ddp+1", ["0x0.0p+0", "0x1.1f7e2044fbacbp-1"]),
-    "ABC": ("0x1.4c86b2a1698e8p+2", ["0x0.0p+0", "0x1.d49c61388bfd7p-2", "-0x1.bd507fa4c6456p-2"]),
-    "ABP": ("0x1.343b5539a6099p+2", ["0x0.0p+0", "0x1.cdfac83988139p-2", "0x1.302f780ea5406p-2"]),
-    "ACP": ("0x1.380ec26ca701cp+2", ["0x0.0p+0", "-0x1.aeb2d78a57ff7p-2", "0x1.2790fc966de64p-2"]),
-    "BCP": ("0x1.b58d08101f417p+1", ["0x0.0p+0", "-0x1.50fb0c5a0befep-1", "-0x1.81edfaf1a4d55p-5"]),
+    "AB": ("0x1.008d1174a6259p+2", ["0x0.0p+0", "0x1.e7331d2571b43p-2"]),
+    "AC": ("0x1.03f87e59b85dbp+2", ["0x0.0p+0", "-0x1.c7f8ccf02c098p-2"]),
+    "AP": ("0x1.d5c99ec0d8858p+1", ["0x0.0p+0", "0x1.26fb3c9dcf557p-2"]),
+    "BC": ("0x1.353d769b16fadp+1", ["0x0.0p+0", "-0x1.88367603341dap-1"]),
+    "BP": ("0x1.153919f898ebbp+1", ["0x0.0p+0", "0x1.398f78776d007p-6"]),
+    "CP": ("0x1.22d35532b30dep+1", ["0x0.0p+0", "0x1.1f7e2063cbdc5p-1"]),
+    "ABC": ("0x1.4c86b2a1698e8p+2", ["0x0.0p+0", "0x1.d49c60e28eb74p-2", "-0x1.bd5080241ce25p-2"]),
+    "ABP": ("0x1.343b5539a609dp+2", ["0x0.0p+0", "0x1.cdfac83976e35p-2", "0x1.302f780e8e941p-2"]),
+    "ACP": ("0x1.380ec26ca701dp+2", ["0x0.0p+0", "-0x1.aeb2d7c951222p-2", "0x1.2790fce1c08ebp-2"]),
+    "BCP": ("0x1.b58d08101f41bp+1", ["0x0.0p+0", "-0x1.50fb0cca53b01p-1", "-0x1.81edf86370b1ap-5"]),
     "ABCP": (
-        "0x1.8271e65cb5810p+2",
-        ["0x0.0p+0", "0x1.be1f201ed9762p-2", "-0x1.a4b246aa15c86p-2", "0x1.291b5b1e1019ap-2"],
+        "0x1.8271e65cb5813p+2",
+        ["0x0.0p+0", "0x1.be1f207a922e3p-2", "-0x1.a4b247aae142bp-2", "0x1.291b5b91a7f14p-2"],
     ),
+}
+
+# The same upper bounds as reached by a quasi-Newton (BFGS) first descent.
+BFGS_EARLY_EXIT_UPPER = {
+    "AB": "0x1.008d1174a6259p+2", "AC": "0x1.03f87e59b85dcp+2", "AP": "0x1.d5c99ec0d8859p+1",
+    "BC": "0x1.353d769b16fb2p+1", "BP": "0x1.153919f898ebbp+1", "CP": "0x1.22d35532b30ddp+1",
+    "ABC": "0x1.4c86b2a1698e8p+2", "ABP": "0x1.343b5539a6099p+2", "ACP": "0x1.380ec26ca701cp+2",
+    "BCP": "0x1.b58d08101f417p+1", "ABCP": "0x1.8271e65cb5810p+2",
 }
 
 
@@ -516,12 +553,31 @@ def _counting_minimize(monkeypatch):
 
 
 def test_mu_upper_one_descent_at_smooth_optimum(monkeypatch):
+    # Newton's descent ends the search at a smooth optimum: no quasi-Newton run
     calls = _counting_minimize(monkeypatch)
     m = cgauss(np.random.default_rng(404), 2, 2)
     res = mu_bracket(m, TWO_SCALARS)
-    assert calls == ["BFGS"]
+    assert calls == []
     assert res.upper_bound.multiplicity == 1
     assert res.upper_bound.grad_norm <= STATIONARY_TOL
+
+
+def test_mu_upper_newton_evaluations_fluid_solid(monkeypatch):
+    # Every multi-block scenario at lambda = 0.7 ends in Newton's descent, in
+    # few evaluations, no higher than the quasi-Newton descent's bound
+    calls = _counting_minimize(monkeypatch)
+    point = Point(fluid_solid_instance(), 0.7)
+    evaluations = []
+    for scenario in all_scenarios():
+        problem = reduce(point, scenario)
+        if problem.structure.n_blocks > 1:
+            upper = mu_upper(problem.m, problem.structure)
+            evaluations.append(upper.evaluations)
+            bfgs = float.fromhex(BFGS_EARLY_EXIT_UPPER[scenario.name])
+            assert upper.value <= bfgs * (1 + 1e-14)
+    assert len(evaluations) == len(BFGS_EARLY_EXIT_UPPER)
+    assert calls == []
+    assert sum(evaluations) / len(evaluations) <= 8
 
 
 def test_mu_upper_continuation_at_kink(monkeypatch):
