@@ -1,16 +1,19 @@
 """Structured eigenvalue backward errors of Rosenbrock system matrices.
 
-Top-level pipeline: evaluate S(lambda) once into a
-:class:`~rosenmu.rosenbrock.Point` (shared by all 15 scenarios of a
-sweep), short-circuit exact eigenvalues to zero, then give each scenario
-one reduce and one solve at that point: exactly when one block is
-perturbed (A, B, C, or the weighted P block at every degree, where
-mu = sigma_max(M)), by a bracket of the mu-value otherwise (at most four
-blocks).  The result is inverted into backward-error bounds.  The mu
-lower bound is the certified side: its partial-isometry certificate
-converts to an explicit structured perturbation whose max block norm
-realizes the backward-error upper bound, checkable by a sigma_min
-residual.  Certificates carry the coefficient blocks A0..Ad of P(z).
+Top-level pipeline: assemble and factor S(lambda_k) at every point of a
+scan at once, into a :class:`~rosenmu.rosenbrock.Scan` shared by all 15
+scenarios of a sweep; a single point is the scan of one lambda.  Exact
+eigenvalues short-circuit to zero.  Each scenario then gathers M at every
+other point from the stacked inverses and solves it: exactly when one
+block is perturbed (A, B, C, or the weighted P block at every degree,
+where mu = sigma_max(M)), from one stacked SVD of M, and by a bracket of
+the mu-value per point otherwise (at most four blocks).  The result is
+inverted into backward-error bounds.  The mu lower bound is the certified
+side: its partial-isometry certificate converts to an explicit structured
+perturbation whose max block norm realizes the backward-error upper
+bound, checkable by a sigma_min residual, taken for all certified points
+in one stacked SVD.  Certificates carry the coefficient blocks A0..Ad of
+P(z).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, sigma_min
+from .linalg import ABS_FLOOR, InputError, NumericError, as_matrix
 from .mu import ZERO_TOL, MuResult, mu_bracket, negligible
 from .reduction import (
     Scenario,
@@ -27,9 +30,9 @@ from .reduction import (
     assemble_perturbation,
     labeled_blocks,
     perturbation_norm,
-    reduce,
+    reduce_stack,
 )
-from .rosenbrock import Point, RosenbrockSystem, weight
+from .rosenbrock import RosenbrockSystem, Scan, weight
 
 # A 1-block M is declared exactly zero (infinite backward error) below
 # this level relative to its bound w sigma_max(S(lambda)^{-1}) = w/sigma_min,
@@ -53,12 +56,12 @@ class BackwardErrorResult:
     eta_lower: float
     eta_upper: float
     exactness: str
-    possibly_infinite: bool
-    delta_blocks: dict[str, np.ndarray] | None
-    certificate: np.ndarray | None
-    certificate_norm: float | None
-    residual: float | None
-    mu: MuResult | None
+    possibly_infinite: bool = False
+    delta_blocks: dict[str, np.ndarray] | None = None
+    certificate: np.ndarray | None = None
+    certificate_norm: float | None = None
+    residual: float | None = None
+    mu: MuResult | None = None
     infinite_witness: np.ndarray | None = None
 
     @property
@@ -71,22 +74,6 @@ class BackwardErrorResult:
         )
 
 
-def _eigenvalue_result(point: Point, scenario: Scenario):
-    return BackwardErrorResult(
-        scenario=scenario,
-        lam=point.lam,
-        eta_lower=0.0,
-        eta_upper=0.0,
-        exactness="exact_eigenvalue",
-        possibly_infinite=False,
-        delta_blocks={},
-        certificate=np.zeros_like(point.s),
-        certificate_norm=0.0,
-        residual=point.sigma_min,
-        mu=None,
-    )
-
-
 def _rank_one_inverse_image(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Minimal-norm Delta with Delta (H w) = w for the top right singular vector w.
 
@@ -97,69 +84,101 @@ def _rank_one_inverse_image(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.outer(w, hw.conj()) / float(np.vdot(hw, hw).real)
 
 
-def backward_error(sys: RosenbrockSystem, lam: complex, scenario: Scenario) -> BackwardErrorResult:
-    """Backward error of lambda for S(z) under one perturbation scenario."""
-    return _backward_error_at(Point(sys, lam), scenario)
+# What a point of a scan may raise; it ends the scan at that point.
+_POINT_ERRORS = (InputError, NumericError, np.linalg.LinAlgError)
 
 
-def _backward_error_at(point: Point, scenario: Scenario) -> BackwardErrorResult:
-    if point.is_eigenvalue():
-        return _eigenvalue_result(point, scenario)
+def _scan_results(scan: Scan, scenario: Scenario) -> list[BackwardErrorResult | None]:
+    """One scenario at every point of a scan before its first failure.
 
-    problem = reduce(point, scenario)
-    mu = delta = witness = norm = None
-    possibly_infinite = False
-    if problem.structure.n_blocks == 1:
+    M is gathered at all points at once, the one-block closed form takes one
+    stacked SVD and the certificates' residuals one stacked values-only SVD.
+    """
+    sys, lams = scan.sys, scan.lams
+    results: list[BackwardErrorResult | None] = [None] * len(lams)
+    rows, weights = [], np.ones(len(lams))
+    for k in range(scan.stop):
+        if scan.eigen[k]:
+            results[k] = BackwardErrorResult(
+                scenario, lams[k], 0.0, 0.0, "exact_eigenvalue", delta_blocks={},
+                certificate=np.zeros_like(scan.s[k]), certificate_norm=0.0,
+                residual=float(scan.sigma_min[k]),
+            )
+            continue
+        try:
+            weights[k] = weight(lams[k], sys.d) if scenario.perturb_p else 1.0
+        except InputError as exc:
+            scan.fail(k, exc)
+            break
+        rows.append(k)
+    if not rows:
+        return results
+    m, structure, labels = reduce_stack(scan.inverse[rows], weights[rows], scenario, sys.r, sys.n)
+    one_block = structure.n_blocks == 1
+    if one_block:
         # One perturbed block (A, B, C, or the weighted P): mu degenerates
         # to sigma_max(M) and the closed form 1/sigma_max(M) applies, +inf
         # when M = 0.  One SVD of M gives sigma_max, the certificate and its
         # norm 1/sigma_max.
-        exactness = "exact_formula"
-        _, s, vh = np.linalg.svd(problem.m)
-        smax = float(s[0])
-        w = weight(point.lam, point.sys.d) if scenario.perturb_p else 1.0
-        if smax <= WITNESS_ZERO_TOL * max(w * point.inv_norm, ABS_FLOOR):
-            eta_lower = eta_upper = np.inf
-            witness = problem.m
-        else:
-            eta_lower = eta_upper = norm = 1.0 / smax
-            delta = [_rank_one_inverse_image(problem.m, vh[0].conj())]
-    else:
-        mu = mu_bracket(problem.m, problem.structure)
-        exactness = mu.exactness
-        eta_lower = 1.0 / mu.upper if mu.upper > 0 else np.inf
-        possibly_infinite = negligible(mu.lower, mu.scale, ZERO_TOL)
-        if mu.lower > 0:
-            # roundoff can cross the mu bounds by ~1e-15; keep the eta interval ordered
-            eta_lower = min(eta_lower, 1.0 / mu.lower)
-        eta_upper = np.inf
-        if mu.certificate_delta is not None and mu.lower > 0:
-            eta_upper = 1.0 / mu.lower
-            delta = mu.certificate_delta
-            norm = perturbation_norm(delta)
+        _, s, vh = np.linalg.svd(m)
+    certified, perturbed = [], []
+    for i, k in enumerate(rows):
+        res, delta = BackwardErrorResult(scenario, lams[k], np.inf, np.inf, "exact_formula"), None
+        try:
+            if one_block:
+                smax = float(s[i, 0])
+                if smax <= WITNESS_ZERO_TOL * max(weights[k] * (1.0 / scan.sigma_min[k]), ABS_FLOOR):
+                    res.infinite_witness = m[i]
+                else:
+                    res.eta_lower = res.eta_upper = norm = 1.0 / smax
+                    delta = [_rank_one_inverse_image(m[i], vh[i, 0].conj())]
+            else:
+                res.mu = mu = mu_bracket(m[i], structure)
+                res.exactness = mu.exactness
+                res.eta_lower = 1.0 / mu.upper if mu.upper > 0 else np.inf
+                res.possibly_infinite = negligible(mu.lower, mu.scale, ZERO_TOL)
+                if mu.lower > 0:
+                    # roundoff can cross the mu bounds by ~1e-15; keep the eta interval ordered
+                    res.eta_lower = min(res.eta_lower, 1.0 / mu.lower)
+                if mu.certificate_delta is not None and mu.lower > 0:
+                    res.eta_upper = 1.0 / mu.lower
+                    delta = mu.certificate_delta
+                    norm = perturbation_norm(delta)
+            if delta is not None:
+                res.delta_blocks = labeled_blocks(labels, delta, lams[k], sys.d)
+                res.certificate = assemble_perturbation(sys.r, sys.n, lams[k], res.delta_blocks)
+                res.certificate_norm = norm
+                perturbed.append(as_matrix(scan.s[k] - res.certificate))
+                certified.append(res)
+        except _POINT_ERRORS as exc:
+            scan.fail(k, exc)
+            break
+        results[k] = res
+    if certified:
+        residuals = np.linalg.svd(np.stack(perturbed), compute_uv=False)[:, -1]
+        for res, residual in zip(certified, residuals):
+            res.residual = float(residual)
+    return results
 
-    blocks = delta_s = resid = None
-    if delta is not None:
-        blocks = labeled_blocks(problem.labels, delta, point.lam, point.sys.d)
-        delta_s = assemble_perturbation(point.sys.r, point.sys.n, point.lam, blocks)
-        resid = sigma_min(point.s - delta_s)
-    return BackwardErrorResult(
-        scenario=scenario,
-        lam=point.lam,
-        eta_lower=eta_lower,
-        eta_upper=eta_upper,
-        exactness=exactness,
-        possibly_infinite=possibly_infinite,
-        delta_blocks=blocks,
-        certificate=delta_s,
-        certificate_norm=norm,
-        residual=resid,
-        mu=mu,
-        infinite_witness=witness,
-    )
+
+def scan_backward_errors(sys: RosenbrockSystem, lams, scenarios) -> list[list[BackwardErrorResult]]:
+    """Backward errors of each scenario at each lambda, in stacked LAPACK calls.
+
+    Row k holds the results at lams[k], one per scenario.  The points are
+    taken to run one after another, each through all scenarios: the error
+    raised is that of the first lambda that fails, at its first failure.
+    """
+    scan = Scan(sys, lams)
+    columns = [_scan_results(scan, scenario) for scenario in scenarios]
+    scan.check()
+    return [list(row) for row in zip(*columns)]
+
+
+def backward_error(sys: RosenbrockSystem, lam: complex, scenario: Scenario) -> BackwardErrorResult:
+    """Backward error of lambda for S(z) under one perturbation scenario."""
+    return scan_backward_errors(sys, [lam], [scenario])[0][0]
 
 
 def scenario_sweep(sys: RosenbrockSystem, lam: complex) -> list[BackwardErrorResult]:
     """All 15 scenarios at one point, ordered by size then lexicographically."""
-    point = Point(sys, lam)
-    return [_backward_error_at(point, scenario) for scenario in all_scenarios()]
+    return scan_backward_errors(sys, [lam], all_scenarios())[0]

@@ -15,13 +15,14 @@ import sys
 
 import numpy as np
 
-from .backward_error import BackwardErrorResult, backward_error, scenario_sweep
+from .backward_error import BackwardErrorResult, scan_backward_errors
 from .linalg import ABS_FLOOR, InputError, NumericError, sigma_min
 from .mu import mu_bracket
 from .oracle import brute_force_backward_error, brute_force_mu
 from .reduction import (
     BlockStructure,
     Scenario,
+    all_scenarios,
     assemble_perturbation,
     perturbation_norm,
 )
@@ -318,7 +319,7 @@ def _cmd_backward_error(args) -> int:
     system = system_from_json(_load_json(args.system))
     scenario = Scenario.from_string(args.scenario)
     lambdas = [_parse_lambda(t) for t in args.lambdas]
-    results = [backward_error(system, lam, scenario) for lam in lambdas]
+    results = [row[0] for row in scan_backward_errors(system, lambdas, [scenario])]
     reports = [_certificate_report(res) for res in results]
     report = reports[0] if len(reports) == 1 else {"results": reports}
     _emit(report, lambda: "".join(map(_backward_error_text, results)), args)
@@ -328,7 +329,7 @@ def _cmd_backward_error(args) -> int:
 def _cmd_sweep(args) -> int:
     system = system_from_json(_load_json(args.system))
     lambdas = [_parse_lambda(t) for t in args.lambdas]
-    sweeps = [(lam, scenario_sweep(system, lam)) for lam in lambdas]
+    sweeps = list(zip(lambdas, scan_backward_errors(system, lambdas, all_scenarios())))
     reports = [
         {
             "lambda": [float(lam.real), float(lam.imag)],

@@ -4,7 +4,7 @@ Thin, contract-enforcing wrappers around LAPACK (via numpy): input
 coercion, the extreme singular values and the package's error types.
 Tolerances are relative to the spectral norm with an absolute floor of
 ``ABS_FLOOR``.  The one singularity test of S(lambda), and its inverse,
-live in :class:`rosenmu.rosenbrock.Point`.
+live in :class:`rosenmu.rosenbrock.Scan`.
 """
 
 from __future__ import annotations

@@ -224,6 +224,25 @@ def _power(lam: complex, j: int) -> complex:
     )
 
 
+def reduce_stack(
+    inverses: np.ndarray, weights: np.ndarray, scenario: Scenario, r: int, n: int
+) -> tuple[np.ndarray, BlockStructure, tuple[str, ...]]:
+    """The stack of M, the structure and the labels of :func:`reduce` at K points.
+
+    ``inverses`` stacks each S(lambda)^{-1} and ``weights`` each weight w.
+    """
+    labels = tuple(scenario.name)
+    places = [_place(label, r, n) for label in labels]
+    k_idx = np.concatenate([np.arange(cols.start, cols.stop) for _, cols, _ in places])
+    p_idx = np.concatenate([np.arange(rows.start, rows.stop) for rows, _, _ in places])
+    # m[..., p_idx] would not be C-ordered, so products with M would sum in another order
+    m = np.take(inverses[:, k_idx], p_idx, axis=2)
+    if scenario.perturb_p:
+        m[:, :, -n:] *= weights[:, None, None]  # P is the last block
+    structure = BlockStructure(tuple(block_shape(label, r, n) for label in labels))
+    return m, structure, labels
+
+
 def reduce(point: Point, scenario: Scenario) -> ReducedProblem:
     """Reduce one scenario at a point (system, lambda) to a ReducedProblem.
 
@@ -238,17 +257,10 @@ def reduce(point: Point, scenario: Scenario) -> ReducedProblem:
     :class:`SingularMatrixError` otherwise); callers short-circuit
     eigenvalues to a zero backward error before reaching this point.
     """
-    r, n = point.sys.r, point.sys.n
-    labels = tuple(scenario.name)
-    places = [_place(label, r, n) for label in labels]
-    k_idx = np.concatenate([np.arange(cols.start, cols.stop) for _, cols, _ in places])
-    p_idx = np.concatenate([np.arange(rows.start, rows.stop) for rows, _, _ in places])
-    # m[:, p_idx] would be F-ordered, so products with M would sum in another order
-    m = np.take(point.inverse[k_idx], p_idx, axis=1)
-    if scenario.perturb_p:
-        m[:, -n:] *= weight(point.lam, point.sys.d)  # P is the last block
-    structure = BlockStructure(tuple(block_shape(label, r, n) for label in labels))
-    return ReducedProblem(m, structure, labels, scenario)
+    inverse = point.inverse
+    w = weight(point.lam, point.sys.d) if scenario.perturb_p else 1.0
+    m, structure, labels = reduce_stack(inverse[None], np.array([w]), scenario, point.sys.r, point.sys.n)
+    return ReducedProblem(m[0], structure, labels, scenario)
 
 
 def labeled_blocks(labels, blocks, lam: complex, d: int) -> dict[str, np.ndarray]:

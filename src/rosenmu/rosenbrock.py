@@ -3,10 +3,12 @@
 The polynomial block is P(z) = sum_j z^j A_j of degree d with n x n
 coefficients.  A scalar lambda is an eigenvalue of S(z) when S(lambda) is
 singular.  This module owns the system data model, its evaluation, the
-per-point record :class:`Point` (S(lambda), its singular-value extremes,
-the eigenvalue test and the inverse, each computed once), the weight
-sum_j |lambda|^j of the polynomial block, the unstructured backward
-error, and the JSON exchange format shared with the CLI.
+record :class:`Scan` of S(lambda_k) at K points (the matrices, their
+singular-value extremes, the eigenvalue test and the inverses, each
+computed once in stacked LAPACK calls) and its one-point view
+:class:`Point`, the weight sum_j |lambda|^j of the polynomial block, the
+unstructured backward error, and the JSON exchange format shared with
+the CLI.
 """
 
 from __future__ import annotations
@@ -68,64 +70,109 @@ class RosenbrockSystem:
     def d(self) -> int:
         return len(self.poly_coeffs) - 1
 
-    def poly_eval(self, lam: complex) -> np.ndarray:
-        """Horner evaluation of P(lambda)."""
-        acc = np.zeros_like(self.poly_coeffs[0])
-        for ak in reversed(self.poly_coeffs):
-            acc = acc * lam + ak
-        return acc
+
+def _assemble(sys: RosenbrockSystem, lams: list[complex]) -> np.ndarray:
+    """S(lambda_k) for every lambda_k, stacked; entries that overflow are left inf or nan."""
+    r, size = sys.r, sys.r + sys.n
+    z = np.array(lams, dtype=complex)[:, None, None]
+    s = np.empty((len(lams), size, size), dtype=complex)
+    s[:, :r, :r] = sys.a
+    s[:, :r, r:] = sys.b
+    s[:, r:, :r] = sys.c
+    # finite data can still overflow, e.g. in the Horner sum of P(lambda)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = np.zeros_like(s[:, r:, r:])
+        for ak in reversed(sys.poly_coeffs):
+            acc = acc * z + ak
+        s[:, r:, r:] = acc
+        diag = np.arange(r)
+        s[:, diag, diag] -= z[:, :, 0]  # the diagonal of A - lambda I
+    return s
+
+
+def _assembly_error(lam: complex, s: np.ndarray) -> InputError | None:
+    """The error of a non-finite lambda or S(lambda), None when both are finite."""
+    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        return InputError("lambda must be finite")
+    if not np.isfinite(s).all():
+        return InputError(
+            f"S(lambda) is not finite at lambda = {lam.real:g}{lam.imag:+g}i "
+            "(its entries overflow the double range)"
+        )
+    return None
 
 
 def evaluate(sys: RosenbrockSystem, lam: complex) -> np.ndarray:
     """Assemble the (r+n) x (r+n) matrix S(lambda)."""
     lam = complex(lam)
-    if not np.isfinite(lam.real) or not np.isfinite(lam.imag):
-        raise InputError("lambda must be finite")
-    r, size = sys.r, sys.r + sys.n
-    s = np.empty((size, size), dtype=complex)
-    s[:r, :r] = sys.a
-    s[:r, r:] = sys.b
-    s[r:, :r] = sys.c
-    # finite data can still overflow, e.g. in the Horner sum of P(lambda)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s[r:, r:] = sys.poly_eval(lam)
-        s.ravel()[: r * size : size + 1] -= lam  # the diagonal of A - lam I
-    if not np.isfinite(s).all():
-        raise InputError(
-            f"S(lambda) is not finite at lambda = {lam.real:g}{lam.imag:+g}i "
-            "(its entries overflow the double range)"
-        )
+    s = _assemble(sys, [lam])[0]
+    error = _assembly_error(lam, s)
+    if error is not None:
+        raise error
     return s
 
 
-class Point:
-    """S(lambda) of one system at one lambda, evaluated and factored once.
+class Scan:
+    """S(lambda_k) of one system at K points, assembled and factored in stacked calls.
 
-    One values-only SVD of S(lambda) gives ``sigma_min`` and ``sigma_max``,
-    the eigenvalue test and ``inv_norm`` = sigma_max(S(lambda)^{-1}) =
-    1/sigma_min.  The inverse itself is solved for on first use and
-    refused at an eigenvalue, so every scenario at this point shares one
-    evaluation, one SVD and at most one solve.
+    One values-only SVD gives each point's ``sigma_min``, ``sigma_max`` and
+    eigenvalue test ``eigen``; one solve gives ``inverse`` at the others.
+    The points run as if one after another: the first to fail, here or in
+    a caller's stage (:meth:`fail`), sets ``stop``; later stages run only
+    on the points before it, and :meth:`check` raises its error.
+    """
+
+    def __init__(self, sys: RosenbrockSystem, lams):
+        self.sys = sys
+        self.lams = [complex(lam) for lam in lams]
+        self.stop, self.error = len(self.lams), None
+        self.s = _assemble(sys, self.lams)
+        bad = ~np.isfinite(self.s).all(axis=(1, 2))
+        if bad.any():
+            k = int(np.argmax(bad))
+            self.fail(k, _assembly_error(self.lams[k], self.s[k]))
+        sv = np.linalg.svd(self.s[: self.stop], compute_uv=False)
+        self.sigma_max, self.sigma_min = sv[:, 0], sv[:, -1]
+        self.eigen = self.sigma_min <= EIGENVALUE_TOL * np.maximum(self.sigma_max, ABS_FLOOR)
+
+    def fail(self, k: int, error: Exception) -> None:
+        """Record that point k failed with ``error``; later points stop running."""
+        if k < self.stop:
+            self.stop, self.error = k, error
+
+    def check(self) -> None:
+        """Raise the error of the first point that failed, if one did."""
+        if self.error is not None:
+            raise self.error
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """S(lambda_k)^{-1} at the points before ``stop`` that are not eigenvalues."""
+        inv = np.zeros_like(self.s)
+        rows = [k for k in range(self.stop) if not self.eigen[k]]
+        if rows:
+            inv[rows] = np.linalg.solve(self.s[rows], np.eye(self.s.shape[1], dtype=complex))
+        return inv
+
+
+class Point:
+    """S(lambda) at one lambda: a view of the one-point :class:`Scan`.
+
+    Everything computed at this point shares its one evaluation, one SVD
+    and at most one solve.
     """
 
     def __init__(self, sys: RosenbrockSystem, lam: complex):
-        self.sys = sys
-        self.lam = complex(lam)
-        self.s = evaluate(sys, self.lam)
-        sv = np.linalg.svd(self.s, compute_uv=False)
-        self.sigma_max = float(sv[0])
-        self.sigma_min = float(sv[-1])
+        scan = self.scan = Scan(sys, [lam])
+        scan.check()
+        self.sys, self.lam, self.s = sys, scan.lams[0], scan.s[0]
+        self.sigma_max, self.sigma_min = float(scan.sigma_max[0]), float(scan.sigma_min[0])
 
     def is_eigenvalue(self, tol: float = EIGENVALUE_TOL) -> bool:
         """True when sigma_min(S(lambda)) <= tol * |S(lambda)|."""
         return self.sigma_min <= tol * max(self.sigma_max, ABS_FLOOR)
 
     @property
-    def inv_norm(self) -> float:
-        """sigma_max(S(lambda)^{-1}), from the SVD of S(lambda)."""
-        return 1.0 / self.sigma_min
-
-    @cached_property
     def inverse(self) -> np.ndarray:
         """S(lambda)^{-1}; raises :class:`SingularMatrixError` at an eigenvalue."""
         if self.is_eigenvalue():
@@ -134,7 +181,7 @@ class Point:
                 f"sigma_max={self.sigma_max:.3e})",
                 sigma_min=self.sigma_min,
             )
-        return np.linalg.solve(self.s, np.eye(self.s.shape[0], dtype=complex))
+        return self.scan.inverse[0]
 
 
 def is_eigenvalue(sys: RosenbrockSystem, lam: complex, tol: float = EIGENVALUE_TOL) -> bool:

@@ -531,6 +531,25 @@ def test_verify_overflowing_difference_names_it_exit_2(diag_system_file, tmp_pat
     assert "S(lambda) - Delta S is not finite at lambda = 1e+308+0i" in capsys.readouterr().err
 
 
+# S(1e160) = [[2 - 1e160, 1], [1, 1 + 1e160]] is finite, but lambda^2 is not;
+# S(1e300) is not finite
+TINY_A2 = {"r": 1, "n": 1, "d": 2, "A": [[2]], "B": [[1]], "C": [[1]], "P": [[[1]], [[0]], [[1e-160]]]}
+WEIGHT_OVERFLOW_1E160 = (
+    "error: the weight sum_j |lambda|^j of lambda^0..lambda^2 overflows the double range "
+    "at lambda = 1e+160+0i"
+)
+S_OVERFLOW_1E300 = (
+    "error: S(lambda) is not finite at lambda = 1e+300+0i (its entries overflow the double range)"
+)
+
+
+@pytest.fixture
+def tiny_a2_file(tmp_path):
+    path = tmp_path / "tiny_a2.json"
+    path.write_text(json.dumps(TINY_A2))
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -539,18 +558,32 @@ def test_verify_overflowing_difference_names_it_exit_2(diag_system_file, tmp_pat
         ["oracle", "--scenario", "P", "--budget", "5"],
     ],
 )
-def test_overflowing_lambda_power_exit_2(tmp_path, capsys, argv):
-    # S(1e160) = [[2 - 1e160, 1], [1, 1 + 1e160]] is finite, but lambda^2 is not
-    path = tmp_path / "tiny_a2.json"
-    path.write_text(
-        json.dumps({"r": 1, "n": 1, "d": 2, "A": [[2]], "B": [[1]], "C": [[1]],
-                    "P": [[[1]], [[0]], [[1e-160]]]})
-    )
+def test_overflowing_lambda_power_exit_2(tiny_a2_file, capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rc = main(argv + ["--lambda", "1e160", str(path)])
+        rc = main(argv + ["--lambda", "1e160", tiny_a2_file])
     assert rc == 2
     assert "lambda^2 overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["backward-error", "--scenario", "P"], ["sweep"]])
+@pytest.mark.parametrize(
+    "lambdas,message",
+    [
+        (["0.5", "1e160", "1e300"], WEIGHT_OVERFLOW_1E160),
+        (["0.5", "1e300", "1e160"], S_OVERFLOW_1E300),
+    ],
+)
+def test_scan_names_the_first_failing_lambda_exit_2(tiny_a2_file, capsys, command, lambdas, message):
+    # the weight fails after S(lambda) is assembled, yet the earlier lambda decides
+    argv = list(command)
+    for lam in lambdas:
+        argv += ["--lambda", lam]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv + [tiny_a2_file])
+    assert rc == 2
+    assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize(
@@ -658,6 +691,28 @@ def test_backward_error_p_scan_bytes_pinned(tmp_path, capsys):
     assert _stdout_sha256(argv + [str(path)], capsys) == (
         "75660684e867a07d1cd9510d6fba35809cf9641871f5142021acf6af36252e57"
     )
+
+
+def test_p_scan_stacks_its_lapack_calls(tmp_path, monkeypatch, capsys):
+    # 25 points, lambda = 0 an eigenvalue: one SVD of the S(lambda) stack, one
+    # of the M stack and one of the residuals, and one solve, where point by
+    # point takes 73 and 24
+    path = tmp_path / "system_d2.json"
+    path.write_text(json.dumps(SYSTEM_D2))
+    argv = ["backward-error", "--json", "--scenario", "P"]
+    for k in range(25):
+        argv += ["--lambda", f"{-1.2 + 0.1 * k:.2f},{0.6 - 0.05 * k:.2f}"]
+    calls = {"svd": 0, "solve": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main(argv + [str(path)]) == 0
+    assert calls == {"svd": 3, "solve": 1}
 
 
 def test_sweep_fluid_solid_bytes_pinned(tmp_path, capsys):
@@ -789,16 +844,26 @@ def test_sweep_independent_of_blas_threads(tmp_path):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(system_to_json(random_system(rng, r=2, n=2, d=1))))
     src = os.path.dirname(os.path.dirname(os.path.abspath(rosenmu.__file__)))
-    outputs = []
+    scan = ["backward-error", "--scenario", "P"]
+    for k in range(25):
+        scan += ["--lambda", f"{-1.2 + 0.1 * k:.2f},{0.6 - 0.05 * k:.2f}"]
+    commands = [
+        ["sweep", "--lambda", "0.7"],
+        ["sweep", "--lambda", "0.7", "--lambda", "-0.4,0.9", "--lambda", "1.6"],
+        scan,
+    ]
+    outputs = {}
     for threads in ("1", "4"):
         env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rosenmu.cli", "sweep", "--json", "--lambda", "0.7", str(path)],
-            env=env,
-            capture_output=True,
-            timeout=300,
-            check=True,
-        )
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+        for i, command in enumerate(commands):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rosenmu.cli", *command, "--json", str(path)],
+                env=env,
+                capture_output=True,
+                timeout=300,
+                check=True,
+            )
+            outputs.setdefault(i, []).append(proc.stdout)
+    for i, (one, four) in outputs.items():
+        assert one == four, commands[i][:2]

@@ -99,8 +99,8 @@ def test_point_inverse_and_norms(rng):
         assert (point.sigma_max, point.sigma_min) == (sv[0], sv[-1])
         assert not point.is_eigenvalue()
         inv = point.inverse
-        assert np.linalg.norm(s @ inv - np.eye(len(s)), 2) <= 1e-10 * point.sigma_max * point.inv_norm
-        assert point.inv_norm == pytest.approx(np.linalg.svd(inv, compute_uv=False)[0], rel=1e-10)
+        assert np.linalg.norm(s @ inv - np.eye(len(s)), 2) <= 1e-10 * point.sigma_max / point.sigma_min
+        assert 1.0 / point.sigma_min == pytest.approx(np.linalg.svd(inv, compute_uv=False)[0], rel=1e-10)
 
 
 def test_point_refuses_inverse_at_eigenvalue(diag_sys):
