@@ -445,19 +445,16 @@ def _top_subspace_forms(u: np.ndarray, vh: np.ndarray, rank: int, structure: Blo
 def _kernel_direction(forms) -> tuple[np.ndarray, float]:
     """Unit v (nearly) annihilating every quadratic form v* H_i v.
 
-    Minimizes sum_i |v* H_i v|^2 over the unit sphere of C^r and returns
-    the v found with the attained residual sum.  Rank 1 is trivial and
-    rank 2 is solved exactly by _kernel_direction_2; rank 3 and up run the
-    multistart BFGS search.  Each is a deterministic function of the forms.
+    Minimizes sum_i |v* H_i v|^2 over the unit sphere of C^r for forms of
+    size r = 1 or 2 and returns the minimizer with its residual sum.  Rank
+    1 is trivial and rank 2 is solved exactly by _kernel_direction_2; both
+    are deterministic functions of the forms.
     """
-    r = forms[0].shape[0]
-    if r == 1:
+    if forms[0].shape[0] == 1:
         v = np.ones(1, dtype=complex)
         return v, float(sum(abs(h[0, 0]) ** 2 for h in forms))
-    if r == 2:
-        v = _kernel_direction_2(forms)
-        return v, float(sum(np.vdot(v, h @ v).real ** 2 for h in forms))
-    return _kernel_direction_bfgs(forms)
+    v = _kernel_direction_2(forms)
+    return v, float(sum(np.vdot(v, h @ v).real ** 2 for h in forms))
 
 
 def _kernel_direction_2(forms) -> np.ndarray:
@@ -523,39 +520,6 @@ def _kernel_direction_2(forms) -> np.ndarray:
     return np.array([complex(s[0], -s[1]) / (2.0 * v1), v1])
 
 
-def _kernel_direction_bfgs(forms) -> tuple[np.ndarray, float]:
-    """Multistart BFGS for _kernel_direction at any rank r >= 2.
-
-    Minimizes the scale-invariant quotient sum_i (v* H_i v / v* v)^2 from
-    each of the r canonical unit vectors; returns the best v found and its
-    residual sum.
-    """
-    r = forms[0].shape[0]
-
-    def fg(w: np.ndarray) -> tuple[float, np.ndarray]:
-        v = w[:r] + 1j * w[r:]
-        q = float(np.vdot(v, v).real)
-        if q < TINY:
-            return 1.0, np.zeros_like(w)
-        val = 0.0
-        gc = np.zeros(r, dtype=complex)
-        for h in forms:
-            hv = h @ v
-            c = float(np.vdot(v, hv).real)
-            val += (c / q) ** 2
-            gc += 2.0 * c / q**2 * (hv - (c / q) * v)
-        return val, np.concatenate([2.0 * gc.real, 2.0 * gc.imag])
-
-    best_v, best_val = None, np.inf
-    for w0 in np.eye(2 * r)[:r]:
-        res = minimize(fg, w0, jac=True, method="BFGS", options=dict(gtol=1e-14, maxiter=300))
-        if float(res.fun) < best_val:
-            best_val, best_v = float(res.fun), res.x
-    v = best_v[:r] + 1j * best_v[r:]
-    v /= np.linalg.norm(v)
-    return v, best_val
-
-
 def _rank_one(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Rank-one block left right* / (|left| |right|), zero where either dies.
 
@@ -573,30 +537,28 @@ def _isometries_from_direction(alphas, betas, v):
     return [_rank_one(b @ v, a @ v) for a, b in zip(alphas, betas)]
 
 
-def _kernel_candidates(a_n: np.ndarray, structure: BlockStructure, x, max_rank=None):
+def _kernel_candidates(a_n: np.ndarray, structure: BlockStructure, x):
     """Lower-bound candidates from the top singular subspace at scaling x.
 
-    One candidate per distinct rank of the clusters at CLUSTER_TOLS, up to
-    ``max_rank``, built one at a time, as (rank-one blocks, kernel
-    residual); the first is at MULT_TOL.  A tolerance that clusters the same
-    rank as the one before it is skipped: it sees the same subspace, and the
-    kernel direction is a deterministic function of that subspace, so its
+    One candidate per distinct rank of the clusters at CLUSTER_TOLS, built
+    one at a time, as (rank-one blocks, kernel residual); the first is at
+    MULT_TOL.  A cluster of more than two singular values is compressed to
+    its top two pairs, so every kernel direction is a closed form of rank
+    one or two.  A tolerance that gives the same rank as the one
+    before it is skipped: it sees the same subspace, and the kernel
+    direction is a deterministic function of that subspace, so its
     candidate would be a bit-identical copy.
     """
     u, s, vh = np.linalg.svd(_scaled(a_n, structure, np.asarray(x, dtype=float)))
     prev_rank = 0
     for tol in CLUSTER_TOLS:
-        rank = int(np.count_nonzero(s[0] - s <= tol * s[0]))
-        if max_rank is not None and rank > max_rank:
-            break
+        rank = min(2, int(np.count_nonzero(s[0] - s <= tol * s[0])))
         if rank == prev_rank:
             continue
         prev_rank = rank
         alphas, betas, forms = _top_subspace_forms(u, vh, rank, structure)
         v, resid = _kernel_direction(forms)
         yield _isometries_from_direction(alphas, betas, v), resid
-        if rank == min(a_n.shape):
-            break
 
 
 def _goal(target: float, s0: float) -> float:
@@ -609,12 +571,10 @@ def _floor(a_n: np.ndarray, structure: BlockStructure, x, goal: float) -> float:
 
     Each candidate's P is block-diagonal with blocks of norm at most one, so
     this is a certified lower bound on mu; mu_lower's search at the same x
-    starts from the same candidates.  Only ranks one and two are tried, whose
-    kernel directions are closed forms: a rank-three search costs more than
-    a continuation stage where the floor stays below (mu = 0, say).
+    starts from the same candidates.
     """
     floor = 0.0
-    for blocks, _ in _kernel_candidates(a_n, structure, x, max_rank=2):
+    for blocks, _ in _kernel_candidates(a_n, structure, x):
         floor = max(floor, _eigs(structure.assemble(blocks), a_n)[0])
         if floor >= goal:
             break

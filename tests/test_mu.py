@@ -37,7 +37,6 @@ from rosenmu.mu import (
     _branch_derivatives,
     _floor,
     _kernel_direction,
-    _kernel_direction_bfgs,
     _scaled,
     _smoothed_value_and_grad,
     _snap_partial_isometry,
@@ -782,18 +781,31 @@ def _hermitian_forms(rng, n_forms, complex_):
     return forms
 
 
-def test_kernel_direction_2_no_worse_than_bfgs():
-    # the closed form is the global minimum; the multistart search is not
-    # guaranteed to be.  Zero-residual sets meet at the roundoff floor.
+def _sphere_grid(n):
+    """n points of the Fibonacci lattice on the unit sphere S^2."""
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    r = np.sqrt(1.0 - z**2)
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * k
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+def test_kernel_direction_2_no_worse_than_sphere_grid():
+    # the closed form is the global minimum: with v v* = (I + s . sigma) / 2,
+    # v* H_i v = (t_i + h_i . s) / 2, and no point s of a dense grid on S^2
+    # does better.  Zero-residual sets meet at the roundoff floor.
+    grid = _sphere_grid(20_000)
     rng = np.random.default_rng(2024)
     for trial in range(100):
         forms = _hermitian_forms(rng, int(rng.integers(1, 9)), complex_=trial % 2 == 1)
         v, resid = _kernel_direction(forms)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
         assert resid == _residual(forms, v)
-        w, _ = _kernel_direction_bfgs(forms)
+        hs = np.array([[2 * h[0, 1].real, -2 * h[0, 1].imag, (h[0, 0] - h[1, 1]).real] for h in forms])
+        t = np.array([(h[0, 0] + h[1, 1]).real for h in forms])
+        grid_min = float(np.min(np.sum(((grid @ hs.T + t) / 2) ** 2, axis=1)))
         floor = 1e-24 * sum(np.linalg.norm(h) ** 2 for h in forms)
-        assert resid <= _residual(forms, w / np.linalg.norm(w)) * (1 + 1e-12) + floor
+        assert resid <= grid_min * (1 + 1e-12) + floor
 
 
 def test_kernel_direction_2_hard_case():
@@ -838,11 +850,11 @@ def _matrix_with_singular_values(rng, s):
 @pytest.mark.parametrize(
     "sigmas, kernel_ranks",
     [
-        # ranks 1, 2, 2, 4 at the four cluster tolerances: the repeated 2 is skipped
-        ([1, 1 - 1e-7, 1 - 1e-3, 1 - 1e-3, 0.5, 0.4], [1, 2, 4]),
-        # ranks 2, 2, 3, 3: the rank-3 search starts from canonical vectors only,
-        # so the repeated 3 is skipped too
-        ([1, 1, 1 - 1e-5, 0.5, 0.4, 0.3], [2, 3]),
+        # clusters of 1, 2, 2 and 4 at the four cluster tolerances: the 4 is
+        # compressed to its top two pairs, and the repeated 2s are skipped
+        ([1, 1 - 1e-7, 1 - 1e-3, 1 - 1e-3, 0.5, 0.4], [1, 2]),
+        # clusters of 2, 2, 3 and 3: all of rank 2 after the compression
+        ([1, 1, 1 - 1e-5, 0.5, 0.4, 0.3], [2]),
     ],
 )
 def test_mu_lower_one_kernel_call_per_distinct_rank(monkeypatch, kernel_only, sigmas, kernel_ranks):
@@ -856,6 +868,34 @@ def test_mu_lower_one_kernel_call_per_distinct_rank(monkeypatch, kernel_only, si
     m = _matrix_with_singular_values(np.random.default_rng(8), sigmas)
     mu_lower(m, BlockStructure(((1, 1),) * 6), x_star=np.zeros(6))
     assert ranks == kernel_ranks
+
+
+def test_rank_three_top_cluster_takes_its_top_two_pairs(monkeypatch):
+    # At M = I under n scalar blocks the top singular value has multiplicity
+    # n at the optimum x = 0.  The top two pairs of that cluster give a
+    # partial isometry with rho(P M) = 1 = mu, so the floor closes the
+    # bracket after the continuation's first descent, and mu_lower takes
+    # that candidate as built.
+    shapes = []
+
+    def recording(forms):
+        shapes.append(forms[0].shape)
+        return _kernel_direction(forms)
+
+    monkeypatch.setattr("rosenmu.mu._kernel_direction", recording)
+    for n in (4, 6):
+        calls = _counting_minimize(monkeypatch)
+        res = mu_bracket(np.eye(n), BlockStructure(((1, 1),) * n))
+        assert calls == ["BFGS"]
+        assert res.upper - res.lower <= CLOSE_TOL * res.upper
+    # a multiplicity-3 optimum under three blocks keeps its exact label
+    rng = np.random.default_rng(77)
+    for _ in range(3):
+        m = _matrix_with_singular_values(rng, [1, 1, 1, 0.5, 0.3, 0.1])
+    res = mu_bracket(m, BlockStructure(((1, 1), (2, 2), (3, 3))))
+    assert res.upper_bound.multiplicity == 3
+    assert res.exactness == "exact_n_le_3"
+    assert set(shapes) <= {(1, 1), (2, 2)}
 
 
 # mu_lower values (float.hex) from mu_bracket while the rank-two kernel
