@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .backward_error import BackwardErrorResult, scan_backward_errors
-from .linalg import ABS_FLOOR, InputError, NumericError, sigma_min
+from .linalg import InputError, NumericError, sigma_min
 from .mu import mu_bracket
 from .oracle import brute_force_backward_error, brute_force_mu
 from .reduction import (
@@ -393,8 +393,9 @@ def _cmd_verify(args) -> int:
         )
     residual = sigma_min(perturbed)
     norm = perturbation_norm(blocks.values()) if blocks else 0.0
-    scale = max(point.sigma_max, ABS_FLOOR)
+    scale = point.sigma_max  # relative at every scale: at S = 0 only a zero residual passes
     residual_ok = residual <= args.tol * scale
+    relative = residual / scale if scale else (np.inf if residual else 0.0)
     norm_ok = abs(norm - claimed) <= NORM_MATCH_TOL * max(1.0, abs(claimed))
     ok = residual_ok and norm_ok
     report = {
@@ -404,7 +405,7 @@ def _cmd_verify(args) -> int:
         "claimed_eta": claimed,
         "recomputed_norm": norm,
         "residual": residual,
-        "relative_residual": residual / scale,
+        "relative_residual": relative,
         "tolerance": args.tol,
         "residual_ok": residual_ok,
         "norm_ok": norm_ok,

@@ -2,9 +2,11 @@
 
 Thin, contract-enforcing wrappers around LAPACK (via numpy): input
 coercion, the extreme singular values and the package's error types.
-Tolerances are relative to the spectral norm with an absolute floor of
-``ABS_FLOOR``.  The one singularity test of S(lambda), and its inverse,
-live in :class:`rosenmu.rosenbrock.Scan`.
+Tolerances are relative to the spectral norm, except where they still
+take the absolute floor ``ABS_FLOOR``: the eigenvalue tests of S(lambda)
+(:class:`rosenmu.rosenbrock.Scan`, which also holds its inverse, and
+``Point.is_eigenvalue``) and the one-block zero test of the backward
+error.
 """
 
 from __future__ import annotations

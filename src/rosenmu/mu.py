@@ -132,14 +132,6 @@ class MuResult:
     scale: float  # sigma_max(M), the scale of every relative zero test
 
 
-def _sigma_max(a: np.ndarray) -> float:
-    """sigma_max(M), refused with InputError where it overflows."""
-    scale = float(np.linalg.svd(a, compute_uv=False)[0])
-    if not np.isfinite(scale):
-        raise InputError("sigma_max(M) overflows the double range, so mu cannot be bracketed")
-    return scale
-
-
 def _weights(structure: BlockStructure, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of D1(x) (k x k) and D2(-x) (p x p)."""
     return np.exp(x)[structure.k_index], np.exp(-x)[structure.p_index]
@@ -148,6 +140,11 @@ def _weights(structure: BlockStructure, x: np.ndarray) -> tuple[np.ndarray, np.n
 def _scaled(m: np.ndarray, structure: BlockStructure, x: np.ndarray) -> np.ndarray:
     row, col = _weights(structure, x)
     return m * row[:, None] * col[None, :]
+
+
+def _evaluate(m: np.ndarray, structure: BlockStructure, x: np.ndarray):
+    """Thin SVD (u, s, vh) of D1(x) M D2(-x): the one evaluation of a scaling."""
+    return np.linalg.svd(_scaled(m, structure, x), full_matrices=False)
 
 
 def scaled_sigma(m, structure: BlockStructure, x) -> float:
@@ -162,19 +159,16 @@ def scaled_sigma(m, structure: BlockStructure, x) -> float:
     return float(np.linalg.svd(_scaled(a, structure, x), compute_uv=False)[0])
 
 
-def _value_and_branch_grad(
-    m: np.ndarray, structure: BlockStructure, x: np.ndarray
-) -> tuple[float, np.ndarray, int]:
+def _branch(svd, structure: BlockStructure) -> tuple[float, np.ndarray, int]:
     """Objective value, gradient of the top singular branch, multiplicity.
 
-    The branch gradient equals the analytic gradient wherever sigma_max is
-    simple and is a valid one-sided slope elsewhere.
+    ``svd`` is an evaluation (:func:`_evaluate`).  The branch gradient
+    equals the analytic gradient wherever sigma_max is simple and is a
+    valid one-sided slope elsewhere.
     """
-    a = _scaled(m, structure, x)
-    u_full, s, vh = np.linalg.svd(a)
+    u, s, vh = svd
     mult = int(np.count_nonzero(s[0] - s <= MULT_TOL * s[0])) if s[0] > 0 else len(s)
-    u = u_full[:, 0]
-    v = vh[0].conj()
+    u, v = u[:, 0], vh[0].conj()
     grad = np.empty(structure.n_blocks)
     for i, (sp, sk) in enumerate(structure.places):
         grad[i] = s[0] * (
@@ -188,7 +182,7 @@ def _branch_derivatives(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian in x of sigma_1(D1(x) M D2(-x)) at a simple sigma_1.
 
-    u, s, vh is an SVD (thin or full) of the scaled matrix A.  sigma_1 is
+    u, s, vh is an evaluation (:func:`_evaluate`) of A.  sigma_1 is
     the top eigenvalue of the dilation [[0, A], [A*, 0]], whose other
     eigenvalues are +-sigma_j, with eigenvectors [u_j; +-v_j]/sqrt(2), and
     0 on the null vectors [u_j; 0] and [0; v_j] beyond the rank.  Over the
@@ -232,7 +226,7 @@ def scaled_sigma_gradient(m, structure: BlockStructure, x):
     a = as_matrix(m)
     structure.check_shape(a)
     x = np.asarray(x, dtype=float)
-    value, grad, mult = _value_and_branch_grad(a, structure, x)
+    value, grad, mult = _branch(_evaluate(a, structure, x), structure)
     if value > 0 and mult > 1:
         return None
     return grad
@@ -264,7 +258,7 @@ def _smoothed_value_and_grad(m: np.ndarray, structure: BlockStructure, x: np.nda
     log sigma_max.  Its gradient sums w_j (|u_j|^2 - |v_j|^2) per block with
     softmax weights w_j proportional to (sigma_j / sigma_1)^(1/tau).
     """
-    u, s, vh = np.linalg.svd(_scaled(m, structure, x), full_matrices=False)
+    u, s, vh = _evaluate(m, structure, x)
     w = (s / s[0]) ** (1.0 / tau)
     total = float(np.sum(w))
     row, col = np.abs(u) ** 2 @ (w / total), np.abs(vh.T) ** 2 @ (w / total)
@@ -285,18 +279,14 @@ def _newton(a_n: np.ndarray, structure: BlockStructure, full):
     gives up (for the continuation to take over) at a repeated sigma_max, a
     Hessian that is not positive definite, NEWTON_BACKTRACKS halvings
     without decrease, or after BFGS_MAX_ITERS steps.  Returns the last x,
-    its sigma_max, its gradient (None where the descent gave up), the steps
+    its evaluation, its gradient (None where the descent gave up), the steps
     taken and the number of evaluations.
     """
-
-    def evaluate(xf):
-        u, s, vh = np.linalg.svd(_scaled(a_n, structure, full(xf)), full_matrices=False)
-        return float(s[0]), (u, s, vh)
-
     xf = np.zeros(structure.n_blocks - 1)
-    (value, svd), evaluations = evaluate(xf), 1
+    svd, evaluations = _evaluate(a_n, structure, full(xf)), 1
     for steps in range(BFGS_MAX_ITERS):
         s = svd[1]
+        value = float(s[0])
         if s[0] - s[1] <= MULT_TOL * s[0]:
             break
         grad, hess = _branch_derivatives(*svd, structure)
@@ -308,21 +298,21 @@ def _newton(a_n: np.ndarray, structure: BlockStructure, full):
         y = np.linalg.solve(chol, g)
         decrement = float(y @ y)
         if decrement <= NEWTON_DECREMENT_TOL * value:
-            return full(xf), value, grad, steps, evaluations
+            return full(xf), svd, grad, steps, evaluations
         step = -np.linalg.solve(chol.T, y)
         t = 1.0
         for _ in range(NEWTON_BACKTRACKS):
-            trial, trial_svd = evaluate(xf + t * step)
+            trial = _evaluate(a_n, structure, full(xf + t * step))
             evaluations += 1
-            if trial <= value - ARMIJO * t * decrement:
+            if trial[1][0] <= value - ARMIJO * t * decrement:
                 break
             t /= 2.0
         else:
             break
-        xf, value, svd = xf + t * step, trial, trial_svd
+        xf, svd = xf + t * step, trial
     else:
         steps = BFGS_MAX_ITERS
-    return full(xf), value, None, steps, evaluations
+    return full(xf), svd, None, steps, evaluations
 
 
 @dataclass
@@ -334,6 +324,7 @@ class UpperBound:
     iterations: int  # Newton steps plus BFGS iterations
     scale: float  # sigma_max(M), by which the search normalizes M
     evaluations: int  # SVDs of the scaled matrix, Newton and continuation together
+    svd: tuple | None  # the evaluation (u, s, vh) of M / scale at x; None for M = 0
 
 
 def mu_upper(m, structure: BlockStructure) -> UpperBound:
@@ -360,19 +351,23 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
     (mu = 0, or mu below the scaling optimum) every tau runs.
 
     The first scaling exponent is frozen at zero: shifting all exponents
-    together never changes the objective.
+    together never changes the objective.  The floor and mu_lower read
+    their candidates from the evaluations here and take no SVD of their own.
     """
     a = as_matrix(m)
     structure.check_shape(a)
     nb = structure.n_blocks
-    s0 = _sigma_max(a)
+    s0 = float(np.linalg.svd(a, compute_uv=False)[0])
+    if not np.isfinite(s0):
+        raise InputError("sigma_max(M) overflows the double range, so mu cannot be bracketed")
     if s0 == 0.0:
-        return UpperBound(0.0, np.zeros(nb), min(a.shape), None, 0, s0, 0)
+        return UpperBound(0.0, np.zeros(nb), min(a.shape), None, 0, s0, 0, None)
     a_n = _normalized(a, s0)
 
     if nb == 1:
-        value, _, mult = _value_and_branch_grad(a_n, structure, np.zeros(1))
-        return UpperBound(s0 * value, np.zeros(1), mult, 0.0, 0, s0, 1)
+        svd = _evaluate(a_n, structure, np.zeros(1))
+        value, _, mult = _branch(svd, structure)
+        return UpperBound(s0 * value, np.zeros(1), mult, 0.0, 0, s0, 1, svd)
 
     evaluations = 0
 
@@ -380,16 +375,17 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
         return np.clip(np.concatenate(([0.0], xf)), -X_BOUND, X_BOUND)
 
     def fg(xf: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad, _ = _value_and_branch_grad(a_n, structure, full(xf))
+        value, grad, _ = _branch(_evaluate(a_n, structure, full(xf)), structure)
         return value, grad[1:]
 
     def smoothed(xf: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
         value, grad = _smoothed_value_and_grad(a_n, structure, full(xf), tau)
         return value, grad[1:]
 
-    def bound(x_star, value, grad, mult, iterations) -> UpperBound:
+    def bound(x_star, svd, grad, mult, iterations) -> UpperBound:
+        value = float(svd[1][0])
         grad_norm = float(np.linalg.norm(grad[1:])) / value if mult == 1 else None
-        return UpperBound(s0 * value, x_star, mult, grad_norm, iterations, s0, evaluations)
+        return UpperBound(s0 * value, x_star, mult, grad_norm, iterations, s0, evaluations, svd)
 
     def descend(objective, x0: np.ndarray, args=()):
         nonlocal evaluations
@@ -397,17 +393,18 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
         res = minimize(objective, x0, args, jac=True, method="BFGS", options=options)
         x_star = full(res.x)
         evaluations += int(res.nfev) + 1
-        return bound(x_star, *_value_and_branch_grad(a_n, structure, x_star), int(res.nit)), res.x
+        svd = _evaluate(a_n, structure, x_star)
+        return bound(x_star, svd, *_branch(svd, structure)[1:], int(res.nit)), res.x
 
     def gap(bound: UpperBound) -> float:
         """Relative gap to the floor at bound.x, 0 where the floor meets it."""
         goal = _goal(bound.value, s0)
-        floor = _floor(a_n, structure, bound.x, goal)
+        floor = _floor(a_n, structure, bound.svd, goal)
         return 0.0 if floor >= goal else 1.0 - s0 * floor / bound.value
 
-    x_star, value, grad, iterations, evaluations = _newton(a_n, structure, full)
+    x_star, svd, grad, iterations, evaluations = _newton(a_n, structure, full)
     if grad is not None:
-        newton = bound(x_star, value, grad, 1, iterations)
+        newton = bound(x_star, svd, grad, 1, iterations)
         if _is_stationary(1, newton.grad_norm):
             return newton
     best, xf = descend(fg, np.zeros(nb - 1))
@@ -537,19 +534,19 @@ def _isometries_from_direction(alphas, betas, v):
     return [_rank_one(b @ v, a @ v) for a, b in zip(alphas, betas)]
 
 
-def _kernel_candidates(a_n: np.ndarray, structure: BlockStructure, x):
-    """Lower-bound candidates from the top singular subspace at scaling x.
+def _kernel_candidates(a_n: np.ndarray, structure: BlockStructure, svd):
+    """Lower-bound candidates from the top singular subspace of an evaluation.
 
     One candidate per distinct rank of the clusters at CLUSTER_TOLS, built
-    one at a time, as (rank-one blocks, kernel residual); the first is at
-    MULT_TOL.  A cluster of more than two singular values is compressed to
+    one at a time, as (Delta of rank-one blocks, kernel residual,
+    rho(Delta M), eigenpairs of Delta M); the first is at MULT_TOL.  A cluster of more than two singular values is compressed to
     its top two pairs, so every kernel direction is a closed form of rank
-    one or two.  A tolerance that gives the same rank as the one
-    before it is skipped: it sees the same subspace, and the kernel
-    direction is a deterministic function of that subspace, so its
-    candidate would be a bit-identical copy.
+    one or two.  A tolerance that gives the same rank as the one before it
+    is skipped: it sees the same subspace, and the kernel direction is a
+    deterministic function of that subspace, so its candidate would be a
+    bit-identical copy.
     """
-    u, s, vh = np.linalg.svd(_scaled(a_n, structure, np.asarray(x, dtype=float)))
+    u, s, vh = svd
     prev_rank = 0
     for tol in CLUSTER_TOLS:
         rank = min(2, int(np.count_nonzero(s[0] - s <= tol * s[0])))
@@ -558,7 +555,8 @@ def _kernel_candidates(a_n: np.ndarray, structure: BlockStructure, x):
         prev_rank = rank
         alphas, betas, forms = _top_subspace_forms(u, vh, rank, structure)
         v, resid = _kernel_direction(forms)
-        yield _isometries_from_direction(alphas, betas, v), resid
+        delta = structure.assemble(_isometries_from_direction(alphas, betas, v))
+        yield (delta, resid, *_eigs(delta, a_n))
 
 
 def _goal(target: float, s0: float) -> float:
@@ -566,16 +564,16 @@ def _goal(target: float, s0: float) -> float:
     return target / s0 * (1 - CLOSE_TOL)
 
 
-def _floor(a_n: np.ndarray, structure: BlockStructure, x, goal: float) -> float:
-    """Largest rho(P M) over the kernel-direction candidates at x, up to goal.
+def _floor(a_n: np.ndarray, structure: BlockStructure, svd, goal: float) -> float:
+    """Largest rho(P M) over the kernel candidates of an evaluation, up to goal.
 
     Each candidate's P is block-diagonal with blocks of norm at most one, so
-    this is a certified lower bound on mu; mu_lower's search at the same x
-    starts from the same candidates.
+    this is a certified lower bound on mu.  At the x that mu_upper returns,
+    mu_lower's search reads the same candidates from the same evaluation.
     """
     floor = 0.0
-    for blocks, _ in _kernel_candidates(a_n, structure, x):
-        floor = max(floor, _eigs(structure.assemble(blocks), a_n)[0])
+    for _, _, rho, _ in _kernel_candidates(a_n, structure, svd):
+        floor = max(floor, rho)
         if floor >= goal:
             break
     return floor
@@ -698,43 +696,33 @@ class LowerBound:
     refine_rounds: int  # iterations of _ascend over all candidates
 
 
-def mu_lower(
-    m,
-    structure: BlockStructure,
-    x_star=None,
-    target: float | None = None,
-    *,
-    scale: float | None = None,
-) -> LowerBound:
+def mu_lower(m, structure: BlockStructure, upper: UpperBound | None = None) -> LowerBound:
     """Best certified lower bound sup rho(P M) over the searched P.
 
-    Candidates come from :func:`_kernel_candidates` at the scaling
-    optimum x_star (none without it).  A candidate
-    whose rho comes within CLOSE_TOL of ``target`` ends the search; any
-    other is refined by :func:`_ascend`.  A winner the ascent produced is
-    snapped to partial isometries and rho is evaluated once more: that
-    value is the bound, and the snapped blocks are its certificate.  A
-    winner taken as built is already a partial-isometry set and keeps its
-    rho, so at the x where mu_upper's floor met the target the bound is
-    that floor.  ``scale`` is sigma_max(M) when the caller has it.
+    Candidates come from :func:`_kernel_candidates` of the evaluation at
+    the scaling optimum that ``upper``, mu_upper's record, holds (none
+    without it).  A candidate whose rho comes within CLOSE_TOL of
+    upper.value ends the search; any other is refined by :func:`_ascend`.  A winner the ascent
+    produced is snapped to partial isometries and rho is evaluated once
+    more: that value is the bound, and the snapped blocks are its
+    certificate.  A winner taken as built is already a partial-isometry set
+    and keeps its rho, so where mu_upper's floor met the target the bound
+    is that floor.
     """
     a = as_matrix(m)
     structure.check_shape(a)
-    s0 = _sigma_max(a) if scale is None else scale
-    if s0 == 0.0:
+    if upper is None or upper.scale == 0.0:
         return LowerBound(0.0, None, None, 0)
+    s0 = upper.scale
     a_n = _normalized(a, s0)
-    goal = np.inf if target is None else _goal(target, s0)
+    goal = _goal(upper.value, s0)
     kernel_residual = None
-    # built one at a time, so the search stops paying for candidates once one meets the target
-    candidates = () if x_star is None else _kernel_candidates(a_n, structure, x_star)
 
     best_rho, best_delta, ascended, iterations = 0.0, None, False, 0
-    for cand, resid in candidates:
+    # built one at a time, so the search stops paying for candidates once one meets the target
+    for delta, resid, rho, eig in _kernel_candidates(a_n, structure, upper.svd):
         if kernel_residual is None:
             kernel_residual = resid  # the MULT_TOL candidate's
-        delta = structure.assemble(cand)
-        rho, eig = _eigs(delta, a_n)
         refine = rho < goal
         if refine:
             rho, delta, used = _ascend(a_n, delta, rho, structure.places, eig=eig)
@@ -795,7 +783,7 @@ def mu_bracket(m, structure: BlockStructure) -> MuResult:
     a = as_matrix(m)
     upper = mu_upper(a, structure)  # checks the shape and the scale
     scale = upper.scale
-    lower = mu_lower(a, structure, upper.x, upper.value, scale=scale)
+    lower = mu_lower(a, structure, upper)
 
     nb = structure.n_blocks
     if nb <= 3 and upper.value - lower.value <= EXACT_GAP_TOL * upper.value:

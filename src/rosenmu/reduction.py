@@ -4,10 +4,11 @@ Each of the 15 nonempty subsets of perturbable blocks {A, B, C, P} reduces
 to a structured mu-value of a rectangular matrix M under a rectangular
 block diagonal perturbation class, with one block per letter.  One table,
 :func:`_place`, records where each labelled block sits in S(lambda);
-``reduce`` gathers M with it from the inverse held by a
-:class:`~rosenmu.rosenbrock.Point`, which all scenarios at that point
-share, and ``assemble_perturbation`` uses it to put labelled blocks back
-into S(lambda), so certificates stay self-describing.
+:func:`reduce_stack` gathers M with it from the stacked inverses of a
+:class:`~rosenmu.rosenbrock.Scan`, which all scenarios at those points
+share (``reduce`` is its one-point form), and ``assemble_perturbation``
+uses it to put labelled blocks back into S(lambda), so certificates stay
+self-describing.
 
 The coefficients A_0..A_d of P(z) all sit at the same place, so the set
 {sum_j lambda^j Delta A_j : max_j |Delta A_j| <= eps} is the ball of
@@ -197,7 +198,7 @@ class ReducedProblem:
     ``labels[i]`` names the block of S(lambda) that block i of Delta
     lands in: one of "A", "B", "C" or "P", the weighted block of P(z)
     (see :func:`labeled_blocks`).  S(lambda) and its norms stay with the
-    :class:`~rosenmu.rosenbrock.Point` it came from.
+    :class:`~rosenmu.rosenbrock.Scan` whose inverse M was gathered from.
     """
 
     m: np.ndarray

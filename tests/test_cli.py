@@ -176,6 +176,37 @@ def test_verify_rejects_tampered_certificate(system_file, tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def _write_verify_inputs(tmp_path, system, certificate):
+    paths = tmp_path / "system.json", tmp_path / "cert.json"
+    for path, doc in zip(paths, (system, certificate)):
+        path.write_text(json.dumps(doc))
+    return [str(path) for path in paths]
+
+
+def test_verify_residual_is_relative_at_tiny_scale(tmp_path, capsys):
+    # sigma_max(S) is about 3e-30: a residual of 2.2e-31 is 7% of it, far
+    # above the relative tolerance, however small it is in absolute terms
+    system = {
+        "r": 1, "n": 1, "d": 0, "A": [[[2e-30, 0]]], "B": [[[1e-30, 0]]],
+        "C": [[[1e-30, 0]]], "P": [[[[1e-30, 0]]]],
+    }
+    cert = {"lambda": [5e-31, 0], "scenario": "A", "delta_blocks": {"A": [[[1e-40, 0]]]}, "claimed_eta": 1e-40}
+    assert main(["verify", "--json", *_write_verify_inputs(tmp_path, system, cert)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["norm_ok"] and not report["residual_ok"]
+    assert report["relative_residual"] > 0.05
+
+
+def test_verify_zero_certificate_at_zero_s_lambda(tmp_path, capsys):
+    # S(0.5) = 0: every certificate's residual is relative to a zero scale,
+    # and the zero certificate's residual 0 passes
+    system = dict(DIAG_SYSTEM, A=[[[0.5, 0.0]]], P=[[[[0.0, 0.0]]]])
+    cert = {"lambda": [0.5, 0], "scenario": "A", "delta_blocks": {"A": [[[0, 0]]]}, "claimed_eta": 0}
+    assert main(["verify", "--json", *_write_verify_inputs(tmp_path, system, cert)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verified"] and report["relative_residual"] == 0
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_verify_tol_must_be_finite_and_positive_exit_2(system_file, tmp_path, capsys, tol):
     cert = tmp_path / "cert.json"

@@ -33,10 +33,13 @@ from rosenmu.mu import (
     SMOOTHING_TAUS,
     STATIONARY_TOL,
     X_BOUND,
+    UpperBound,
     _ascend,
     _branch_derivatives,
+    _evaluate,
     _floor,
     _kernel_direction,
+    _normalized,
     _scaled,
     _smoothed_value_and_grad,
     _snap_partial_isometry,
@@ -297,11 +300,20 @@ def kernel_only(monkeypatch):
 KERNEL_TOL = 1e-8
 
 
+def _upper_at(m, structure, x):
+    """An upper-bound record at a chosen x with no target: mu_lower then
+    refines every candidate of the evaluation at x."""
+    a = np.asarray(m, dtype=complex)
+    scale, x = sigma_max(a), np.asarray(x, dtype=float)
+    svd = _evaluate(_normalized(a, scale), structure, x)
+    return UpperBound(np.inf, x, 1, None, 0, scale, 1, svd)
+
+
 def test_extract_certificate_simple_case(rng, kernel_only):
     # Generic single block: top pair is simple, certificate reaches sigma_max.
     m = cgauss(rng, 3, 3)
     structure = BlockStructure(((3, 3),))
-    low = mu_lower(m, structure, x_star=np.zeros(1))
+    low = mu_lower(m, structure, _upper_at(m, structure, np.zeros(1)))
     assert low.kernel_residual <= KERNEL_TOL
     pset = low.certificate
     assert pset is not None
@@ -313,7 +325,7 @@ def test_extract_certificate_simple_case(rng, kernel_only):
 def test_extract_certificate_kink(kernel_only):
     # At the sqrt(6) optimum both branches meet: repeated sigma_max.
     t_star = 0.5 * np.log(2.0 / 3.0)
-    low = mu_lower(ANTIDIAG, TWO_SCALARS, x_star=np.array([0.0, t_star]))
+    low = mu_lower(ANTIDIAG, TWO_SCALARS, _upper_at(ANTIDIAG, TWO_SCALARS, [0.0, t_star]))
     assert low.kernel_residual <= KERNEL_TOL
     pset = low.certificate
     assert pset is not None
@@ -383,23 +395,37 @@ def test_snap_partial_isometry(rng):
     np.testing.assert_allclose(_snap_partial_isometry(np.zeros((2, 3))), 0)
 
 
+def _check_bracket_and_certificate(m, structure):
+    res = mu_bracket(m, structure)
+    assert res.lower <= res.upper + 1e-9 * max(1.0, res.upper)
+    assert res.upper <= sigma_max(m) + 1e-12
+    if res.certificate_p is not None:
+        assert res.certificate_p.max_defect() <= 1e-10
+    if res.certificate_delta is not None:
+        delta = structure.assemble(res.certificate_delta)
+        assert res.delta_residual <= 1e-8 * max(
+            1.0, sigma_max(m) * sigma_max(delta)
+        )
+        assert perturbation_norm(res.certificate_delta) == pytest.approx(
+            1.0 / res.lower, rel=1e-9
+        )
+    return res
+
+
 def test_bracket_and_certificate_invariants(rng):
     for _ in range(12):
         structure = random_structure(rng, n_blocks=int(rng.integers(1, 5)))
-        m = cgauss(rng, structure.k_total, structure.p_total)
-        res = mu_bracket(m, structure)
-        assert res.lower <= res.upper + 1e-9 * max(1.0, res.upper)
-        assert res.upper <= sigma_max(m) + 1e-12
-        if res.certificate_p is not None:
-            assert res.certificate_p.max_defect() <= 1e-10
-        if res.certificate_delta is not None:
-            delta = structure.assemble(res.certificate_delta)
-            assert res.delta_residual <= 1e-8 * max(
-                1.0, sigma_max(m) * sigma_max(delta)
-            )
-            assert perturbation_norm(res.certificate_delta) == pytest.approx(
-                1.0 / res.lower, rel=1e-9
-            )
+        _check_bracket_and_certificate(cgauss(rng, structure.k_total, structure.p_total), structure)
+    # wide M (p_i >= 2 k_i), where the thin SVD's trailing right singular
+    # vectors are not those of the full one; real M on every third draw
+    wide = np.random.default_rng(2026)
+    for i in range(12):
+        n_blocks = int(wide.integers(2, 6))
+        structure = BlockStructure(tuple((int(wide.integers(2, 5)), 1) for _ in range(n_blocks)))
+        m = cgauss(wide, structure.k_total, structure.p_total)
+        res = _check_bracket_and_certificate(m.real if i % 3 == 0 else m, structure)
+        if n_blocks <= 3:
+            assert res.exactness == "exact_n_le_3"
 
 
 def test_exactness_n_le_3(rng):
@@ -613,20 +639,22 @@ def test_mu_scalar_bfgs_iterations():
 
 def test_mu_scalar_continuation_stops_on_the_floor(monkeypatch):
     # The continuation stops once the floor meets sigma_max.  mu_lower then
-    # starts from the same candidates at the same x, so the reported lower
-    # bound is the floor that stopped the search.
+    # starts from the same candidates at the same x: it reads them from the
+    # evaluation that the last floor read, so the reported lower bound is
+    # the floor that stopped the search.
     floors = []
 
-    def recording(a_n, structure, x, goal):
-        floor = _floor(a_n, structure, x, goal)
-        floors.append((floor, goal))
+    def recording(a_n, structure, svd, goal):
+        floor = _floor(a_n, structure, svd, goal)
+        floors.append((floor, goal, svd))
         return floor
 
     monkeypatch.setattr("rosenmu.mu._floor", recording)
     for m, structure in _mu_scalar_problems():
         floors.clear()
         res = mu_bracket(m, structure)
-        floor, goal = floors[-1]
+        floor, goal, svd = floors[-1]
+        assert svd is res.upper_bound.svd
         assert floor >= goal
         assert res.upper - res.lower <= CLOSE_TOL * res.upper
         assert res.lower >= res.scale * floor
@@ -702,6 +730,26 @@ def test_backward_error_takes_sigma_max_of_m_once(monkeypatch):
     assert res.mu.scale == svd(m, compute_uv=False)[0]
 
 
+def test_mu_bracket_takes_one_svd_per_evaluation(monkeypatch):
+    # Every SVD of the scaled matrix is one of mu_upper's evaluations: the
+    # floors and mu_lower read their candidates from the evaluations it made
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _evaluate(*args)
+
+    monkeypatch.setattr("rosenmu.mu._evaluate", counting)
+    problem = reduce(Point(fluid_solid_instance(), 0.7), Scenario.from_string("ABCP"))
+    newton_exit = mu_bracket(problem.m, problem.structure)
+    assert newton_exit.upper_bound.grad_norm <= STATIONARY_TOL
+    assert len(calls) == newton_exit.upper_bound.evaluations
+    calls.clear()
+    kink = mu_bracket(*KINK_6X6)
+    assert kink.upper_bound.multiplicity == 2
+    assert len(calls) == kink.upper_bound.evaluations
+
+
 def test_mu_lower_one_eigen_solve_per_candidate(monkeypatch):
     # a candidate's eigenpairs come from one eig, which its ascent starts
     # from; the one eigvals is that of the snapped winner
@@ -722,7 +770,7 @@ def test_mu_lower_one_eigen_solve_per_candidate(monkeypatch):
 
     monkeypatch.setattr("rosenmu.mu._ascend", recording)
     m, structure = KINK_6X6
-    low = mu_lower(m, structure, x_star=np.zeros(6))  # no target: every candidate climbs
+    low = mu_lower(m, structure, _upper_at(m, structure, np.zeros(6)))  # every candidate climbs
     assert ascents
     assert counts == {"eig": len(ascents) + low.refine_rounds, "eigvals": 1}
 
@@ -730,7 +778,7 @@ def test_mu_lower_one_eigen_solve_per_candidate(monkeypatch):
 def test_mu_bracket_deterministic_without_options(rng):
     # the engine takes no seed and no effort knobs, and repeats its bits
     assert list(inspect.signature(mu_bracket).parameters) == ["m", "structure"]
-    assert list(inspect.signature(mu_lower).parameters)[2:] == ["x_star", "target", "scale"]
+    assert list(inspect.signature(mu_lower).parameters)[2:] == ["upper"]
     structure = random_structure(rng, n_blocks=5)
     m = cgauss(rng, structure.k_total, structure.p_total)
     a, b = mu_bracket(m, structure), mu_bracket(m, structure)
@@ -866,7 +914,8 @@ def test_mu_lower_one_kernel_call_per_distinct_rank(monkeypatch, kernel_only, si
 
     monkeypatch.setattr("rosenmu.mu._kernel_direction", recording)
     m = _matrix_with_singular_values(np.random.default_rng(8), sigmas)
-    mu_lower(m, BlockStructure(((1, 1),) * 6), x_star=np.zeros(6))
+    structure = BlockStructure(((1, 1),) * 6)
+    mu_lower(m, structure, _upper_at(m, structure, np.zeros(6)))
     assert ranks == kernel_ranks
 
 
