@@ -14,7 +14,6 @@ from .backward_error import BackwardErrorResult, backward_error, scenario_sweep
 from .linalg import (
     InputError,
     NumericError,
-    SingularMatrixError,
     sigma_max,
     sigma_min,
 )
@@ -29,7 +28,6 @@ from .mu import (
 from .oracle import OracleEstimate, brute_force_backward_error, brute_force_mu
 from .reduction import (
     BlockStructure,
-    ReducedProblem,
     Scenario,
     all_scenarios,
     assemble_perturbation,
@@ -57,10 +55,8 @@ __all__ = [
     "NumericError",
     "OracleEstimate",
     "PartialIsometrySet",
-    "ReducedProblem",
     "RosenbrockSystem",
     "Scenario",
-    "SingularMatrixError",
     "all_scenarios",
     "assemble_perturbation",
     "backward_error",

@@ -30,7 +30,7 @@ from .reduction import (
     assemble_perturbation,
     labeled_blocks,
     perturbation_norm,
-    reduce_stack,
+    reduce,
 )
 from .rosenbrock import RosenbrockSystem, Scan, weight
 
@@ -113,7 +113,7 @@ def _scan_results(scan: Scan, scenario: Scenario) -> list[BackwardErrorResult | 
         rows.append(k)
     if not rows:
         return results
-    m, structure, labels = reduce_stack(scan.inverse[rows], weights[rows], scenario, sys.r, sys.n)
+    m, structure, labels = reduce(scan.inverse[rows], weights[rows], scenario, sys.r, sys.n)
     one_block = structure.n_blocks == 1
     if one_block:
         # One perturbed block (A, B, C, or the weighted P): mu degenerates
@@ -137,9 +137,6 @@ def _scan_results(scan: Scan, scenario: Scenario) -> list[BackwardErrorResult | 
                 res.exactness = mu.exactness
                 res.eta_lower = 1.0 / mu.upper if mu.upper > 0 else np.inf
                 res.possibly_infinite = negligible(mu.lower, mu.scale, ZERO_TOL)
-                if mu.lower > 0:
-                    # roundoff can cross the mu bounds by ~1e-15; keep the eta interval ordered
-                    res.eta_lower = min(res.eta_lower, 1.0 / mu.lower)
                 if mu.certificate_delta is not None and mu.lower > 0:
                     res.eta_upper = 1.0 / mu.lower
                     delta = mu.certificate_delta

@@ -26,12 +26,7 @@ from .reduction import (
     assemble_perturbation,
     perturbation_norm,
 )
-from .rosenbrock import (
-    Point,
-    _is_number,
-    matrix_from_json,
-    system_from_json,
-)
+from .rosenbrock import Scan, _is_number, matrix_from_json, system_from_json
 
 VERIFY_TOL = 1e-8
 NORM_MATCH_TOL = 1e-9
@@ -150,8 +145,10 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests arrays or objects too deeply") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -382,10 +379,11 @@ def _cmd_verify(args) -> int:
                 f"scenario {scenario.name}"
             )
 
-    point = Point(system, lam)
+    scan = Scan(system, [lam])
+    scan.check()
     delta_s = assemble_perturbation(system.r, system.n, lam, blocks)
     with np.errstate(over="ignore", invalid="ignore"):
-        perturbed = point.s - delta_s
+        perturbed = scan.s[0] - delta_s
     if not np.isfinite(perturbed).all():
         raise InputError(
             f"S(lambda) - Delta S is not finite at lambda = {lam.real:g}{lam.imag:+g}i "
@@ -393,7 +391,7 @@ def _cmd_verify(args) -> int:
         )
     residual = sigma_min(perturbed)
     norm = perturbation_norm(blocks.values()) if blocks else 0.0
-    scale = point.sigma_max  # relative at every scale: at S = 0 only a zero residual passes
+    scale = float(scan.sigma_max[0])  # relative at every scale: at S = 0 only a zero residual passes
     residual_ok = residual <= args.tol * scale
     relative = residual / scale if scale else (np.inf if residual else 0.0)
     norm_ok = abs(norm - claimed) <= NORM_MATCH_TOL * max(1.0, abs(claimed))

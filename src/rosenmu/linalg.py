@@ -3,10 +3,9 @@
 Thin, contract-enforcing wrappers around LAPACK (via numpy): input
 coercion, the extreme singular values and the package's error types.
 Tolerances are relative to the spectral norm, except where they still
-take the absolute floor ``ABS_FLOOR``: the eigenvalue tests of S(lambda)
-(:class:`rosenmu.rosenbrock.Scan`, which also holds its inverse, and
-``Point.is_eigenvalue``) and the one-block zero test of the backward
-error.
+take the absolute floor ``ABS_FLOOR``: the eigenvalue test of S(lambda)
+(:meth:`rosenmu.rosenbrock.Scan.singular`) and the one-block zero test of
+the backward error.
 """
 
 from __future__ import annotations
@@ -23,14 +22,6 @@ class InputError(ValueError):
 
 class NumericError(RuntimeError):
     """Raised when a dense factorization fails to converge."""
-
-
-class SingularMatrixError(NumericError):
-    """Raised when the inverse of a numerically singular matrix is requested."""
-
-    def __init__(self, msg: str, sigma_min: float):
-        super().__init__(msg)
-        self.sigma_min = sigma_min
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:

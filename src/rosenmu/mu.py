@@ -118,7 +118,7 @@ class PartialIsometrySet:
 
 @dataclass
 class MuResult:
-    """Bracket [lower, upper] with its certificate and the two searches' records."""
+    """Bracket lower <= upper with its certificate and the two searches' records."""
 
     lower: float
     upper: float
@@ -145,18 +145,6 @@ def _scaled(m: np.ndarray, structure: BlockStructure, x: np.ndarray) -> np.ndarr
 def _evaluate(m: np.ndarray, structure: BlockStructure, x: np.ndarray):
     """Thin SVD (u, s, vh) of D1(x) M D2(-x): the one evaluation of a scaling."""
     return np.linalg.svd(_scaled(m, structure, x), full_matrices=False)
-
-
-def scaled_sigma(m, structure: BlockStructure, x) -> float:
-    """sigma_max(D1(x) M D2(-x)), guarding the exponent range |x_i| <= 40."""
-    a = as_matrix(m)
-    structure.check_shape(a)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (structure.n_blocks,):
-        raise InputError(f"x must have length {structure.n_blocks}, got {x.shape}")
-    if np.any(np.abs(x) > X_BOUND):
-        raise InputError(f"scaling exponents must satisfy |x_i| <= {X_BOUND}")
-    return float(np.linalg.svd(_scaled(a, structure, x), compute_uv=False)[0])
 
 
 def _branch(svd, structure: BlockStructure) -> tuple[float, np.ndarray, int]:
@@ -215,21 +203,6 @@ def _branch_derivatives(
     hess -= s1 * np.outer(t, t)
     hess[np.diag_indices(structure.n_blocks)] += 2.0 * s1 * t
     return s1 * (alpha[:, 0] - beta[:, 0]).real, hess
-
-
-def scaled_sigma_gradient(m, structure: BlockStructure, x):
-    """Analytic gradient of scaled_sigma, or None when sigma_max is repeated.
-
-    Component i is sigma * (|u_i|^2 - |v_i|^2) with u, v the top left/right
-    singular vectors of the scaled matrix, blocked by (k_i) and (p_i).
-    """
-    a = as_matrix(m)
-    structure.check_shape(a)
-    x = np.asarray(x, dtype=float)
-    value, grad, mult = _branch(_evaluate(a, structure, x), structure)
-    if value > 0 and mult > 1:
-        return None
-    return grad
 
 
 def _normalized(a: np.ndarray, s0: float) -> np.ndarray:
@@ -799,7 +772,9 @@ def mu_bracket(m, structure: BlockStructure) -> MuResult:
         cert_delta, resid = certificate_to_delta(lower.certificate, a, scale=scale)
 
     return MuResult(
-        lower=lower.value,
+        # roundoff can put the lower bound ulps above the upper one; a lower
+        # bound lowered to the upper one stays valid
+        lower=min(lower.value, upper.value),
         upper=upper.value,
         certificate_p=lower.certificate,
         certificate_delta=cert_delta,

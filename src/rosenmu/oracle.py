@@ -33,7 +33,7 @@ import numpy as np
 from .linalg import InputError, as_matrix, sigma_max
 from .mu import ASCENT_ITERS, _ascend
 from .reduction import BlockStructure, Scenario, _place, _power, block_shape
-from .rosenbrock import Point, RosenbrockSystem
+from .rosenbrock import RosenbrockSystem, Scan
 
 _TINY = 1e-300
 # Draws evaluated together; the chunk's arrays are the sampling phase's
@@ -141,21 +141,25 @@ def brute_force_backward_error(
     directions as sampling the blocks of S(lambda) one by one.
 
     K is built here by dense selector products from :func:`_place`, not
-    taken from :func:`~rosenmu.reduction.reduce`: this estimator is the
-    independent check of that reduction.
+    gathered by index as :func:`~rosenmu.reduction.reduce` gathers M from a
+    scan's stacked inverses: this estimator is the independent check of
+    that reduction.  Only S(lambda)^{-1} comes from the one-point
+    :class:`~rosenmu.rosenbrock.Scan`.
     """
     if budget < 1:
         raise InputError("budget must be >= 1")
-    point = Point(sys, lam)
-    if point.is_eigenvalue():
+    scan = Scan(sys, [lam])
+    scan.check()
+    if scan.eigen[0]:
         return 0.0
+    lam = scan.lams[0]
     labels = scenario.labels(sys.d)
     places = [_place(label, sys.r, sys.n) for label in labels]
     eye = np.eye(sys.r + sys.n)
     right = np.vstack([eye[cols] for _, cols, _ in places])
-    left = np.hstack([_power(point.lam, j) * eye[:, rows] for rows, _, j in places])
+    left = np.hstack([_power(lam, j) * eye[:, rows] for rows, _, j in places])
     structure = BlockStructure(tuple(block_shape(label, sys.r, sys.n) for label in labels))
     mu = brute_force_mu(
-        right @ point.inverse @ left, structure, budget, seed, refine_top, refine_iters
+        right @ scan.inverse[0] @ left, structure, budget, seed, refine_top, refine_iters
     ).mu_sampled_lower
     return 1.0 / mu if mu > 0 else np.inf

@@ -4,11 +4,10 @@ Each of the 15 nonempty subsets of perturbable blocks {A, B, C, P} reduces
 to a structured mu-value of a rectangular matrix M under a rectangular
 block diagonal perturbation class, with one block per letter.  One table,
 :func:`_place`, records where each labelled block sits in S(lambda);
-:func:`reduce_stack` gathers M with it from the stacked inverses of a
+:func:`reduce` gathers M with it from the stacked inverses of a
 :class:`~rosenmu.rosenbrock.Scan`, which all scenarios at those points
-share (``reduce`` is its one-point form), and ``assemble_perturbation``
-uses it to put labelled blocks back into S(lambda), so certificates stay
-self-describing.
+share, and ``assemble_perturbation`` uses it to put labelled blocks back
+into S(lambda), so certificates stay self-describing.
 
 The coefficients A_0..A_d of P(z) all sit at the same place, so the set
 {sum_j lambda^j Delta A_j : max_j |Delta A_j| <= eps} is the ball of
@@ -31,7 +30,6 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import InputError, as_matrix, sigma_max
-from .rosenbrock import Point, weight
 
 _BLOCK_ORDER = "ABCP"
 
@@ -191,27 +189,6 @@ class BlockStructure:
         return out
 
 
-@dataclass
-class ReducedProblem:
-    """mu-value problem (M, structure) of one scenario at one point.
-
-    ``labels[i]`` names the block of S(lambda) that block i of Delta
-    lands in: one of "A", "B", "C" or "P", the weighted block of P(z)
-    (see :func:`labeled_blocks`).  S(lambda) and its norms stay with the
-    :class:`~rosenmu.rosenbrock.Scan` whose inverse M was gathered from.
-    """
-
-    m: np.ndarray
-    structure: BlockStructure
-    labels: tuple[str, ...]
-    scenario: Scenario
-
-    def __post_init__(self):
-        self.structure.check_shape(self.m)
-        if len(self.labels) != self.structure.n_blocks:
-            raise InputError("one label per block is required")
-
-
 def _power(lam: complex, j: int) -> complex:
     """lambda**j, refused with InputError where it leaves the double range."""
     try:
@@ -225,12 +202,23 @@ def _power(lam: complex, j: int) -> complex:
     )
 
 
-def reduce_stack(
+def reduce(
     inverses: np.ndarray, weights: np.ndarray, scenario: Scenario, r: int, n: int
 ) -> tuple[np.ndarray, BlockStructure, tuple[str, ...]]:
-    """The stack of M, the structure and the labels of :func:`reduce` at K points.
+    """The mu-value problems (M, structure, labels) of one scenario at K points.
 
-    ``inverses`` stacks each S(lambda)^{-1} and ``weights`` each weight w.
+    ``inverses`` stacks each S(lambda)^{-1} and ``weights`` each weight w
+    (read only when P is perturbed).  With L placing the rows and R the
+    columns of the perturbed blocks, det(S - L Delta R) = det(S)
+    det(I - Delta M) for M = R S^{-1} L.  L and R are 0/1 selectors, so M
+    is gathered from S^{-1} by index: the rows at the blocks' columns, then
+    the columns at their rows.  When P(z) is perturbed, L carries w I at
+    the P block, so those columns of M are multiplied by the weight w.
+
+    ``labels[i]`` names the block of S(lambda) that block i of Delta lands
+    in: one of "A", "B", "C" or "P", the weighted block of P(z) (see
+    :func:`labeled_blocks`).  S(lambda) must be invertible at every point;
+    callers short-circuit eigenvalues to a zero backward error first.
     """
     labels = tuple(scenario.name)
     places = [_place(label, r, n) for label in labels]
@@ -242,26 +230,6 @@ def reduce_stack(
         m[:, :, -n:] *= weights[:, None, None]  # P is the last block
     structure = BlockStructure(tuple(block_shape(label, r, n) for label in labels))
     return m, structure, labels
-
-
-def reduce(point: Point, scenario: Scenario) -> ReducedProblem:
-    """Reduce one scenario at a point (system, lambda) to a ReducedProblem.
-
-    With L placing the rows and R the columns of the perturbed blocks,
-    det(S - L Delta R) = det(S) det(I - Delta M) for M = R S^{-1} L.  L and
-    R are 0/1 selectors, so M is gathered from S^{-1} by index: the rows at
-    the blocks' columns, then the columns at their rows.  When P(z) is
-    perturbed, L carries w I at the P block, so those columns of M are
-    multiplied by the weight w.
-
-    Requires S(lambda) to be invertible (``point.inverse`` raises
-    :class:`SingularMatrixError` otherwise); callers short-circuit
-    eigenvalues to a zero backward error before reaching this point.
-    """
-    inverse = point.inverse
-    w = weight(point.lam, point.sys.d) if scenario.perturb_p else 1.0
-    m, structure, labels = reduce_stack(inverse[None], np.array([w]), scenario, point.sys.r, point.sys.n)
-    return ReducedProblem(m[0], structure, labels, scenario)
 
 
 def labeled_blocks(labels, blocks, lam: complex, d: int) -> dict[str, np.ndarray]:

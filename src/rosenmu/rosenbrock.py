@@ -5,8 +5,8 @@ coefficients.  A scalar lambda is an eigenvalue of S(z) when S(lambda) is
 singular.  This module owns the system data model, its evaluation, the
 record :class:`Scan` of S(lambda_k) at K points (the matrices, their
 singular-value extremes, the eigenvalue test and the inverses, each
-computed once in stacked LAPACK calls) and its one-point view
-:class:`Point`, the weight sum_j |lambda|^j of the polynomial block, the
+computed once in stacked LAPACK calls; a single point is the scan of one
+lambda), the weight sum_j |lambda|^j of the polynomial block, the
 unstructured backward error, and the JSON exchange format shared with
 the CLI.
 """
@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, InputError, SingularMatrixError, as_matrix
+from .linalg import ABS_FLOOR, InputError, as_matrix
 
 # Relative sigma_min threshold deciding "lambda is an eigenvalue".
 EIGENVALUE_TOL = 1e-10
@@ -133,7 +133,11 @@ class Scan:
             self.fail(k, _assembly_error(self.lams[k], self.s[k]))
         sv = np.linalg.svd(self.s[: self.stop], compute_uv=False)
         self.sigma_max, self.sigma_min = sv[:, 0], sv[:, -1]
-        self.eigen = self.sigma_min <= EIGENVALUE_TOL * np.maximum(self.sigma_max, ABS_FLOOR)
+        self.eigen = self.singular(EIGENVALUE_TOL)
+
+    def singular(self, tol: float) -> np.ndarray:
+        """The eigenvalue test at each point: sigma_min(S(lambda_k)) <= tol * |S(lambda_k)|."""
+        return self.sigma_min <= tol * np.maximum(self.sigma_max, ABS_FLOOR)
 
     def fail(self, k: int, error: Exception) -> None:
         """Record that point k failed with ``error``; later points stop running."""
@@ -155,38 +159,11 @@ class Scan:
         return inv
 
 
-class Point:
-    """S(lambda) at one lambda: a view of the one-point :class:`Scan`.
-
-    Everything computed at this point shares its one evaluation, one SVD
-    and at most one solve.
-    """
-
-    def __init__(self, sys: RosenbrockSystem, lam: complex):
-        scan = self.scan = Scan(sys, [lam])
-        scan.check()
-        self.sys, self.lam, self.s = sys, scan.lams[0], scan.s[0]
-        self.sigma_max, self.sigma_min = float(scan.sigma_max[0]), float(scan.sigma_min[0])
-
-    def is_eigenvalue(self, tol: float = EIGENVALUE_TOL) -> bool:
-        """True when sigma_min(S(lambda)) <= tol * |S(lambda)|."""
-        return self.sigma_min <= tol * max(self.sigma_max, ABS_FLOOR)
-
-    @property
-    def inverse(self) -> np.ndarray:
-        """S(lambda)^{-1}; raises :class:`SingularMatrixError` at an eigenvalue."""
-        if self.is_eigenvalue():
-            raise SingularMatrixError(
-                f"S(lambda) is numerically singular (sigma_min={self.sigma_min:.3e}, "
-                f"sigma_max={self.sigma_max:.3e})",
-                sigma_min=self.sigma_min,
-            )
-        return self.scan.inverse[0]
-
-
 def is_eigenvalue(sys: RosenbrockSystem, lam: complex, tol: float = EIGENVALUE_TOL) -> bool:
     """True when sigma_min(S(lambda)) <= tol * |S(lambda)|."""
-    return Point(sys, lam).is_eigenvalue(tol)
+    scan = Scan(sys, [lam])
+    scan.check()
+    return bool(scan.singular(tol)[0])
 
 
 def weight(lam: complex, d: int) -> float:
@@ -210,8 +187,9 @@ def unstructured_backward_error(sys: RosenbrockSystem, lam: complex) -> float:
     Viewed as a matrix polynomial, S(z) always carries a degree-1
     coefficient (the -I_r block), so deg = max(1, d).
     """
-    point = Point(sys, lam)
-    return point.sigma_min / weight(point.lam, max(1, sys.d))
+    scan = Scan(sys, [lam])
+    scan.check()
+    return float(scan.sigma_min[0]) / weight(scan.lams[0], max(1, sys.d))
 
 
 # ---------------------------------------------------------------------------

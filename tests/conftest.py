@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from rosenmu import BlockStructure, RosenbrockSystem
+from rosenmu import BlockStructure, RosenbrockSystem, reduce
+from rosenmu.rosenbrock import Scan, weight
 
 
 def cgauss(rng, m, n):
@@ -31,6 +32,14 @@ def random_structure(rng, n_blocks=None, max_dim=2) -> BlockStructure:
             for _ in range(n_blocks)
         )
     )
+
+
+def scan_reduce(sys_, lams, scenario):
+    """The stacked reduction (M, structure, labels) of one scenario at each lambda."""
+    scan = Scan(sys_, lams)
+    scan.check()
+    weights = np.array([weight(lam, sys_.d) for lam in scan.lams])
+    return reduce(scan.inverse, weights, scenario, sys_.r, sys_.n)
 
 
 def random_blocks(rng, structure):

@@ -23,7 +23,6 @@ from rosenmu import (
     evaluate,
     is_eigenvalue,
     mu_bracket,
-    reduce,
     scenario_sweep,
     sigma_max,
     sigma_min,
@@ -31,9 +30,8 @@ from rosenmu import (
 )
 from rosenmu.cli import main as cli_main
 from rosenmu.instances import fluid_solid_instance, golden_two_block_matrix
-from rosenmu.mu import scaled_sigma, scaled_sigma_gradient
+from rosenmu.mu import _branch, _evaluate
 from rosenmu.reduction import labeled_blocks
-from rosenmu.rosenbrock import Point
 
 from conftest import (
     GOLDEN_COMPETITOR_UPPER,
@@ -43,6 +41,7 @@ from conftest import (
     random_blocks,
     random_structure,
     random_system,
+    scan_reduce,
 )
 
 _ELAPSED: dict[str, float] = {}
@@ -99,23 +98,24 @@ def test_criterion_2_fluid_solid_instance():
             _det_equivalence(sys_, lam, scenario, rng)
 
         # (b) gauge invariance and homogeneity on the full-scenario reduction
-        prob = reduce(Point(sys_, lam), Scenario.from_string("ABCP"))
-        x = rng.uniform(-2, 2, prob.structure.n_blocks)
+        ms, structure, _ = scan_reduce(sys_, [lam], Scenario.from_string("ABCP"))
+        m = ms[0]
+        x = rng.uniform(-2, 2, structure.n_blocks)
         c_shift = rng.uniform(-5, 5)
-        v1 = scaled_sigma(prob.m, prob.structure, x)
-        v2 = scaled_sigma(prob.m, prob.structure, x + c_shift)
+        v1 = _evaluate(m, structure, x)[1][0]
+        v2 = _evaluate(m, structure, x + c_shift)[1][0]
         assert abs(v1 - v2) <= 1e-9 * v1
         c = complex(rng.standard_normal(), rng.standard_normal())
-        scaled = mu_bracket(c * prob.m, prob.structure)
+        scaled = mu_bracket(c * m, structure)
         assert abs(scaled.upper - abs(c) * res.mu.upper) <= 1e-9 * scaled.upper
         assert abs(scaled.lower - abs(c) * res.mu.lower) <= 1e-9 * max(
             1.0, scaled.lower
         )
 
         # (c) analytic gradient where simple
-        g = scaled_sigma_gradient(prob.m, prob.structure, x)
-        if g is not None:
-            fd = _central_diff(prob.m, prob.structure, x)
+        _, g, mult = _branch(_evaluate(m, structure, x), structure)
+        if mult == 1:
+            fd = _central_diff(m, structure, x)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
         # (d) bracket ordering
@@ -129,7 +129,7 @@ def test_criterion_2_fluid_solid_instance():
                 assert row.residual <= 1e-8 * sigma_max(s_mat)
 
         # (g) oracle side of the sandwich
-        est = brute_force_mu(prob.m, prob.structure, budget=2000, seed=5)
+        est = brute_force_mu(m, structure, budget=2000, seed=5)
         assert est.mu_sampled_lower <= res.mu.upper + 1e-8
 
 
@@ -139,19 +139,19 @@ def _central_diff(m, structure, x, h=1e-6):
         e = np.zeros(structure.n_blocks)
         e[i] = h
         out[i] = (
-            scaled_sigma(m, structure, x + e) - scaled_sigma(m, structure, x - e)
+            _evaluate(m, structure, x + e)[1][0] - _evaluate(m, structure, x - e)[1][0]
         ) / (2 * h)
     return out
 
 
 def _det_equivalence(sys_, lam, scenario, rng):
-    red = reduce(Point(sys_, lam), scenario)
-    blocks = random_blocks(rng, red.structure)
-    ev = np.linalg.eigvals(red.structure.assemble(blocks) @ red.m)
+    ms, structure, labels = scan_reduce(sys_, [lam], scenario)
+    blocks = random_blocks(rng, structure)
+    ev = np.linalg.eigvals(structure.assemble(blocks) @ ms[0])
     lam_e = ev[np.argmax(np.abs(ev))]
     if abs(lam_e) < 1e-9:
         return
-    labeled = labeled_blocks(red.labels, [b / lam_e for b in blocks], lam, sys_.d)
+    labeled = labeled_blocks(labels, [b / lam_e for b in blocks], lam, sys_.d)
     delta_s = assemble_perturbation(sys_.r, sys_.n, lam, labeled)
     s_mat = evaluate(sys_, lam)
     assert sigma_min(s_mat - delta_s) <= 1e-8 * sigma_max(s_mat), scenario.name
@@ -192,8 +192,8 @@ def test_criterion_3b_gauge_and_homogeneity():
             m = cgauss(rng, structure.k_total, structure.p_total)
             x = rng.uniform(-2, 2, structure.n_blocks)
             shift = rng.uniform(-5, 5)
-            v1 = scaled_sigma(m, structure, x)
-            v2 = scaled_sigma(m, structure, x + shift)
+            v1 = _evaluate(m, structure, x)[1][0]
+            v2 = _evaluate(m, structure, x + shift)[1][0]
             assert abs(v1 - v2) <= 1e-9 * max(1.0, v1)
             c = complex(rng.standard_normal(), rng.standard_normal())
             if abs(c) < 0.1:
@@ -216,8 +216,8 @@ def test_criterion_3c_gradient_vs_central_differences():
             structure = random_structure(rng, n_blocks=int(rng.integers(2, 5)))
             m = cgauss(rng, structure.k_total, structure.p_total)
             x = rng.uniform(-1.5, 1.5, structure.n_blocks)
-            g = scaled_sigma_gradient(m, structure, x)
-            if g is None:
+            _, g, mult = _branch(_evaluate(m, structure, x), structure)
+            if mult > 1:
                 continue
             fd = _central_diff(m, structure, x)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))

@@ -14,7 +14,6 @@ from rosenmu import (
     backward_error,
     evaluate,
     mu_bracket,
-    reduce,
     scenario_sweep,
     sigma_max,
     system_to_json,
@@ -22,9 +21,9 @@ from rosenmu import (
 from rosenmu.backward_error import scan_backward_errors
 from rosenmu.cli import main
 from rosenmu.instances import fluid_solid_instance
-from rosenmu.rosenbrock import Point
+from rosenmu.rosenbrock import Scan
 
-from conftest import random_system
+from conftest import random_system, scan_reduce
 
 
 @pytest.fixture
@@ -82,8 +81,8 @@ def test_exact_vs_mu_consistency(rng):
         eta = backward_error(sys_, lam, Scenario.from_string("A")).eta_upper
         if not np.isfinite(eta):
             continue
-        prob = reduce(Point(sys_, lam), Scenario.from_string("A"))
-        res = mu_bracket(prob.m, prob.structure)
+        ms, structure, _ = scan_reduce(sys_, [lam], Scenario.from_string("A"))
+        res = mu_bracket(ms[0], structure)
         assert 1.0 / res.upper == pytest.approx(eta, rel=1e-9)
         assert 1.0 / res.lower == pytest.approx(eta, rel=1e-9)
 
@@ -147,7 +146,7 @@ def test_scenario_p_is_the_weighted_closed_form(tmp_path, capsys, d, lam):
     sys_ = random_system(np.random.default_rng(d), r=2, n=3, d=d)
     res = backward_error(sys_, lam, Scenario.from_string("P"))
     w = sum(abs(lam) ** j for j in range(d + 1))
-    want = 1.0 / (w * sigma_max(Point(sys_, lam).inverse[2:, 2:]))
+    want = 1.0 / (w * sigma_max(Scan(sys_, [lam]).inverse[0, 2:, 2:]))
     assert res.exactness == "exact_formula"
     assert res.eta_lower == res.eta_upper == pytest.approx(want, rel=1e-12)
 
@@ -171,10 +170,21 @@ def test_scenario_p_infinite_at_lambda_equal_a():
     assert sigma_max(res.infinite_witness) <= 1e-14
 
 
+def test_fluid_solid_sweep_bounds_ordered():
+    # the sweep of the pinned CLI report: mu brackets that close to roundoff
+    # are reported in order, and so are the eta brackets
+    rows = scan_backward_errors(fluid_solid_instance(), [0.5, 1.5 + 0.25j], all_scenarios())
+    bracketed = [res for row in rows for res in row if res.mu is not None]
+    assert len(bracketed) == 22
+    for res in bracketed:
+        assert res.mu.lower <= res.mu.upper, (res.lam, res.scenario.name)
+    assert all(res.eta_lower <= res.eta_upper for row in rows for res in row)
+
+
 def test_sweep_reduces_each_scenario_once(monkeypatch):
     # one S(lambda) serves all 15 scenarios; each scenario is reduced once
     calls = Counter()
-    for module_name, name in (("rosenmu.rosenbrock", "_assemble"), ("rosenmu.backward_error", "reduce_stack")):
+    for module_name, name in (("rosenmu.rosenbrock", "_assemble"), ("rosenmu.backward_error", "reduce")):
         # rosenmu.backward_error is the function; its module holds the globals
         module = importlib.import_module(module_name)
         original = getattr(module, name)
@@ -185,7 +195,7 @@ def test_sweep_reduces_each_scenario_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     scenario_sweep(fluid_solid_instance(), 0.7)
-    assert calls == {"_assemble": 1, "reduce_stack": 15}
+    assert calls == {"_assemble": 1, "reduce": 15}
 
 
 def _hex(x):

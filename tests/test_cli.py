@@ -751,7 +751,7 @@ def test_sweep_fluid_solid_bytes_pinned(tmp_path, capsys):
     path.write_text(json.dumps(system_to_json(fluid_solid_instance())))
     argv = ["sweep", "--json", "--lambda", "0.5", "--lambda", "1.5,0.25", str(path)]
     assert _stdout_sha256(argv, capsys) == (
-        "1e9ef6cb6badd5b2f3de7db28165ed7d2e49d3e8b4834e873044ca4d879e9ce2"
+        "725eb47ebfe22e22e6f1b212fbb5c03808ddced6b9e04463c1b7d6dcfd5c1c02"
     )
 
 
@@ -868,6 +868,23 @@ def test_cli_fuzz_exit_codes(case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("command", ["mu", "verify"])
+@pytest.mark.parametrize(
+    "content", [b"[" * 100_000, b"\xff\xfe[[1]]"], ids=["deeply-nested", "not-utf-8"]
+)
+def test_undecodable_file_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    if command == "mu":
+        argv = ["mu", "--structure", "1x1", str(path)]
+    else:
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(VALID_SYSTEM))
+        argv = ["verify", str(system), str(path)]
+    assert main(argv) == 2
+    assert f"error: {path}" in capsys.readouterr().err
 
 
 def test_sweep_independent_of_blas_threads(tmp_path):

@@ -12,7 +12,6 @@ from scipy.optimize import minimize
 
 from rosenmu import (
     BlockStructure,
-    InputError,
     NumericError,
     PartialIsometrySet,
     Scenario,
@@ -23,7 +22,6 @@ from rosenmu import (
     mu_lower,
     mu_upper,
     perturbation_norm,
-    reduce,
     sigma_max,
 )
 from rosenmu.instances import fluid_solid_instance
@@ -35,6 +33,7 @@ from rosenmu.mu import (
     X_BOUND,
     UpperBound,
     _ascend,
+    _branch,
     _branch_derivatives,
     _evaluate,
     _floor,
@@ -44,10 +43,7 @@ from rosenmu.mu import (
     _smoothed_value_and_grad,
     _snap_partial_isometry,
     _weights,
-    scaled_sigma,
-    scaled_sigma_gradient,
 )
-from rosenmu.rosenbrock import Point
 
 from conftest import (
     GOLDEN_5X5,
@@ -56,6 +52,7 @@ from conftest import (
     GOLDEN_STRUCTURE,
     cgauss,
     random_structure,
+    scan_reduce,
 )
 
 TWO_SCALARS = BlockStructure(((1, 1), (1, 1)))
@@ -78,7 +75,7 @@ def test_scale_matrices_two_scalars():
     d = np.diag([1.0, np.e])
     ref = d @ ANTIDIAG @ np.linalg.inv(d)
     np.testing.assert_allclose(_scaled(ANTIDIAG, TWO_SCALARS, np.array([0.0, 1.0])), ref)
-    assert scaled_sigma(ANTIDIAG, TWO_SCALARS, [0.0, 1.0]) == pytest.approx(sigma_max(ref))
+    assert _evaluate(ANTIDIAG, TWO_SCALARS, np.array([0.0, 1.0]))[1][0] == pytest.approx(sigma_max(ref))
 
 
 def test_scale_matrices_rectangular():
@@ -87,23 +84,18 @@ def test_scale_matrices_rectangular():
     ref = d1 @ GOLDEN_5X5 @ np.linalg.inv(d2)
     x = np.array([0.0, 1.0])
     np.testing.assert_allclose(_scaled(GOLDEN_5X5, GOLDEN_STRUCTURE, x), ref)
-    assert scaled_sigma(GOLDEN_5X5, GOLDEN_STRUCTURE, x) == pytest.approx(sigma_max(ref))
+    assert _evaluate(GOLDEN_5X5, GOLDEN_STRUCTURE, x)[1][0] == pytest.approx(sigma_max(ref))
 
 
 def test_scaled_sigma_at_zero(rng):
     m = cgauss(rng, 2, 2)
-    assert scaled_sigma(m, TWO_SCALARS, [0.0, 0.0]) == pytest.approx(sigma_max(m))
+    assert _evaluate(m, TWO_SCALARS, np.zeros(2))[1][0] == pytest.approx(sigma_max(m))
 
 
 def test_scaled_sigma_closed_form():
     for t in (-1.0, -0.2, 0.0, 0.4, 1.5):
-        got = scaled_sigma(ANTIDIAG, TWO_SCALARS, [0.0, t])
+        got = _evaluate(ANTIDIAG, TWO_SCALARS, np.array([0.0, t]))[1][0]
         assert got == pytest.approx(max(2 * np.exp(-t), 3 * np.exp(t)), rel=1e-12)
-
-
-def test_scaled_sigma_overflow_guard():
-    with pytest.raises(InputError):
-        scaled_sigma(ANTIDIAG, TWO_SCALARS, [0.0, 41.0])
 
 
 @given(st.integers(0, 300), st.floats(-5, 5))
@@ -113,19 +105,20 @@ def test_scaled_sigma_gauge_shift(seed, c):
     structure = random_structure(rng, n_blocks=int(rng.integers(1, 4)))
     m = cgauss(rng, structure.k_total, structure.p_total)
     x = rng.uniform(-2, 2, structure.n_blocks)
-    a = scaled_sigma(m, structure, x)
-    b = scaled_sigma(m, structure, x + c)
+    a = _evaluate(m, structure, x)[1][0]
+    b = _evaluate(m, structure, x + c)[1][0]
     assert b == pytest.approx(a, rel=1e-12)
 
 
 def test_gradient_antidiagonal():
-    g = scaled_sigma_gradient(ANTIDIAG, TWO_SCALARS, [0.0, 0.0])
+    _, g, mult = _branch(_evaluate(ANTIDIAG, TWO_SCALARS, np.zeros(2)), TWO_SCALARS)
+    assert mult == 1
     np.testing.assert_allclose(g, [-3.0, 3.0], rtol=1e-12)
 
 
 def test_gradient_nonsmooth_flag():
     # sigma_max of the identity is repeated for two scalar blocks.
-    assert scaled_sigma_gradient(np.eye(2), TWO_SCALARS, [0.0, 0.0]) is None
+    assert _branch(_evaluate(np.eye(2), TWO_SCALARS, np.zeros(2)), TWO_SCALARS)[2] == 2
 
 
 def test_gradient_sums_to_zero(rng):
@@ -133,8 +126,8 @@ def test_gradient_sums_to_zero(rng):
         structure = random_structure(rng, n_blocks=3)
         m = cgauss(rng, structure.k_total, structure.p_total)
         x = rng.uniform(-1, 1, 3)
-        g = scaled_sigma_gradient(m, structure, x)
-        if g is None:
+        _, g, mult = _branch(_evaluate(m, structure, x), structure)
+        if mult > 1:
             continue
         assert abs(g.sum()) <= 1e-10 * sigma_max(m)
 
@@ -145,7 +138,7 @@ def central_difference_gradient(m, structure, x, h=1e-6):
         e = np.zeros(structure.n_blocks)
         e[i] = h
         g[i] = (
-            scaled_sigma(m, structure, x + e) - scaled_sigma(m, structure, x - e)
+            _evaluate(m, structure, x + e)[1][0] - _evaluate(m, structure, x - e)[1][0]
         ) / (2 * h)
     return g
 
@@ -156,8 +149,8 @@ def test_gradient_matches_central_differences(rng):
         structure = random_structure(rng, n_blocks=int(rng.integers(2, 4)))
         m = cgauss(rng, structure.k_total, structure.p_total)
         x = rng.uniform(-1, 1, structure.n_blocks)
-        g = scaled_sigma_gradient(m, structure, x)
-        if g is None:
+        _, g, mult = _branch(_evaluate(m, structure, x), structure)
+        if mult > 1:
             continue
         fd = central_difference_gradient(m, structure, x)
         assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
@@ -177,15 +170,16 @@ def test_branch_hessian_matches_central_differences(real):
         m = rng.standard_normal((structure.k_total, structure.p_total))
         if not real:
             m = m + 1j * rng.standard_normal(m.shape)
+        m = np.asarray(m, dtype=complex)
         x = rng.uniform(-1, 1, structure.n_blocks)
-        u, s, vh = np.linalg.svd(_scaled(np.asarray(m, dtype=complex), structure, x))
+        u, s, vh = np.linalg.svd(_scaled(m, structure, x))
         if s[0] - s[1] <= 1e-3 * s[0]:
             continue  # too near a kink for differences of step h
         grad, hess = _branch_derivatives(u, s, vh, structure)
-        np.testing.assert_allclose(grad, scaled_sigma_gradient(m, structure, x), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(grad, _branch((u, s, vh), structure)[1], rtol=0, atol=1e-13)
         fd = np.column_stack([
-            (scaled_sigma_gradient(m, structure, x + e) - scaled_sigma_gradient(m, structure, x - e))
-            / (2 * h)
+            (_branch(_evaluate(m, structure, x + e), structure)[1]
+             - _branch(_evaluate(m, structure, x - e), structure)[1]) / (2 * h)
             for e in h * np.eye(structure.n_blocks)
         ])
         assert np.abs(hess - fd).max() <= 1e-6 * np.abs(hess).max()
@@ -201,7 +195,7 @@ def test_smoothed_gradient_matches_central_differences(rng, tau):
         x = rng.uniform(-1, 1, structure.n_blocks)
         value, g = _smoothed_value_and_grad(m, structure, x, tau)
         # log sigma_max <= g_tau <= log sigma_max + tau log(rank)
-        log_sigma = np.log(scaled_sigma(m, structure, x))
+        log_sigma = np.log(_evaluate(m, structure, x)[1][0])
         rank = min(structure.k_total, structure.p_total)
         assert log_sigma - 1e-14 <= value <= log_sigma + tau * np.log(rank) + 1e-14
         def g_tau(y):
@@ -428,6 +422,18 @@ def test_bracket_and_certificate_invariants(rng):
             assert res.exactness == "exact_n_le_3"
 
 
+def test_bracket_bounds_ordered_on_wide_draws():
+    # on wide M the two bounds meet to roundoff, where the searches' last
+    # bits may cross; the reported pair is ordered exactly
+    wide = np.random.default_rng(2026)
+    for i in range(120):
+        n_blocks = int(wide.integers(2, 6))
+        structure = BlockStructure(tuple((int(wide.integers(2, 5)), 1) for _ in range(n_blocks)))
+        m = cgauss(wide, structure.k_total, structure.p_total)
+        res = mu_bracket(m.real if i % 3 == 0 else m, structure)
+        assert res.lower <= res.upper, i
+
+
 def test_exactness_n_le_3(rng):
     for _ in range(10):
         structure = random_structure(rng, n_blocks=int(rng.integers(2, 4)))
@@ -502,9 +508,9 @@ def test_mu_upper_no_worse_than_full_search_fluid_solid():
     sys_ = fluid_solid_instance()
     seen = {}
     for scenario in all_scenarios():
-        problem = reduce(Point(sys_, 0.7), scenario)
-        if problem.structure.n_blocks > 1:
-            seen[scenario.name] = mu_upper(problem.m, problem.structure).value
+        m, structure, _ = scan_reduce(sys_, [0.7], scenario)
+        if structure.n_blocks > 1:
+            seen[scenario.name] = mu_upper(m[0], structure).value
     assert sorted(seen) == sorted(PINNED_FLUID_SOLID_UPPER)
     for name, value in seen.items():
         assert value <= float.fromhex(PINNED_FLUID_SOLID_UPPER[name]) * (1 + UPPER_SLACK)
@@ -540,12 +546,11 @@ BFGS_EARLY_EXIT_UPPER = {
 
 
 def test_mu_bracket_early_exit_bits_fluid_solid():
-    point = Point(fluid_solid_instance(), 0.7)
     seen = set()
     for scenario in all_scenarios():
-        problem = reduce(point, scenario)
-        if problem.structure.n_blocks > 1:
-            upper = mu_bracket(problem.m, problem.structure).upper_bound
+        m, structure, _ = scan_reduce(fluid_solid_instance(), [0.7], scenario)
+        if structure.n_blocks > 1:
+            upper = mu_bracket(m[0], structure).upper_bound
             assert upper.grad_norm <= STATIONARY_TOL
             bits = (upper.value.hex(), [float(v).hex() for v in upper.x])
             assert bits == EARLY_EXIT_FLUID_SOLID[scenario.name]
@@ -591,12 +596,11 @@ def test_mu_upper_newton_evaluations_fluid_solid(monkeypatch):
     # Every multi-block scenario at lambda = 0.7 ends in Newton's descent, in
     # few evaluations, no higher than the quasi-Newton descent's bound
     calls = _counting_minimize(monkeypatch)
-    point = Point(fluid_solid_instance(), 0.7)
     evaluations = []
     for scenario in all_scenarios():
-        problem = reduce(point, scenario)
-        if problem.structure.n_blocks > 1:
-            upper = mu_upper(problem.m, problem.structure)
+        m, structure, _ = scan_reduce(fluid_solid_instance(), [0.7], scenario)
+        if structure.n_blocks > 1:
+            upper = mu_upper(m[0], structure)
             evaluations.append(upper.evaluations)
             bfgs = float.fromhex(BFGS_EARLY_EXIT_UPPER[scenario.name])
             assert upper.value <= bfgs * (1 + 1e-14)
@@ -715,7 +719,7 @@ def test_backward_error_takes_sigma_max_of_m_once(monkeypatch):
     # mu_upper computes sigma_max(M); mu_lower, certificate_to_delta and the
     # zero test of the backward error read it from the bracket
     sys_, scenario = fluid_solid_instance(), Scenario.from_string("ABCP")
-    m = reduce(Point(sys_, 0.7), scenario).m
+    m = scan_reduce(sys_, [0.7], scenario)[0][0]
     svd, values_of_m = np.linalg.svd, []
 
     def recording(a, *args, **kwargs):
@@ -740,8 +744,8 @@ def test_mu_bracket_takes_one_svd_per_evaluation(monkeypatch):
         return _evaluate(*args)
 
     monkeypatch.setattr("rosenmu.mu._evaluate", counting)
-    problem = reduce(Point(fluid_solid_instance(), 0.7), Scenario.from_string("ABCP"))
-    newton_exit = mu_bracket(problem.m, problem.structure)
+    m, structure, _ = scan_reduce(fluid_solid_instance(), [0.7], Scenario.from_string("ABCP"))
+    newton_exit = mu_bracket(m[0], structure)
     assert newton_exit.upper_bound.grad_norm <= STATIONARY_TOL
     assert len(calls) == newton_exit.upper_bound.evaluations
     calls.clear()

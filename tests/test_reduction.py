@@ -6,7 +6,6 @@ import pytest
 from rosenmu import (
     BlockStructure,
     InputError,
-    ReducedProblem,
     RosenbrockSystem,
     Scenario,
     all_scenarios,
@@ -14,14 +13,13 @@ from rosenmu import (
     backward_error,
     evaluate,
     perturbation_norm,
-    reduce,
     sigma_max,
     sigma_min,
 )
 from rosenmu.reduction import labeled_blocks
-from rosenmu.rosenbrock import Point
+from rosenmu.rosenbrock import Scan
 
-from conftest import cgauss, random_blocks, random_structure, random_system
+from conftest import cgauss, random_blocks, random_structure, random_system, scan_reduce
 
 
 def _selector_m(sys_, lam, scenario):
@@ -33,7 +31,7 @@ def _selector_m(sys_, lam, scenario):
     carries w there.
     """
     r, n, d = sys_.r, sys_.n, sys_.d
-    s_inv = Point(sys_, lam).inverse
+    s_inv = Scan(sys_, [lam]).inverse[0]
     top = np.vstack([np.eye(r), np.zeros((n, r))])
     bottom = np.vstack([np.zeros((r, n)), np.eye(n)])
     w = sum(abs(lam) ** j for j in range(d + 1))
@@ -48,9 +46,10 @@ def test_gather_matches_selector_form(rng):
     for d in (0, 1, 2):
         for r, n in ((1, 1), (2, 3), (3, 2)):
             sys_ = random_system(rng, r=r, n=n, d=d)
-            for lam in (complex(rng.standard_normal()), complex(*rng.standard_normal(2))):
-                for scenario in all_scenarios():
-                    m = reduce(Point(sys_, lam), scenario).m
+            lams = [complex(rng.standard_normal()), complex(*rng.standard_normal(2))]
+            for scenario in all_scenarios():
+                ms = scan_reduce(sys_, lams, scenario)[0]
+                for lam, m in zip(lams, ms):
                     ref = _selector_m(sys_, lam, scenario)
                     name = f"{scenario.name} d={d} r={r} n={n} lam={lam}"
                     assert np.array_equal(m.real, ref.real), name
@@ -82,11 +81,10 @@ def test_all_scenarios_order():
 
 def test_full_scenario_dimension_count(rng):
     sys_ = random_system(rng, r=1, n=1, d=1)
-    prob = reduce(Point(sys_, 0.3), Scenario.from_string("ABCP"))
-    assert isinstance(prob, ReducedProblem)
-    assert prob.m.shape == (4, 4)  # 2r + 2n = 4 whatever d is
-    assert prob.structure.blocks == ((1, 1),) * 4
-    assert prob.labels == ("A", "B", "C", "P")
+    m, structure, labels = scan_reduce(sys_, [0.3], Scenario.from_string("ABCP"))
+    assert m.shape == (1, 4, 4)  # 2r + 2n = 4 whatever d is
+    assert structure.blocks == ((1, 1),) * 4
+    assert labels == ("A", "B", "C", "P")
 
 
 def _expected_mu_shape(scenario, r, n):
@@ -112,31 +110,31 @@ def test_dimension_audit_all_scenarios(rng):
         sys_ = random_system(rng)
         lam = complex(rng.standard_normal(), rng.standard_normal())
         for scenario in all_scenarios():
-            red = reduce(Point(sys_, lam), scenario)
+            m, structure, labels = scan_reduce(sys_, [lam], scenario)
             k, p = _expected_mu_shape(scenario, sys_.r, sys_.n)
-            assert red.m.shape == (k, p), scenario.name
-            assert red.structure.k_total == k
-            assert red.structure.p_total == p
-            assert len(red.labels) == red.structure.n_blocks
+            assert m.shape == (1, k, p), scenario.name
+            assert structure.k_total == k
+            assert structure.p_total == p
+            assert len(labels) == structure.n_blocks
 
 
 def test_bc_matches_printed_factors(rng):
     sys_ = random_system(rng, r=2, n=3, d=1)
     lam = 0.4 - 0.2j
-    red = reduce(Point(sys_, lam), Scenario.from_string("BC"))
+    m, structure, _ = scan_reduce(sys_, [lam], Scenario.from_string("BC"))
     s_inv = np.linalg.inv(evaluate(sys_, lam))
     selector = np.block(
         [[np.zeros((3, 2)), np.eye(3)], [np.eye(2), np.zeros((2, 3))]]
     )
-    np.testing.assert_allclose(red.m, selector @ s_inv, atol=1e-12)
-    assert red.structure.blocks == ((2, 3), (3, 2))
+    np.testing.assert_allclose(m[0], selector @ s_inv, atol=1e-12)
+    assert structure.blocks == ((2, 3), (3, 2))
 
 
 def test_exact_formula_diagonal():
     sys_ = RosenbrockSystem([[2]], [[0]], [[0]], ([[1]],))
-    red = reduce(Point(sys_, 0.0), Scenario.from_string("A"))
-    assert red.structure.blocks == ((1, 1),)
-    np.testing.assert_allclose(red.m, [[0.5]])
+    m, structure, _ = scan_reduce(sys_, [0.0], Scenario.from_string("A"))
+    assert structure.blocks == ((1, 1),)
+    np.testing.assert_allclose(m[0], [[0.5]])
     res = backward_error(sys_, 0.0, Scenario.from_string("A"))
     assert res.exactness == "exact_formula"
     assert res.eta_upper == pytest.approx(2.0)
@@ -165,8 +163,8 @@ def test_embed_zero_and_single_block(rng):
 
 def test_embed_norm_is_max_block_norm(rng):
     sys_ = random_system(rng, r=2, n=2, d=1)
-    prob = reduce(Point(sys_, 0.3), Scenario.from_string("ABCP"))
-    blocks = random_blocks(rng, prob.structure)
+    structure = scan_reduce(sys_, [0.3], Scenario.from_string("ABCP"))[1]
+    blocks = random_blocks(rng, structure)
     assert perturbation_norm(blocks) == pytest.approx(
         max(sigma_max(b) for b in blocks)
     )
@@ -237,21 +235,15 @@ def test_unknown_block_label_refused():
         assemble_perturbation(1, 1, 0.5, {"Ax": [[1.0]]})
 
 
-def test_reduced_problem_needs_one_label_per_block():
-    structure = BlockStructure(((1, 1), (1, 1)))
-    with pytest.raises(InputError, match="one label per block is required"):
-        ReducedProblem(np.eye(2), structure, ("A",), Scenario.from_string("AB"))
-
-
 def _det_equivalence_check(sys_, lam, scenario, rng):
-    red = reduce(Point(sys_, lam), scenario)
-    blocks = random_blocks(rng, red.structure)
-    delta = red.structure.assemble(blocks)
-    ev = np.linalg.eigvals(delta @ red.m)
+    ms, structure, labels = scan_reduce(sys_, [lam], scenario)
+    blocks = random_blocks(rng, structure)
+    delta = structure.assemble(blocks)
+    ev = np.linalg.eigvals(delta @ ms[0])
     lam_e = ev[np.argmax(np.abs(ev))]
     if abs(lam_e) < 1e-9:
         return
-    labeled = labeled_blocks(red.labels, [b / lam_e for b in blocks], lam, sys_.d)
+    labeled = labeled_blocks(labels, [b / lam_e for b in blocks], lam, sys_.d)
     delta_s = assemble_perturbation(sys_.r, sys_.n, lam, labeled)
     s_mat = evaluate(sys_, lam)
     assert sigma_min(s_mat - delta_s) <= 1e-8 * sigma_max(s_mat), scenario.name
@@ -264,10 +256,3 @@ def test_determinant_equivalence_every_scenario(rng):
         for scenario in all_scenarios():
             _det_equivalence_check(sys_, lam, scenario, rng)
 
-
-def test_reduce_requires_invertible_s():
-    sys_ = RosenbrockSystem([[2]], [[0]], [[0]], ([[1]],))
-    from rosenmu import SingularMatrixError
-
-    with pytest.raises(SingularMatrixError):
-        reduce(Point(sys_, 2.0), Scenario.from_string("A"))

@@ -7,14 +7,13 @@ import scipy.linalg
 from rosenmu import (
     InputError,
     RosenbrockSystem,
-    SingularMatrixError,
     evaluate,
     is_eigenvalue,
     system_from_json,
     system_to_json,
     unstructured_backward_error,
 )
-from rosenmu.rosenbrock import Point
+from rosenmu.rosenbrock import Scan
 
 from conftest import cgauss, random_system
 
@@ -92,23 +91,26 @@ def test_is_eigenvalue_matches_linearization(rng):
 def test_point_inverse_and_norms(rng):
     for _ in range(10):
         sys_ = random_system(rng)
-        point = Point(sys_, complex(*rng.standard_normal(2)))
-        s = evaluate(sys_, point.lam)
-        np.testing.assert_array_equal(point.s, s)
+        scan = Scan(sys_, [complex(*rng.standard_normal(2))])
+        s = evaluate(sys_, scan.lams[0])
+        np.testing.assert_array_equal(scan.s[0], s)
         sv = np.linalg.svd(s, compute_uv=False)
-        assert (point.sigma_max, point.sigma_min) == (sv[0], sv[-1])
-        assert not point.is_eigenvalue()
-        inv = point.inverse
-        assert np.linalg.norm(s @ inv - np.eye(len(s)), 2) <= 1e-10 * point.sigma_max / point.sigma_min
-        assert 1.0 / point.sigma_min == pytest.approx(np.linalg.svd(inv, compute_uv=False)[0], rel=1e-10)
+        smax, smin = scan.sigma_max[0], scan.sigma_min[0]
+        assert (smax, smin) == (sv[0], sv[-1])
+        assert not scan.eigen[0]
+        inv = scan.inverse[0]
+        assert np.linalg.norm(s @ inv - np.eye(len(s)), 2) <= 1e-10 * smax / smin
+        assert 1.0 / smin == pytest.approx(np.linalg.svd(inv, compute_uv=False)[0], rel=1e-10)
 
 
-def test_point_refuses_inverse_at_eigenvalue(diag_sys):
-    point = Point(diag_sys, 2.0)
-    assert point.is_eigenvalue()
-    with pytest.raises(SingularMatrixError) as err:
-        point.inverse
-    assert err.value.sigma_min == point.sigma_min
+def test_scan_leaves_no_inverse_at_eigenvalue(diag_sys):
+    # lambda = 2 is an eigenvalue: its row of the stacked inverse stays zero,
+    # and the solve runs on the other points only
+    scan = Scan(diag_sys, [0.0, 2.0, 1.0])
+    assert scan.eigen.tolist() == [False, True, False]
+    assert not scan.inverse[1].any()
+    np.testing.assert_allclose(scan.inverse[0], np.diag([0.5, 1.0]))
+    np.testing.assert_allclose(scan.inverse[2], np.diag([1.0, 1.0]))
 
 
 def test_unstructured_error_zero_at_eigenvalue(diag_sys):
