@@ -21,7 +21,7 @@ def main():
     print(f"exactness      : {res.exactness}")
     print(f"reference      : 3.081980 (square-block scaling gives 3.097070)")
 
-    blocks, resid = certificate_to_delta(res.certificate_p, m)
+    blocks, resid = certificate_to_delta(res.lower_bound.certificate, m)
     norm = max(sigma_max(b) for b in blocks)
     print(f"certificate    : max block norm {norm:.12f} = 1/mu, "
           f"det residual {resid:.2e}")

@@ -66,12 +66,7 @@ class BackwardErrorResult:
 
     @property
     def is_exact(self) -> bool:
-        return self.exactness in (
-            "exact_eigenvalue",
-            "exact_formula",
-            "exact_n_le_3",
-            "exact_simple_sigma",
-        )
+        return self.exactness != "bracket_only"
 
 
 def _rank_one_inverse_image(h: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -136,11 +131,13 @@ def _scan_results(scan: Scan, scenario: Scenario) -> list[BackwardErrorResult | 
                 res.mu = mu = mu_bracket(m[i], structure)
                 res.exactness = mu.exactness
                 res.eta_lower = 1.0 / mu.upper if mu.upper > 0 else np.inf
-                res.possibly_infinite = negligible(mu.lower, mu.scale, ZERO_TOL)
+                res.possibly_infinite = negligible(mu.lower, mu.upper_bound.scale, ZERO_TOL)
                 if mu.certificate_delta is not None and mu.lower > 0:
                     res.eta_upper = 1.0 / mu.lower
                     delta = mu.certificate_delta
                     norm = perturbation_norm(delta)
+                elif mu.upper > 0:  # no perturbation realizes eta_upper = inf
+                    res.exactness = "bracket_only"
             if delta is not None:
                 res.delta_blocks = labeled_blocks(labels, delta, lams[k], sys.d)
                 res.certificate = assemble_perturbation(sys.r, sys.n, lams[k], res.delta_blocks)

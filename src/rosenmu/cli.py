@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .backward_error import BackwardErrorResult, scan_backward_errors
-from .linalg import InputError, NumericError, sigma_min
+from .linalg import InputError, NumericError, shown, sigma_min
 from .mu import mu_bracket
 from .oracle import brute_force_backward_error, brute_force_mu
 from .reduction import (
@@ -89,24 +89,21 @@ def dumps_report(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _eta_json(x: float):
-    return "inf" if np.isinf(x) else float(x)
-
-
 def _emit(report: dict, text, args) -> None:
     """Write the report; ``text`` is the text form or a function rendering it.
 
     Each form is rendered only when it is written: the JSON once, for
-    stdout under --json and for --output, and the text only without --json.
+    --output (written first: a path that cannot be written fails before
+    stdout) and for stdout under --json, and the text only without --json.
     """
     rendered = dumps_report(report) + "\n" if args.as_json or args.output else None
-    if args.as_json:
-        sys.stdout.write(rendered)
-    else:
-        sys.stdout.write(text if isinstance(text, str) else text())
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
+    sys.stdout.write(rendered if args.as_json else text if isinstance(text, str) else text())
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +120,17 @@ def _parse_lambda(text: str) -> complex:
             return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         pass
-    raise InputError(f"--lambda expects re or re,im, got {text!r}")
+    raise InputError(f"--lambda expects re or re,im, got {shown(text)}")
 
 
 def _parse_structure(spec: str) -> BlockStructure:
     blocks = []
     for piece in spec.split(","):
-        dims = piece.lower().split("x")
-        if len(dims) != 2:
-            raise InputError(f"structure block {piece!r} is not of the form PxK")
         try:
-            blocks.append((int(dims[0]), int(dims[1])))
+            p, k = map(int, piece.lower().split("x"))
         except ValueError:
-            raise InputError(f"structure block {piece!r} is not of the form PxK")
+            raise InputError(f"structure block {shown(piece)} is not of the form PxK") from None
+        blocks.append((p, k))
     return BlockStructure(tuple(blocks))
 
 
@@ -145,7 +140,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer too long to convert
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path} nests arrays or objects too deeply") from exc
@@ -190,8 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_vf = sub.add_parser("verify", help="re-check an emitted certificate file")
     p_vf.add_argument("--tol", type=float, default=VERIFY_TOL)
-    p_vf.add_argument("--json", action="store_true", dest="as_json")
-    p_vf.add_argument("--output", default=None)
+    common(p_vf)
     p_vf.add_argument("system", help="JSON system file")
     p_vf.add_argument("certificate", help="JSON certificate file")
 
@@ -203,8 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_or.add_argument("--budget", type=int, default=5000)
     p_or.add_argument("--seed", type=int, default=0)
-    p_or.add_argument("--json", action="store_true", dest="as_json")
-    p_or.add_argument("--output", default=None)
+    common(p_or)
     p_or.add_argument("input", help="JSON matrix or system file")
     return parser
 
@@ -220,10 +213,10 @@ def _certificate_report(res: BackwardErrorResult) -> dict:
         "lambda": [float(res.lam.real), float(res.lam.imag)],
         "scenario": res.scenario.name,
         "delta_blocks": res.delta_blocks,
-        "claimed_eta": _eta_json(res.eta_upper),
+        "claimed_eta": res.eta_upper,
         "residual": res.residual,
-        "eta_lower": _eta_json(res.eta_lower),
-        "eta_upper": _eta_json(res.eta_upper),
+        "eta_lower": res.eta_lower,
+        "eta_upper": res.eta_upper,
         "exactness": res.exactness,
         "certified_side": "both" if res.is_exact else "upper",
         "possibly_infinite": res.possibly_infinite,
@@ -278,7 +271,8 @@ def _cmd_mu(args) -> int:
     structure = _parse_structure(args.structure)
     m = matrix_from_json(_load_json(args.matrix), "matrix")
     res = mu_bracket(m, structure)
-    defect = res.certificate_p.max_defect() if res.certificate_p else None
+    certificate = res.lower_bound.certificate
+    norm = perturbation_norm(res.certificate_delta) if res.certificate_delta else None
     report = {
         "command": "mu",
         "structure": args.structure,
@@ -286,13 +280,9 @@ def _cmd_mu(args) -> int:
         "upper": res.upper,
         "exactness": res.exactness,
         "possibly_zero": res.possibly_zero,
-        "certificate_norm": (
-            perturbation_norm(res.certificate_delta)
-            if res.certificate_delta
-            else None
-        ),
+        "certificate_norm": norm,
         "det_residual": res.delta_residual,
-        "partial_isometry_defect": defect,
+        "partial_isometry_defect": certificate.max_defect() if certificate else None,
         "delta_blocks": res.certificate_delta or None,
     }
     tag = {
@@ -303,7 +293,7 @@ def _cmd_mu(args) -> int:
     text = f"lower {res.lower:.9g}, upper {res.upper:.9g}, {tag}\n"
     if res.delta_residual is not None:
         text += (
-            f"certificate: max block norm {perturbation_norm(res.certificate_delta):.9g}, "
+            f"certificate: max block norm {norm:.9g}, "
             f"det residual {res.delta_residual:.3e}\n"
         )
     if res.possibly_zero:
@@ -355,29 +345,30 @@ def _cmd_verify(args) -> int:
     ):
         raise InputError("certificate.lambda: expected [re, im]")
     lam = complex(float(lam_field[0]), float(lam_field[1]))
-    if not isinstance(cert["scenario"], str):
-        raise InputError("certificate.scenario: expected a string")
-    scenario = Scenario.from_string(cert["scenario"])
+    try:
+        scenario = Scenario.from_string(cert["scenario"])
+    except InputError as exc:
+        raise InputError(f"certificate.scenario: {exc}") from exc
     claimed = cert["claimed_eta"]
     if claimed == "inf":
         raise InputError("certificate carries no finite perturbation to verify")
     if not _is_number(claimed):
-        raise InputError(f"certificate.claimed_eta: expected a number, got {claimed!r}")
+        raise InputError(f"certificate.claimed_eta: expected a number, got {shown(claimed)}")
     claimed = float(claimed)
     raw_blocks = cert["delta_blocks"] or {}
     if not isinstance(raw_blocks, dict):
         raise InputError("certificate.delta_blocks: expected an object or null")
+    allowed = set(scenario.labels(system.d))
+    for label in raw_blocks:
+        if label not in allowed:
+            raise InputError(
+                f"certificate.delta_blocks[{shown(label)}]: block not admitted by "
+                f"scenario {scenario.name}"
+            )
     blocks = {
         label: matrix_from_json(mat, f"certificate.delta_blocks[{label}]")
         for label, mat in raw_blocks.items()
     }
-    allowed = set(scenario.labels(system.d))
-    for label in blocks:
-        if label not in allowed:
-            raise InputError(
-                f"certificate.delta_blocks[{label}]: block not admitted by "
-                f"scenario {scenario.name}"
-            )
 
     scan = Scan(system, [lam])
     scan.check()
@@ -454,7 +445,7 @@ def _cmd_oracle(args) -> int:
             "lambda": [lam.real, lam.imag],
             "budget": args.budget,
             "seed": args.seed,
-            "eta_sampled_upper": _eta_json(eta),
+            "eta_sampled_upper": eta,
         }
         text = f"sampled eta upper bound {_eta_text(eta)} ({args.budget} samples)\n"
     else:
@@ -475,7 +466,8 @@ _COMMANDS = {
 }
 
 
-_NUMBER_PAIR = r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+# unambiguous, so a long non-number fails to match in linear time
+_NUMBER_PAIR = r"-?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?"
 
 
 def _fuse_negative_lambdas(argv: list[str]) -> list[str]:

@@ -10,6 +10,8 @@ the backward error.
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 # Absolute floor used when a matrix norm vanishes.
@@ -18,6 +20,18 @@ ABS_FLOOR = 1e-14
 
 class InputError(ValueError):
     """Raised for malformed numeric input (wrong shape, NaN/Inf entries)."""
+
+
+# repr with bounded nesting, items and characters, for error messages
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel, _SHOWN.maxlist, _SHOWN.maxdict = 2, 4, 2
+_SHOWN.maxstring = _SHOWN.maxother = _SHOWN.maxlong = 40
+
+
+def shown(value) -> str:
+    """An input value as an error message repeats it: its repr, or its type and a prefix."""
+    text = _SHOWN.repr(value)
+    return text if len(text) <= 80 else f"{type(value).__name__} {text[:80]}..."
 
 
 class NumericError(RuntimeError):

@@ -39,16 +39,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .linalg import InputError, NumericError, as_matrix
+from .linalg import InputError, NumericError, as_matrix, sigma_max, sigma_min
 from .reduction import BlockStructure
 
 # Scaling exponents are confined to a safe dynamic range for doubles.
 X_BOUND = 40.0
 # Relative tolerance for grouping singular values with the largest.
 MULT_TOL = 1e-8
-# Widening cluster tolerances whose top singular subspaces seed the lower
-# bound's kernel-direction candidates.
-CLUSTER_TOLS = (MULT_TOL, 1e-6, 1e-4, 1e-2)
+# Relative gap sigma_1 - sigma_2 up to which the top two singular pairs seed
+# a rank-two kernel-direction candidate of the lower bound.
+PAIR_TOL = 1e-2
 # Cap on the safeguarded Newton steps of the rank-two kernel direction.
 KERNEL_NEWTON_ITERS = 100
 # Norm below which a vector block is treated as vanished; relative to
@@ -110,26 +110,22 @@ class PartialIsometrySet:
 
     def max_defect(self) -> float:
         """Largest deviation from the partial-isometry identity P P* P = P."""
-        worst = 0.0
-        for blk in self.blocks:
-            worst = max(worst, float(np.linalg.norm(blk @ blk.conj().T @ blk - blk, 2)))
-        return worst
+        return max(float(np.linalg.norm(blk @ blk.conj().T @ blk - blk, 2)) for blk in self.blocks)
 
 
 @dataclass
 class MuResult:
-    """Bracket lower <= upper with its certificate and the two searches' records."""
+    """Bracket lower <= upper with its certificate and the two searches' records:
+    P is ``lower_bound.certificate`` and sigma_max(M) is ``upper_bound.scale``."""
 
     lower: float
     upper: float
-    certificate_p: PartialIsometrySet | None
     certificate_delta: tuple[np.ndarray, ...] | None
     delta_residual: float | None
     exactness: str  # exact_n_le_3 | exact_simple_sigma | bracket_only
     possibly_zero: bool
     upper_bound: UpperBound
     lower_bound: LowerBound
-    scale: float  # sigma_max(M), the scale of every relative zero test
 
 
 def _weights(structure: BlockStructure, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -510,22 +506,19 @@ def _isometries_from_direction(alphas, betas, v):
 def _kernel_candidates(a_n: np.ndarray, structure: BlockStructure, svd):
     """Lower-bound candidates from the top singular subspace of an evaluation.
 
-    One candidate per distinct rank of the clusters at CLUSTER_TOLS, built
-    one at a time, as (Delta of rank-one blocks, kernel residual,
-    rho(Delta M), eigenpairs of Delta M); the first is at MULT_TOL.  A cluster of more than two singular values is compressed to
-    its top two pairs, so every kernel direction is a closed form of rank
-    one or two.  A tolerance that gives the same rank as the one before it
-    is skipped: it sees the same subspace, and the kernel direction is a
-    deterministic function of that subspace, so its candidate would be a
-    bit-identical copy.
+    At most two candidates, built one at a time, as (Delta of rank-one
+    blocks, kernel residual, rho(Delta M), eigenpairs of Delta M): one from
+    the top singular pair where sigma_1 - sigma_2 > MULT_TOL sigma_1 (a
+    simple sigma_max), then one from the top two pairs where
+    sigma_1 - sigma_2 <= PAIR_TOL sigma_1.  A larger cluster is compressed
+    to its top two pairs, so every kernel direction is a closed form of
+    rank one or two.
     """
     u, s, vh = svd
-    prev_rank = 0
-    for tol in CLUSTER_TOLS:
-        rank = min(2, int(np.count_nonzero(s[0] - s <= tol * s[0])))
-        if rank == prev_rank:
+    gap = s[0] - s[1] if len(s) > 1 else np.inf
+    for rank, seeded in ((1, gap > MULT_TOL * s[0]), (2, gap <= PAIR_TOL * s[0])):
+        if not seeded:
             continue
-        prev_rank = rank
         alphas, betas, forms = _top_subspace_forms(u, vh, rank, structure)
         v, resid = _kernel_direction(forms)
         delta = structure.assemble(_isometries_from_direction(alphas, betas, v))
@@ -669,12 +662,12 @@ class LowerBound:
     refine_rounds: int  # iterations of _ascend over all candidates
 
 
-def mu_lower(m, structure: BlockStructure, upper: UpperBound | None = None) -> LowerBound:
+def mu_lower(m, structure: BlockStructure, upper: UpperBound) -> LowerBound:
     """Best certified lower bound sup rho(P M) over the searched P.
 
     Candidates come from :func:`_kernel_candidates` of the evaluation at
     the scaling optimum that ``upper``, mu_upper's record, holds (none
-    without it).  A candidate whose rho comes within CLOSE_TOL of
+    where M = 0).  A candidate whose rho comes within CLOSE_TOL of
     upper.value ends the search; any other is refined by :func:`_ascend`.  A winner the ascent
     produced is snapped to partial isometries and rho is evaluated once
     more: that value is the bound, and the snapped blocks are its
@@ -684,7 +677,7 @@ def mu_lower(m, structure: BlockStructure, upper: UpperBound | None = None) -> L
     """
     a = as_matrix(m)
     structure.check_shape(a)
-    if upper is None or upper.scale == 0.0:
+    if upper.scale == 0.0:
         return LowerBound(0.0, None, None, 0)
     s0 = upper.scale
     a_n = _normalized(a, s0)
@@ -695,7 +688,7 @@ def mu_lower(m, structure: BlockStructure, upper: UpperBound | None = None) -> L
     # built one at a time, so the search stops paying for candidates once one meets the target
     for delta, resid, rho, eig in _kernel_candidates(a_n, structure, upper.svd):
         if kernel_residual is None:
-            kernel_residual = resid  # the MULT_TOL candidate's
+            kernel_residual = resid  # the first candidate's
         refine = rho < goal
         if refine:
             rho, delta, used = _ascend(a_n, delta, rho, structure.places, eig=eig)
@@ -723,10 +716,6 @@ def negligible(value: float, scale: float, rel_tol: float) -> bool:
     return value <= max(rel_tol * scale, float(np.finfo(float).tiny))
 
 
-class NoCertificateError(NumericError):
-    """Raised when a perturbation certificate is requested but rho(P M) = 0."""
-
-
 def certificate_to_delta(
     pset: PartialIsometrySet, m, *, scale: float | None = None
 ) -> tuple[tuple[np.ndarray, ...], float]:
@@ -740,15 +729,12 @@ def certificate_to_delta(
     a = as_matrix(m)
     rho, lam = _rho(pset.matrix(), a)
     if scale is None:
-        scale = float(np.linalg.svd(a, compute_uv=False)[0])
+        scale = sigma_max(a)
     if negligible(rho, scale, TINY):
-        raise NoCertificateError("rho(P M) vanishes; no finite perturbation exists")
+        raise NumericError("rho(P M) vanishes; no finite perturbation exists")
     blocks = tuple(blk / lam for blk in pset.blocks)
     delta = pset.structure.assemble(blocks)
-    resid = float(
-        np.linalg.svd(np.eye(delta.shape[0]) - delta @ a, compute_uv=False)[-1]
-    )
-    return blocks, resid
+    return blocks, sigma_min(np.eye(delta.shape[0]) - delta @ a)
 
 
 def mu_bracket(m, structure: BlockStructure) -> MuResult:
@@ -776,12 +762,10 @@ def mu_bracket(m, structure: BlockStructure) -> MuResult:
         # bound lowered to the upper one stays valid
         lower=min(lower.value, upper.value),
         upper=upper.value,
-        certificate_p=lower.certificate,
         certificate_delta=cert_delta,
         delta_residual=resid,
         exactness=exactness,
         possibly_zero=possibly_zero,
         upper_bound=upper,
         lower_bound=lower,
-        scale=scale,
     )

@@ -29,43 +29,34 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import InputError, as_matrix, sigma_max
+from .linalg import InputError, as_matrix, shown, sigma_max
 
 _BLOCK_ORDER = "ABCP"
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Subset of the blocks A, B, C, P(z) that perturbations may touch."""
+    """Subset of the blocks A, B, C, P(z) that perturbations may touch.
 
-    perturb_a: bool = False
-    perturb_b: bool = False
-    perturb_c: bool = False
-    perturb_p: bool = False
+    ``name`` holds its letters, e.g. "BC", which are put in ABCP order."""
+
+    name: str
 
     def __post_init__(self):
-        if not (self.perturb_a or self.perturb_b or self.perturb_c or self.perturb_p):
-            raise InputError("scenario must perturb at least one block")
+        spec = self.name
+        name = spec if isinstance(spec, str) else ""
+        if not name or len(set(name)) != len(name) or not set(name) <= set(_BLOCK_ORDER):
+            raise InputError(f"scenario must be a nonempty subset of 'ABCP', got {shown(spec)}")
+        object.__setattr__(self, "name", "".join(ch for ch in _BLOCK_ORDER if ch in name))
 
     @classmethod
     def from_string(cls, spec: str) -> "Scenario":
-        s = spec.strip().upper()
-        if not s or any(ch not in _BLOCK_ORDER for ch in s) or len(set(s)) != len(s):
-            raise InputError(
-                f"scenario must be a nonempty subset of 'ABCP', got {spec!r}"
-            )
-        return cls("A" in s, "B" in s, "C" in s, "P" in s)
+        """The scenario of the letters in ``spec``, in any case and order."""
+        return cls(spec.strip().upper() if isinstance(spec, str) else spec)
 
     @property
-    def name(self) -> str:
-        return "".join(
-            ch
-            for ch, on in zip(
-                _BLOCK_ORDER,
-                (self.perturb_a, self.perturb_b, self.perturb_c, self.perturb_p),
-            )
-            if on
-        )
+    def perturb_p(self) -> bool:
+        return "P" in self.name
 
     def labels(self, d: int) -> tuple[str, ...]:
         """Perturbed block labels: A, B, C in order, then A0..Ad for P(z)."""
@@ -88,7 +79,7 @@ def _place(label: str, r: int, n: int) -> tuple[slice, slice, int]:
         return bottom, bottom, 0
     if label.startswith("A") and label[1:].isdecimal():
         return bottom, bottom, int(label[1:])
-    raise InputError(f"unknown block label {label!r}")
+    raise InputError(f"unknown block label {shown(label)}")
 
 
 def block_shape(label: str, r: int, n: int) -> tuple[int, int]:
@@ -99,11 +90,7 @@ def block_shape(label: str, r: int, n: int) -> tuple[int, int]:
 
 def all_scenarios() -> list[Scenario]:
     """The 15 scenarios, sorted by size then lexicographically."""
-    out = []
-    for size in range(1, 5):
-        for combo in combinations(_BLOCK_ORDER, size):
-            out.append(Scenario.from_string("".join(combo)))
-    return out
+    return [Scenario("".join(c)) for size in range(1, 5) for c in combinations(_BLOCK_ORDER, size)]
 
 
 @dataclass(frozen=True)
@@ -117,7 +104,7 @@ class BlockStructure:
             raise InputError("block structure must be nonempty")
         for i, (p, k) in enumerate(self.blocks):
             if p < 1 or k < 1:
-                raise InputError(f"block {i}: shapes must be >= 1, got ({p}, {k})")
+                raise InputError(f"block {i}: shapes must be >= 1, got ({shown(p)}, {shown(k)})")
         object.__setattr__(self, "blocks", tuple((int(p), int(k)) for p, k in self.blocks))
 
     @property

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, InputError, as_matrix
+from .linalg import ABS_FLOOR, InputError, as_matrix, shown
 
 # Relative sigma_min threshold deciding "lambda is an eigenvalue".
 EIGENVALUE_TOL = 1e-10
@@ -215,7 +215,7 @@ def _entry_from_json(entry, path: str) -> complex:
         return complex(entry)
     if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_number, entry)):
         return complex(entry[0], entry[1])
-    raise InputError(f"{path}: expected [re, im] or a number, got {entry!r}")
+    raise InputError(f"{path}: expected [re, im] or a number, got {shown(entry)}")
 
 
 def matrix_from_json(obj, path: str = "matrix", shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -256,7 +256,7 @@ def system_from_json(obj) -> RosenbrockSystem:
     for name, val in (("r", r), ("n", n), ("d", d)):
         # type(), not isinstance(): JSON true/false arrive as bool, an int subclass
         if type(val) is not int or val < 0 or (name != "d" and val < 1):
-            raise InputError(f"system.{name}: expected a positive integer, got {val!r}")
+            raise InputError(f"system.{name}: expected a positive integer, got {shown(val)}")
     a = matrix_from_json(obj["A"], "system.A", (r, r))
     b = matrix_from_json(obj["B"], "system.B", (r, n))
     c = matrix_from_json(obj["C"], "system.C", (n, r))

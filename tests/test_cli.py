@@ -430,6 +430,26 @@ def test_possibly_infinite_warning_in_text_report(tmp_path, capsys):
     assert "certificate:" not in out
 
 
+def test_rows_without_certificate_are_bracket_only(tmp_path, capsys):
+    # on the near-1e308 system seven multi-block rows get a finite eta_lower
+    # but no certificate, so eta_upper = inf stands for no known perturbation
+    big = {"r": 1, "n": 1, "d": 0, "A": [[[1e308, 0]]], "B": [[[5e307, 0]]],
+           "C": [[[2.5e307, 0]]], "P": [[[[1e308, 0]]]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(big))
+    assert main(["sweep", "--lambda", "0", "--json", str(path)]) == 0
+    rows = {r["scenario"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    uncertified = {name for name, r in rows.items() if r["eta_upper"] == "inf" and len(name) > 1}
+    assert uncertified == {"AB", "AC", "AP", "BC", "BP", "CP", "ABP"}
+    for name in uncertified:
+        row = rows[name]
+        assert (row["exactness"], row["certified_side"]) == ("bracket_only", "upper"), name
+        assert isinstance(row["eta_lower"], float) and row["delta_blocks"] is None, name
+    assert main(["backward-error", "--scenario", "AB", "--lambda", "0", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "eta in [7e+307, inf] (bracket_only; upper side certified)"
+
+
 def test_infinite_eta_rendered_as_string(tmp_path, capsys):
     a0 = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=complex)
     doc = {
@@ -885,6 +905,77 @@ def test_undecodable_file_exits_2(tmp_path, capsys, command, content):
         argv = ["verify", str(system), str(path)]
     assert main(argv) == 2
     assert f"error: {path}" in capsys.readouterr().err
+
+
+def test_json_integer_too_long_to_convert_exits_2(tmp_path, capsys):
+    path = tmp_path / "bigint.json"
+    path.write_text("[[" + "1" * 5000 + "]]")
+    assert main(["mu", "--structure", "1x1", str(path)]) == 2
+    assert f"error: {path} is not valid JSON" in capsys.readouterr().err
+
+
+LONG_LIST = list(range(20_000))
+
+
+@pytest.mark.parametrize(
+    "site",
+    ["matrix-entry", "system.r", "claimed_eta", "certificate-scenario", "scenario-argument",
+     "lambda-argument", "structure-argument", "block-shape"],
+)
+def test_error_message_bounds_the_input_it_repeats(tmp_path, capsys, site):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(VALID_SYSTEM))
+    cert = tmp_path / "cert.json"
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps([[1.0]]))
+    if site == "matrix-entry":
+        matrix.write_text(json.dumps([["x" * 100_000]]))
+        argv = ["mu", "--structure", "1x1", str(matrix)]
+    elif site == "system.r":
+        system.write_text(json.dumps(dict(VALID_SYSTEM, r=LONG_LIST)))
+        argv = ["sweep", "--lambda", "0.5", str(system)]
+    elif site in ("claimed_eta", "certificate-scenario"):
+        doc = dict(DIAG_CERTIFICATE)
+        if site == "claimed_eta":
+            doc["claimed_eta"] = LONG_LIST
+        else:
+            doc["scenario"] = "A" * 100_000
+        cert.write_text(json.dumps(doc))
+        argv = ["verify", str(system), str(cert)]
+    elif site == "scenario-argument":
+        argv = ["backward-error", "--scenario", "AB" * 25_000, "--lambda", "0", str(system)]
+    elif site == "lambda-argument":
+        argv = ["sweep", "--lambda", "1" * 20_000 + "x", str(system)]
+    elif site == "structure-argument":
+        argv = ["mu", "--structure", "1x" * 20_000, str(matrix)]
+    else:
+        argv = ["mu", "--structure=-" + "9" * 4_000 + "x1", str(matrix)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.encode("utf-8")) < 300, err[:400]
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["mu", "backward-error", "verify"])
+def test_unwritable_output_exits_2_before_stdout(tmp_path, golden_matrix_file, capsys, command, target):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(DIAG_SYSTEM))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(DIAG_CERTIFICATE))
+    output = str(tmp_path / "missing" / "x.json") if target == "missing-directory" else str(tmp_path)
+    argv = {
+        "mu": ["mu", "--structure", "2x3,3x2", golden_matrix_file],
+        "backward-error": ["backward-error", "--scenario", "A", "--lambda", "0", str(system)],
+        "verify": ["verify", str(system), str(cert)],
+    }[command]
+    if command == "verify":
+        assert main(argv) == 0  # a valid certificate
+        capsys.readouterr()
+    assert main(argv + ["--output", output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {output}: ")
 
 
 def test_sweep_independent_of_blas_threads(tmp_path):

@@ -273,7 +273,8 @@ def test_mu_bracket_golden_example():
 
 
 def test_mu_lower_zero_matrix():
-    res = mu_lower(np.zeros((2, 2)), TWO_SCALARS)
+    zero = np.zeros((2, 2))
+    res = mu_lower(zero, TWO_SCALARS, mu_upper(zero, TWO_SCALARS))
     assert res.value == 0.0
     assert res.certificate is None
 
@@ -331,7 +332,7 @@ def test_certificate_to_delta_scaled_identity():
     structure = BlockStructure(((2, 2),))
     m = 2 * np.eye(2, dtype=complex)
     res = mu_bracket(m, structure)
-    blocks, resid = certificate_to_delta(res.certificate_p, m)
+    blocks, resid = certificate_to_delta(res.lower_bound.certificate, m)
     assert perturbation_norm(blocks) == pytest.approx(0.5, rel=1e-12)
     assert resid <= 1e-12
 
@@ -393,8 +394,8 @@ def _check_bracket_and_certificate(m, structure):
     res = mu_bracket(m, structure)
     assert res.lower <= res.upper + 1e-9 * max(1.0, res.upper)
     assert res.upper <= sigma_max(m) + 1e-12
-    if res.certificate_p is not None:
-        assert res.certificate_p.max_defect() <= 1e-10
+    if res.lower_bound.certificate is not None:
+        assert res.lower_bound.certificate.max_defect() <= 1e-10
     if res.certificate_delta is not None:
         delta = structure.assemble(res.certificate_delta)
         assert res.delta_residual <= 1e-8 * max(
@@ -661,7 +662,7 @@ def test_mu_scalar_continuation_stops_on_the_floor(monkeypatch):
         assert svd is res.upper_bound.svd
         assert floor >= goal
         assert res.upper - res.lower <= CLOSE_TOL * res.upper
-        assert res.lower >= res.scale * floor
+        assert res.lower >= res.upper_bound.scale * floor
         assert res.lower_bound.refine_rounds == 0
 
 
@@ -731,7 +732,7 @@ def test_backward_error_takes_sigma_max_of_m_once(monkeypatch):
     res = backward_error(sys_, 0.7, scenario)
     assert res.mu is not None and res.certificate is not None
     assert len(values_of_m) == 1
-    assert res.mu.scale == svd(m, compute_uv=False)[0]
+    assert res.mu.upper_bound.scale == svd(m, compute_uv=False)[0]
 
 
 def test_mu_bracket_takes_one_svd_per_evaluation(monkeypatch):
@@ -902,11 +903,14 @@ def _matrix_with_singular_values(rng, s):
 @pytest.mark.parametrize(
     "sigmas, kernel_ranks",
     [
-        # clusters of 1, 2, 2 and 4 at the four cluster tolerances: the 4 is
-        # compressed to its top two pairs, and the repeated 2s are skipped
+        # a simple sigma_max within PAIR_TOL of sigma_2: the top pair, then the
+        # top two pairs (the cluster of four within PAIR_TOL is compressed)
         ([1, 1 - 1e-7, 1 - 1e-3, 1 - 1e-3, 0.5, 0.4], [1, 2]),
-        # clusters of 2, 2, 3 and 3: all of rank 2 after the compression
+        # a repeated sigma_max: the top two pairs of the cluster of three only
         ([1, 1, 1 - 1e-5, 0.5, 0.4, 0.3], [2]),
+        # the two sides of PAIR_TOL = 1e-2 for the gap sigma_1 - sigma_2
+        ([1, 1 - 5e-3, 0.5, 0.4, 0.3, 0.2], [1, 2]),
+        ([1, 1 - 2e-2, 0.5, 0.4, 0.3, 0.2], [1]),
     ],
 )
 def test_mu_lower_one_kernel_call_per_distinct_rank(monkeypatch, kernel_only, sigmas, kernel_ranks):
@@ -998,4 +1002,4 @@ def test_mu_lower_reaches_oracle_on_open_brackets():
             res = mu_bracket(m, structure)
             assert res.exactness == "bracket_only"
             assert res.lower >= float.fromhex(PINNED_ORACLE_LOWER[i]) * (1 - LOWER_SLACK)
-            assert res.certificate_p.max_defect() <= 1e-10
+            assert res.lower_bound.certificate.max_defect() <= 1e-10
