@@ -6,7 +6,7 @@ machine precision (the structure has two blocks, so the bound is exact)
 and improves on the classical square-block bound 3.097070.
 """
 
-from rosenmu import BlockStructure, certificate_to_delta, mu_bracket, sigma_max
+from rosenmu import BlockStructure, mu_bracket, perturbation_norm
 from rosenmu.instances import golden_two_block_matrix
 
 
@@ -21,10 +21,9 @@ def main():
     print(f"exactness      : {res.exactness}")
     print(f"reference      : 3.081980 (square-block scaling gives 3.097070)")
 
-    blocks, resid = certificate_to_delta(res.lower_bound.certificate, m)
-    norm = max(sigma_max(b) for b in blocks)
+    norm = perturbation_norm(res.certificate_delta)
     print(f"certificate    : max block norm {norm:.12f} = 1/mu, "
-          f"det residual {resid:.2e}")
+          f"det residual {res.delta_residual:.2e}")
     print(f"smallest singularizing perturbation norm: {1 / res.lower:.12f}")
 
 

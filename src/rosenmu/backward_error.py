@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ABS_FLOOR, InputError, NumericError, as_matrix
-from .mu import ZERO_TOL, MuResult, mu_bracket, negligible
+from .mu import TINY, ZERO_TOL, MuResult, mu_bracket, negligible
 from .reduction import (
     Scenario,
     all_scenarios,
@@ -33,11 +33,6 @@ from .reduction import (
     reduce,
 )
 from .rosenbrock import RosenbrockSystem, Scan, weight
-
-# A 1-block M is declared exactly zero (infinite backward error) below
-# this level relative to its bound w sigma_max(S(lambda)^{-1}) = w/sigma_min,
-# with w the weight of the P block and 1 for A, B and C.
-WITNESS_ZERO_TOL = 1e-14
 
 
 @dataclass
@@ -113,8 +108,9 @@ def _scan_results(scan: Scan, scenario: Scenario) -> list[BackwardErrorResult | 
     if one_block:
         # One perturbed block (A, B, C, or the weighted P): mu degenerates
         # to sigma_max(M) and the closed form 1/sigma_max(M) applies, +inf
-        # when M = 0.  One SVD of M gives sigma_max, the certificate and its
-        # norm 1/sigma_max.
+        # when M is zero: below TINY times its bound w / sigma_min(S), with w
+        # the weight of P and 1 otherwise.  One SVD of M gives sigma_max, the
+        # certificate and its norm 1/sigma_max.
         _, s, vh = np.linalg.svd(m)
     certified, perturbed = [], []
     for i, k in enumerate(rows):
@@ -122,7 +118,7 @@ def _scan_results(scan: Scan, scenario: Scenario) -> list[BackwardErrorResult | 
         try:
             if one_block:
                 smax = float(s[i, 0])
-                if smax <= WITNESS_ZERO_TOL * max(weights[k] * (1.0 / scan.sigma_min[k]), ABS_FLOOR):
+                if smax <= TINY * max(weights[k] * (1.0 / scan.sigma_min[k]), ABS_FLOOR):
                     res.infinite_witness = m[i]
                 else:
                     res.eta_lower = res.eta_upper = norm = 1.0 / smax
@@ -132,7 +128,7 @@ def _scan_results(scan: Scan, scenario: Scenario) -> list[BackwardErrorResult | 
                 res.exactness = mu.exactness
                 res.eta_lower = 1.0 / mu.upper if mu.upper > 0 else np.inf
                 res.possibly_infinite = negligible(mu.lower, mu.upper_bound.scale, ZERO_TOL)
-                if mu.certificate_delta is not None and mu.lower > 0:
+                if mu.certificate_delta is not None:
                     res.eta_upper = 1.0 / mu.lower
                     delta = mu.certificate_delta
                     norm = perturbation_norm(delta)

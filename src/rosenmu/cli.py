@@ -146,8 +146,19 @@ def _load_json(path: str):
         raise InputError(f"{path} nests arrays or objects too deeply") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose error messages, which repeat offending values whole, keep
+    only their two ends when long, as linalg.shown cuts a long string."""
+
+    END = 80  # characters kept at each end; argparse's usual messages are shorter
+
+    def error(self, message):
+        n = self.END
+        super().error(message if len(message) <= 2 * n else f"{message[:n]}...{message[-n:]}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rosenmu",
         description="Structured eigenvalue backward errors of Rosenbrock "
         "system matrices and block-structured mu-values.",

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .linalg import InputError, NumericError, as_matrix, sigma_max, sigma_min
+from .linalg import InputError, NumericError, as_matrix, sigma_min
 from .reduction import BlockStructure
 
 # Scaling exponents are confined to a safe dynamic range for doubles.
@@ -51,8 +51,8 @@ MULT_TOL = 1e-8
 PAIR_TOL = 1e-2
 # Cap on the safeguarded Newton steps of the rank-two kernel direction.
 KERNEL_NEWTON_ITERS = 100
-# Norm below which a vector block is treated as vanished; relative to
-# sigma_max(M), the spectral radius below which rho(P M) certifies nothing.
+# Norm below which a vector block is treated as vanished; relative to the
+# scale of M, the level below which rho(P M) or a one-block M count as zero.
 TINY = 1e-14
 # Relative to sigma_max(M), mu bounds at or below this level count as zero.
 ZERO_TOL = 1e-12
@@ -461,7 +461,6 @@ def _kernel_direction_2(forms) -> np.ndarray:
     else:
         hi = lo + float(np.linalg.norm(c))  # every term is at most c_j^2 / |c|^2 there
         delta = lo
-        eps = np.finfo(float).eps
         for _ in range(KERNEL_NEWTON_ITERS):
             w = c_live / (g_live + delta)
             n2 = float(w @ w)
@@ -470,7 +469,7 @@ def _kernel_direction_2(forms) -> np.ndarray:
                 hi = delta
             else:
                 lo = delta
-            if abs(f) <= 4 * eps or hi - lo <= eps * hi:
+            if abs(f) <= 4 * _EPS or hi - lo <= _EPS * hi:
                 break
             step = delta - f * n2**1.5 / float(np.sum(w**2 / (g_live + delta)))
             delta = step if lo < step < hi else 0.5 * (lo + hi)
@@ -608,9 +607,7 @@ def _ascent_direction(a: np.ndarray, w: np.ndarray, v: np.ndarray, places):
     return grad / np.linalg.norm(grad)
 
 
-def _ascend(
-    a: np.ndarray, delta: np.ndarray, rho: float, places, iters: int = ASCENT_ITERS, eig=None
-):
+def _ascend(a: np.ndarray, delta: np.ndarray, rho: float, places, eig=None):
     """Projected gradient ascent of rho(Delta M) over blocks of norm <= 1.
 
     Follows Guglielmi & Overton (2011) and Guglielmi, Rehman & Kressner
@@ -621,14 +618,14 @@ def _ascend(
     only if rho rises; the step doubles after a kept step and halves after
     a rejected one.  The ascent ends after ``_STALL`` iterations in a row
     gain at most ``_GAIN_TOL`` relative, when the step falls below machine
-    epsilon, after ``iters`` iterations, or where the gradient is
+    epsilon, after ``ASCENT_ITERS`` iterations, or where the gradient is
     undefined.  Returns the best rho, its Delta (the start if nothing rose)
     and the number of iterations run.
     """
     w, v = np.linalg.eig(delta @ a) if eig is None else eig
     direction = _ascent_direction(a, w, v, places)
     step, stalled, used = _STEP, 0, 0
-    while used < iters and direction is not None and step >= _EPS and stalled < _STALL:
+    while used < ASCENT_ITERS and direction is not None and step >= _EPS and stalled < _STALL:
         used += 1
         trial = _project(delta + step * direction, places)
         w, v = np.linalg.eig(trial @ a)
@@ -716,21 +713,18 @@ def negligible(value: float, scale: float, rel_tol: float) -> bool:
     return value <= max(rel_tol * scale, float(np.finfo(float).tiny))
 
 
-def certificate_to_delta(
-    pset: PartialIsometrySet, m, *, scale: float | None = None
-) -> tuple[tuple[np.ndarray, ...], float]:
+def certificate_to_delta(pset: PartialIsometrySet, m) -> tuple[tuple[np.ndarray, ...], float]:
     """Minimal structured perturbation from a partial-isometry certificate.
 
     With lambda_e the dominant eigenvalue of P M, Delta = P / lambda_e has
     max block norm 1 / rho(P M) and makes I - Delta M singular.  Returns
-    the blocks and the residual sigma_min(I - Delta M).  ``scale`` is
-    sigma_max(M) when the caller has it.
+    the blocks and the residual sigma_min(I - Delta M).  A rho(P M) that is
+    negligible (TINY) relative to max |M_ij| raises NumericError; for k x p M
+    that scale lies in [sigma_max(M) / sqrt(k p), sigma_max(M)] and costs no SVD.
     """
     a = as_matrix(m)
     rho, lam = _rho(pset.matrix(), a)
-    if scale is None:
-        scale = sigma_max(a)
-    if negligible(rho, scale, TINY):
+    if negligible(rho, float(np.abs(a).max()), TINY):
         raise NumericError("rho(P M) vanishes; no finite perturbation exists")
     blocks = tuple(blk / lam for blk in pset.blocks)
     delta = pset.structure.assemble(blocks)
@@ -741,7 +735,6 @@ def mu_bracket(m, structure: BlockStructure) -> MuResult:
     """Full bracket [lower, upper] with certificates and exactness record."""
     a = as_matrix(m)
     upper = mu_upper(a, structure)  # checks the shape and the scale
-    scale = upper.scale
     lower = mu_lower(a, structure, upper)
 
     nb = structure.n_blocks
@@ -751,11 +744,11 @@ def mu_bracket(m, structure: BlockStructure) -> MuResult:
         exactness = "exact_simple_sigma"
     else:
         exactness = "bracket_only"
-    possibly_zero = negligible(max(lower.value, upper.value), scale, ZERO_TOL)
+    possibly_zero = negligible(max(lower.value, upper.value), upper.scale, ZERO_TOL)
 
     cert_delta = resid = None
-    if lower.certificate is not None and not negligible(lower.value, scale, TINY):
-        cert_delta, resid = certificate_to_delta(lower.certificate, a, scale=scale)
+    if lower.certificate is not None and not negligible(lower.value, upper.scale, TINY):
+        cert_delta, resid = certificate_to_delta(lower.certificate, a)
 
     return MuResult(
         # roundoff can put the lower bound ulps above the upper one; a lower

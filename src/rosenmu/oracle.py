@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import InputError, as_matrix, sigma_max
-from .mu import ASCENT_ITERS, _ascend
+from .mu import _ascend
 from .reduction import BlockStructure, Scenario, _place, _power, block_shape
 from .rosenbrock import RosenbrockSystem, Scan
 
@@ -39,6 +39,8 @@ _TINY = 1e-300
 # Draws evaluated together; the chunk's arrays are the sampling phase's
 # working memory whatever the budget.
 _CHUNK = 512
+# Sampled candidates that the projected ascent sharpens.
+REFINE_TOP = 5
 
 
 @dataclass
@@ -60,24 +62,19 @@ def _keep_best(top, keys: np.ndarray, rows: np.ndarray, keep: int):
 
 
 def brute_force_mu(
-    m,
-    structure: BlockStructure,
-    budget: int = 5000,
-    seed: int = 0,
-    refine_top: int = 5,
-    refine_iters: int = ASCENT_ITERS,
+    m, structure: BlockStructure, budget: int = 5000, seed: int = 0
 ) -> OracleEstimate:
-    """Sampled lower bound on the structured mu-value.
+    """Sampled lower bound on the structured mu-value from ``budget`` draws of ``seed``.
 
     Draws ``budget`` complex Gaussian block directions normalized to unit
     max block norm; each yields the feasible perturbation D / lambda_e and
     hence the candidate rho(D M).  Draws are evaluated in batches of
     ``_CHUNK``, so memory stays bounded for any budget.  The best
-    ``refine_top`` candidates are sharpened by projected gradient ascent of
+    ``REFINE_TOP`` candidates are sharpened by projected gradient ascent of
     rho(Delta M) over blocks of spectral norm at most 1
-    (:func:`rosenmu.mu._ascend`, the ascent of ``mu_lower``),
-    at most ``refine_iters`` iterations each; every iterate is feasible, so
-    the result stays a lower bound.
+    (:func:`rosenmu.mu._ascend`, the ascent of ``mu_lower``, with its cap
+    of ``ASCENT_ITERS`` iterations); every iterate is feasible, so the
+    result stays a lower bound.
     """
     a = as_matrix(m)
     if budget < 1:
@@ -89,8 +86,7 @@ def brute_force_mu(
         return OracleEstimate(0.0, zero, budget)
 
     n_x = 2 * sum(p * k for p, k in structure.blocks)
-    # the candidates that the refinement sharpens, as in slicing a sorted list
-    n_refine = len(range(budget)[:refine_top])
+    n_refine = min(budget, REFINE_TOP)
     keep = max(n_refine, 1)
     # only the blocks of these Deltas are ever written; the rest stays 0
     delta = np.zeros((min(budget, _CHUNK), structure.p_total, structure.k_total), dtype=complex)
@@ -111,7 +107,7 @@ def brute_force_mu(
 
     best_val, best_delta = float(-top[0][0]), top[1][0]
     for key, delta in zip(top[0][:n_refine], top[1]):
-        f, delta, _ = _ascend(a, delta, float(-key), structure.places, refine_iters)
+        f, delta, _ = _ascend(a, delta, float(-key), structure.places)
         if f > best_val:
             best_val, best_delta = f, delta
     return OracleEstimate(
@@ -120,13 +116,7 @@ def brute_force_mu(
 
 
 def brute_force_backward_error(
-    sys: RosenbrockSystem,
-    lam: complex,
-    scenario: Scenario,
-    budget: int = 5000,
-    seed: int = 0,
-    refine_top: int = 5,
-    refine_iters: int = ASCENT_ITERS,
+    sys: RosenbrockSystem, lam: complex, scenario: Scenario, budget: int = 5000, seed: int = 0
 ) -> float:
     """Sampled upper bound on the structured backward error, 1 / sampled mu.
 
@@ -134,11 +124,12 @@ def brute_force_backward_error(
     L_lambda putting lambda^j I at each block's rows, a perturbation is
     Delta S = L_lambda Delta R, and det(S - Delta S) = det(S) det(I - Delta K)
     for the lifted matrix K = R S(lambda)^{-1} L_lambda.  So the sampled
-    lower bound of :func:`brute_force_mu` on K, an explicit feasible
-    perturbation, gives the sampled upper bound 1 / mu on the backward error
-    (infinite when every sampled rho vanishes).  The blocks of K's structure
-    are the scenario's blocks in label order, so a seed draws the same
-    directions as sampling the blocks of S(lambda) one by one.
+    lower bound of :func:`brute_force_mu` on K with the same ``budget`` and
+    ``seed``, an explicit feasible perturbation, gives the sampled upper
+    bound 1 / mu on the backward error (infinite when every sampled rho
+    vanishes).  The blocks of K's structure are the scenario's blocks in
+    label order, so a seed draws the same directions as sampling the blocks
+    of S(lambda) one by one.
 
     K is built here by dense selector products from :func:`_place`, not
     gathered by index as :func:`~rosenmu.reduction.reduce` gathers M from a
@@ -159,7 +150,5 @@ def brute_force_backward_error(
     right = np.vstack([eye[cols] for _, cols, _ in places])
     left = np.hstack([_power(lam, j) * eye[:, rows] for rows, _, j in places])
     structure = BlockStructure(tuple(block_shape(label, sys.r, sys.n) for label in labels))
-    mu = brute_force_mu(
-        right @ scan.inverse[0] @ left, structure, budget, seed, refine_top, refine_iters
-    ).mu_sampled_lower
+    mu = brute_force_mu(right @ scan.inverse[0] @ left, structure, budget, seed).mu_sampled_lower
     return 1.0 / mu if mu > 0 else np.inf

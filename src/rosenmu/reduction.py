@@ -158,22 +158,15 @@ class BlockStructure:
 
     def assemble(self, blocks) -> np.ndarray:
         """Stack a block list into the dense p x k block-diagonal matrix."""
-        blocks = self.check_blocks(blocks)
-        delta = np.zeros((self.p_total, self.k_total), dtype=complex)
-        for (sp, sk), blk in zip(self.places, blocks):
-            delta[sp, sk] = blk
-        return delta
-
-    def check_blocks(self, blocks) -> list[np.ndarray]:
         if len(blocks) != self.n_blocks:
             raise InputError(f"expected {self.n_blocks} blocks, got {len(blocks)}")
-        out = []
-        for i, ((p, k), blk) in enumerate(zip(self.blocks, blocks)):
+        delta = np.zeros((self.p_total, self.k_total), dtype=complex)
+        for i, ((p, k), (sp, sk), blk) in enumerate(zip(self.blocks, self.places, blocks)):
             b = as_matrix(blk, f"block {i}")
             if b.shape != (p, k):
                 raise InputError(f"block {i}: expected {p}x{k}, got {b.shape}")
-            out.append(b)
-        return out
+            delta[sp, sk] = b
+        return delta
 
 
 def _power(lam: complex, j: int) -> complex:

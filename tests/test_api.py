@@ -1,5 +1,6 @@
 """The public names, and the names the benchmark harness looks up."""
 
+import inspect
 import os
 
 import numpy as np
@@ -43,6 +44,19 @@ def test_public_names_pinned():
         "system_to_json",
         "unstructured_backward_error",
     ]
+
+
+def test_oracles_and_certificate_conversion_take_no_test_only_options():
+    # the refinement's size is a module constant, and certificate_to_delta
+    # takes its scale from M
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(rosenmu.brute_force_mu) == ["m", "structure", "budget", "seed"]
+    assert params(rosenmu.brute_force_backward_error) == [
+        "sys", "lam", "scenario", "budget", "seed"
+    ]
+    assert params(rosenmu.certificate_to_delta) == ["pset", "m"]
 
 
 def test_perfbench_finds_the_names_it_traces(monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rosenmu import (
+    NumericError,
     RosenbrockSystem,
     Scenario,
     all_scenarios,
@@ -278,3 +279,48 @@ def test_multi_lambda_sweep_rows_match_one_point_sweeps(rng):
     for lam, rows in zip(lams, scan_backward_errors(sys_, lams, all_scenarios())):
         for row, alone in zip(rows, scenario_sweep(sys_, lam), strict=True):
             _assert_same_row(row, alone)
+
+
+def _failing_mu_bracket(monkeypatch, fails):
+    """Replace the pipeline's mu_bracket by one that raises at the calls ``fails`` picks.
+
+    ``fails(n_blocks, call)`` gets the block count and the 1-based count of
+    earlier calls with that many blocks, and returns the message to raise or None.
+    """
+    module = importlib.import_module("rosenmu.backward_error")
+    calls = Counter()
+
+    def bracket(m, structure):
+        calls[structure.n_blocks] += 1
+        message = fails(structure.n_blocks, calls[structure.n_blocks])
+        if message is not None:
+            raise NumericError(message)
+        return mu_bracket(m, structure)
+
+    monkeypatch.setattr(module, "mu_bracket", bracket)
+
+
+def test_scan_failure_at_a_multi_block_point_exits_3(rng, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_to_json(random_system(rng, r=2, n=2, d=1))))
+    _failing_mu_bracket(monkeypatch, lambda nb, call: "planted at lambda_1" if call == 2 else None)
+    argv = ["backward-error", "--scenario", "BC"]
+    for lam in ("0.5", "0.3,-0.2", "-0.7"):
+        argv += ["--lambda", lam]
+    assert main(argv + [str(path)]) == 3
+    assert capsys.readouterr().err == "numeric failure: planted at lambda_1\n"
+
+
+def test_sweep_raises_the_failure_of_the_earliest_lambda(rng, monkeypatch):
+    # AB, the first two-block scenario, fails at lambda_1 before ABCP fails at lambda_0
+    def fails(n_blocks, call):
+        if n_blocks == 2 and call == 2:
+            return "AB at lambda_1"
+        if n_blocks == 4:
+            return "ABCP at lambda_0"
+        return None
+
+    _failing_mu_bracket(monkeypatch, fails)
+    sys_ = random_system(rng, r=2, n=2, d=1)
+    with pytest.raises(NumericError, match="^ABCP at lambda_0$"):
+        scan_backward_errors(sys_, [0.5, 0.3 - 0.2j], all_scenarios())

@@ -340,8 +340,21 @@ def test_bad_lambda_exit_2(diag_system_file):
     assert rc == 2
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf,0"])
+def test_non_finite_lambda_exit_2(diag_system_file, capsys, lam):
+    assert main(["backward-error", "--scenario", "A", "--lambda", lam, diag_system_file]) == 2
+    assert capsys.readouterr().err == "error: lambda must be finite\n"
+
+
 def test_bad_structure_exit_2(golden_matrix_file):
     assert main(["mu", "--structure", "2x", golden_matrix_file]) == 2
+
+
+def test_ragged_matrix_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps([[1.0, 2.0], [3.0]]))
+    assert main(["mu", "--structure", "1x1", str(path)]) == 2
+    assert capsys.readouterr().err == "error: matrix[1]: row has 1 entries, expected 2\n"
 
 
 def _mu_commands(matrix_file, system_file):
@@ -954,6 +967,26 @@ def test_error_message_bounds_the_input_it_repeats(tmp_path, capsys, site):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert len(err.encode("utf-8")) < 300, err[:400]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["oracle", "--structure", "1x1", "--budget", "x" * 50_000, "MATRIX"], "--budget"),
+        (["verify", "--tol", "y" * 50_000, "SYSTEM", "CERT"], "--tol"),
+        (["mu", "--structure", "1x1", "MATRIX", "z" * 50_000], "unrecognized arguments"),
+    ],
+    ids=["budget-value", "tol-value", "stray-argument"],
+)
+def test_argparse_error_bounds_the_input_it_repeats(tmp_path, capsys, argv, named):
+    # argparse's own messages go through the parser's error path, not linalg.shown
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps([[1.0]]))
+    files = {"MATRIX": str(matrix), "SYSTEM": str(matrix), "CERT": str(matrix)}
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode("utf-8")) < 500, err[:600]
+    assert f"error: argument {named}:" in err or f"error: {named}:" in err
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])

@@ -10,6 +10,7 @@ from rosenmu import (
     sigma_max,
     sigma_min,
 )
+from rosenmu.linalg import as_matrix
 
 from conftest import cgauss
 
@@ -52,3 +53,9 @@ def test_rejects_non_finite():
     with pytest.raises(InputError):
         sigma_max(np.array([[np.inf, 0], [0, 1]]))
 
+
+def test_as_matrix_refuses_other_dimensions_and_empty_input():
+    with pytest.raises(InputError, match="M must be 2-dimensional, got ndim=3"):
+        as_matrix(np.zeros((1, 1, 1)), "M")
+    with pytest.raises(InputError, match=r"matrix must be nonempty, got shape \(0, 2\)"):
+        as_matrix(np.zeros((0, 2)))

@@ -17,6 +17,7 @@ from rosenmu import (
     mu_bracket,
     sigma_max,
 )
+from rosenmu import mu, oracle
 from rosenmu.reduction import block_shape
 
 from conftest import cgauss, random_structure, random_system
@@ -57,16 +58,18 @@ def test_backward_error_at_eigenvalue():
     assert brute_force_backward_error(sys_, 2.0, Scenario.from_string("A")) == 0.0
 
 
-def test_backward_error_vs_pipeline(rng):
+def test_backward_error_vs_pipeline(rng, monkeypatch):
     # the oracle lifts the uncollapsed A_0..A_d blocks, so on P scenarios it
     # checks the weighted P block of the reduction independently
     sys_ = random_system(rng, r=2, n=2, d=2)
     lam = 0.4 - 0.3j
     for scenario in all_scenarios():
         res = backward_error(sys_, lam, scenario)
-        eta_sampled = brute_force_backward_error(
-            sys_, lam, scenario, budget=3000, seed=7, refine_top=3, refine_iters=2500
-        )
+        # a longer ascent from fewer candidates, for the oracle alone
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "REFINE_TOP", 3)
+            patch.setattr(mu, "ASCENT_ITERS", 2500)
+            eta_sampled = brute_force_backward_error(sys_, lam, scenario, budget=3000, seed=7)
         # a sampled upper bound cannot beat the certified lower bound, and lands on the optimum
         assert res.eta_lower * (1 - 1e-12) <= eta_sampled <= res.eta_upper * (1 + 1e-8), (
             scenario.name
@@ -93,12 +96,14 @@ def test_refined_direction_is_feasible_and_reproduces_rho(rng):
         assert rho == pytest.approx(est.mu_sampled_lower, rel=1e-12)
 
 
-def test_refinement_never_lowers_the_sampled_bound(rng):
+def test_refinement_never_lowers_the_sampled_bound(rng, monkeypatch):
     for seed in range(4):
         structure = random_structure(rng)
         m = cgauss(rng, structure.k_total, structure.p_total)
-        sampled = brute_force_mu(m, structure, budget=300, seed=seed, refine_top=0)
-        refined = brute_force_mu(m, structure, budget=300, seed=seed, refine_top=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "REFINE_TOP", 0)
+            sampled = brute_force_mu(m, structure, budget=300, seed=seed)
+        refined = brute_force_mu(m, structure, budget=300, seed=seed)
         assert refined.mu_sampled_lower >= sampled.mu_sampled_lower
 
 
@@ -150,13 +155,14 @@ def _loop_sampled_mu(m, structure, budget, seed):
     return best
 
 
-def test_batched_sampling_matches_loop(rng):
-    # several chunks, the last one partial; refine_top=0 leaves the sampled best
+def test_batched_sampling_matches_loop(rng, monkeypatch):
+    # several chunks, the last one partial; no refinement leaves the sampled best
+    monkeypatch.setattr(oracle, "REFINE_TOP", 0)
     for seed in range(3):
         structure = random_structure(rng, n_blocks=3)
         m = cgauss(rng, structure.k_total, structure.p_total)
         rho, blocks = _loop_sampled_mu(m, structure, 1100, seed)
-        est = brute_force_mu(m, structure, budget=1100, seed=seed, refine_top=0)
+        est = brute_force_mu(m, structure, budget=1100, seed=seed)
         assert est.mu_sampled_lower == rho
         assert all(np.array_equal(b, r) for b, r in zip(est.best_direction, blocks))
 
@@ -189,17 +195,19 @@ def _loop_sampled_backward_error(sys_, lam, scenario, budget, seed):
 
 
 @pytest.mark.parametrize("d, spec", [(0, "AC"), (1, "P"), (1, "BP"), (2, "ABCP")])
-def test_sampled_backward_error_matches_pencil_loop(rng, d, spec):
-    # with d >= 1 the A_j blocks of P overlap in S(lambda); several chunks
+def test_sampled_backward_error_matches_pencil_loop(rng, monkeypatch, d, spec):
+    # with d >= 1 the A_j blocks of P overlap in S(lambda); several chunks;
+    # no refinement, so both sides sample alone
+    monkeypatch.setattr(oracle, "REFINE_TOP", 0)
     sys_ = random_system(rng, r=2, n=2, d=d)
     lam = 0.3 - 0.6j
     scenario = Scenario.from_string(spec)
     want = _loop_sampled_backward_error(sys_, lam, scenario, 600, seed=4)
-    eta = brute_force_backward_error(sys_, lam, scenario, budget=600, seed=4, refine_top=0)
+    eta = brute_force_backward_error(sys_, lam, scenario, budget=600, seed=4)
     assert eta == pytest.approx(want, rel=1e-12)
 
 
-def test_fixed_seed_estimates_are_pinned():
+def test_fixed_seed_estimates_are_pinned(monkeypatch):
     """Exact float.hex of fixed-seed estimates, so a rewrite of the
     sampling or the refinement cannot change results unnoticed."""
     m = np.array([[0, 2], [3, 0]], dtype=complex)
@@ -213,9 +221,10 @@ def test_fixed_seed_estimates_are_pinned():
     assert est.mu_sampled_lower.hex() == "0x1.ae3c7e8098cdep+1"
 
     sys_ = random_system(np.random.default_rng(5), r=2, n=2, d=1)
+    monkeypatch.setattr(oracle, "REFINE_TOP", 2)
+    monkeypatch.setattr(mu, "ASCENT_ITERS", 150)
     eta = brute_force_backward_error(
-        sys_, 0.3 + 0.2j, Scenario.from_string("BP"), budget=700, seed=3,
-        refine_top=2, refine_iters=150,
+        sys_, 0.3 + 0.2j, Scenario.from_string("BP"), budget=700, seed=3
     )
     # the exact eta of this case is 1.0995711795994276
     assert float(eta).hex() == "0x1.197d7f3000f14p+0"

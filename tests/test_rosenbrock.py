@@ -175,3 +175,15 @@ def test_dimension_validation():
         RosenbrockSystem([[1]], [[1]], [[1], [2]], ([[1]],))
     with pytest.raises(InputError, match=r"P\[0\]"):
         RosenbrockSystem([[1]], [[1, 0]], [[1], [0]], ([[1]],))
+    with pytest.raises(InputError, match=r"A must be square, got \(1, 2\)"):
+        RosenbrockSystem([[1, 2]], [[1]], [[1]], ([[1]],))
+    with pytest.raises(InputError, match=r"B must have 2 rows, got \(1, 1\)"):
+        RosenbrockSystem(np.eye(2), [[1]], [[1, 0]], ([[1]],))
+    with pytest.raises(InputError, match="poly_coeffs must contain at least A_0"):
+        RosenbrockSystem([[1]], [[1]], [[1]], ())
+
+
+def test_evaluate_refuses_overflowing_s_lambda():
+    sys_ = RosenbrockSystem([[1]], [[1]], [[1]], ([[1e308]], [[1e308]]))
+    with pytest.raises(InputError, match=r"S\(lambda\) is not finite at lambda = 0.9\+0i"):
+        evaluate(sys_, 0.9)
