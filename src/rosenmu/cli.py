@@ -102,7 +102,7 @@ def _emit(report: dict, text, args) -> None:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as exc:
-            raise InputError(f"cannot write {args.output}: {exc}") from exc
+            raise InputError(f"cannot write {_ends(args.output)}: {exc.strerror}") from exc
     sys.stdout.write(rendered if args.as_json else text if isinstance(text, str) else text())
 
 
@@ -139,22 +139,24 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {_ends(path)}: {exc.strerror}") from exc
     except ValueError as exc:  # bad UTF-8 or JSON, or an integer too long to convert
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{_ends(path)} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise InputError(f"{path} nests arrays or objects too deeply") from exc
+        raise InputError(f"{_ends(path)} nests arrays or objects too deeply") from exc
+
+
+def _ends(text: str, n: int = 80) -> str:
+    """text, or only its two ends when long, as linalg.shown cuts a long string."""
+    return text if len(text) <= 2 * n else f"{text[:n]}...{text[-n:]}"
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse whose error messages, which repeat offending values whole, keep
-    only their two ends when long, as linalg.shown cuts a long string."""
-
-    END = 80  # characters kept at each end; argparse's usual messages are shorter
+    only their two ends when long (:func:`_ends`)."""
 
     def error(self, message):
-        n = self.END
-        super().error(message if len(message) <= 2 * n else f"{message[:n]}...{message[-n:]}")
+        super().error(_ends(message))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -105,9 +105,6 @@ class PartialIsometrySet:
     blocks: tuple[np.ndarray, ...]
     structure: BlockStructure
 
-    def matrix(self) -> np.ndarray:
-        return self.structure.assemble(self.blocks)
-
     def max_defect(self) -> float:
         """Largest deviation from the partial-isometry identity P P* P = P."""
         return max(float(np.linalg.norm(blk @ blk.conj().T @ blk - blk, 2)) for blk in self.blocks)
@@ -130,7 +127,8 @@ class MuResult:
 
 def _weights(structure: BlockStructure, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of D1(x) (k x k) and D2(-x) (p x p)."""
-    return np.exp(x)[structure.k_index], np.exp(-x)[structure.p_index]
+    ek, ep = structure.indicators
+    return np.exp(x) @ ek, np.exp(-x) @ ep
 
 
 def _scaled(m: np.ndarray, structure: BlockStructure, x: np.ndarray) -> np.ndarray:
@@ -152,12 +150,8 @@ def _branch(svd, structure: BlockStructure) -> tuple[float, np.ndarray, int]:
     """
     u, s, vh = svd
     mult = int(np.count_nonzero(s[0] - s <= MULT_TOL * s[0])) if s[0] > 0 else len(s)
-    u, v = u[:, 0], vh[0].conj()
-    grad = np.empty(structure.n_blocks)
-    for i, (sp, sk) in enumerate(structure.places):
-        grad[i] = s[0] * (
-            float(np.vdot(u[sk], u[sk]).real) - float(np.vdot(v[sp], v[sp]).real)
-        )
+    ek, ep = structure.indicators
+    grad = s[0] * (ek @ np.abs(u[:, 0]) ** 2 - ep @ np.abs(vh[0]) ** 2)
     return float(s[0]), grad, mult
 
 
@@ -230,29 +224,28 @@ def _smoothed_value_and_grad(m: np.ndarray, structure: BlockStructure, x: np.nda
     u, s, vh = _evaluate(m, structure, x)
     w = (s / s[0]) ** (1.0 / tau)
     total = float(np.sum(w))
-    row, col = np.abs(u) ** 2 @ (w / total), np.abs(vh.T) ** 2 @ (w / total)
-    nb = structure.n_blocks
-    grad = np.bincount(structure.k_index, row, nb) - np.bincount(structure.p_index, col, nb)
+    ek, ep = structure.indicators
+    grad = ek @ (np.abs(u) ** 2 @ (w / total)) - ep @ (np.abs(vh.T) ** 2 @ (w / total))
     grad[np.abs(x) >= X_BOUND] = 0.0  # where mu_upper's clip holds x constant
     return float(np.log(s[0]) + tau * np.log(total)), grad
 
 
-def _newton(a_n: np.ndarray, structure: BlockStructure, full):
+def _newton(a_n: np.ndarray, structure: BlockStructure, full, svd):
     """Damped Newton on sigma_max over the free exponents x[1:], from x = 0.
 
-    ``full`` maps the free exponents to the clipped x.  Each step solves the
-    free block of the Hessian (:func:`_branch_derivatives`) by Cholesky and
-    halves until the Armijo condition holds; the derivatives are formed only
-    at accepted points.  The descent converges where the Newton decrement
-    -g . step = |L^-1 g|^2 is at most NEWTON_DECREMENT_TOL sigma_max, and
-    gives up (for the continuation to take over) at a repeated sigma_max, a
-    Hessian that is not positive definite, NEWTON_BACKTRACKS halvings
-    without decrease, or after BFGS_MAX_ITERS steps.  Returns the last x,
-    its evaluation, its gradient (None where the descent gave up), the steps
-    taken and the number of evaluations.
+    ``full`` maps the free exponents to the clipped x, and ``svd`` is the
+    evaluation at x = 0.  Each step solves the free block of the Hessian
+    (:func:`_branch_derivatives`) by Cholesky and halves until the Armijo
+    condition holds; the derivatives are formed only at accepted points.
+    The descent converges where the Newton decrement -g . step = |L^-1 g|^2
+    is at most NEWTON_DECREMENT_TOL sigma_max, and gives up (for the
+    continuation to take over) at a repeated sigma_max, a Hessian that is
+    not positive definite, NEWTON_BACKTRACKS halvings without decrease, or
+    after BFGS_MAX_ITERS steps.  Returns the last x, its evaluation, its
+    gradient (None where the descent gave up), the steps taken and the
+    number of evaluations.
     """
-    xf = np.zeros(structure.n_blocks - 1)
-    svd, evaluations = _evaluate(a_n, structure, full(xf)), 1
+    xf, evaluations = np.zeros(structure.n_blocks - 1), 1
     for steps in range(BFGS_MAX_ITERS):
         s = svd[1]
         value = float(s[0])
@@ -286,24 +279,30 @@ def _newton(a_n: np.ndarray, structure: BlockStructure, full):
 
 @dataclass
 class UpperBound:
+    """mu_upper's record; mu_lower reads M / scale, its structure and svd from it."""
+
     value: float
     x: np.ndarray
     multiplicity: int
     grad_norm: float | None  # |gradient of log sigma_max|, None at a kink
     iterations: int  # Newton steps plus BFGS iterations
     scale: float  # sigma_max(M), by which the search normalizes M
-    evaluations: int  # SVDs of the scaled matrix, Newton and continuation together
+    evaluations: int  # SVDs taken: of M, then of the scaled matrix
     svd: tuple | None  # the evaluation (u, s, vh) of M / scale at x; None for M = 0
+    matrix: np.ndarray  # M / scale, validated (M itself for M = 0)
+    structure: BlockStructure
 
 
 def mu_upper(m, structure: BlockStructure) -> UpperBound:
     """Minimize the scaled largest singular value over block scalings.
 
-    Damped Newton from x = 0 with the exact gradient and Hessian of the top
-    singular branch (see :func:`_newton`).  The objective is convex in x
-    (see the module docstring), so when Newton converges where sigma_max is
-    simple and STATIONARY_TOL bounds the gradient of log sigma_max, it has
-    found the global minimum, and its last evaluation is returned.
+    One thin SVD of M gives sigma_max(M), the bound for one block, and, its
+    values divided by sigma_max(M), the evaluation at x = 0 where damped
+    Newton starts, with the exact gradient and Hessian of the top singular
+    branch (see :func:`_newton`).  The objective is convex in x (see the
+    module docstring), so when Newton converges where sigma_max is simple
+    and STATIONARY_TOL bounds the gradient of log sigma_max, it has found
+    the global minimum, and its last evaluation is returned.
 
     Otherwise Newton gave up short of a kink (a repeated sigma_max) or of an
     infimum past X_BOUND, and a continuation takes over: a quasi-Newton
@@ -321,24 +320,18 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
 
     The first scaling exponent is frozen at zero: shifting all exponents
     together never changes the objective.  The floor and mu_lower read
-    their candidates from the evaluations here and take no SVD of their own.
+    their candidates from the evaluations here, which are all its SVDs.
     """
     a = as_matrix(m)
     structure.check_shape(a)
     nb = structure.n_blocks
-    s0 = float(np.linalg.svd(a, compute_uv=False)[0])
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    s0 = float(s[0])
     if not np.isfinite(s0):
         raise InputError("sigma_max(M) overflows the double range, so mu cannot be bracketed")
     if s0 == 0.0:
-        return UpperBound(0.0, np.zeros(nb), min(a.shape), None, 0, s0, 0, None)
-    a_n = _normalized(a, s0)
-
-    if nb == 1:
-        svd = _evaluate(a_n, structure, np.zeros(1))
-        value, _, mult = _branch(svd, structure)
-        return UpperBound(s0 * value, np.zeros(1), mult, 0.0, 0, s0, 1, svd)
-
-    evaluations = 0
+        return UpperBound(0.0, np.zeros(nb), min(a.shape), None, 0, s0, 1, None, a, structure)
+    a_n, svd, evaluations = _normalized(a, s0), (u, _normalized(s, s0), vh), 1
 
     def full(xf: np.ndarray) -> np.ndarray:
         return np.clip(np.concatenate(([0.0], xf)), -X_BOUND, X_BOUND)
@@ -354,7 +347,9 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
     def bound(x_star, svd, grad, mult, iterations) -> UpperBound:
         value = float(svd[1][0])
         grad_norm = float(np.linalg.norm(grad[1:])) / value if mult == 1 else None
-        return UpperBound(s0 * value, x_star, mult, grad_norm, iterations, s0, evaluations, svd)
+        return UpperBound(
+            s0 * value, x_star, mult, grad_norm, iterations, s0, evaluations, svd, a_n, structure
+        )
 
     def descend(objective, x0: np.ndarray, args=()):
         nonlocal evaluations
@@ -371,7 +366,9 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
         floor = _floor(a_n, structure, bound.svd, goal)
         return 0.0 if floor >= goal else 1.0 - s0 * floor / bound.value
 
-    x_star, svd, grad, iterations, evaluations = _newton(a_n, structure, full)
+    if nb == 1:  # nothing to scale
+        return bound(np.zeros(1), svd, *_branch(svd, structure)[1:], 0)
+    x_star, svd, grad, iterations, evaluations = _newton(a_n, structure, full, svd)
     if grad is not None:
         newton = bound(x_star, svd, grad, 1, iterations)
         if _is_stationary(1, newton.grad_norm):
@@ -497,11 +494,6 @@ def _rank_one(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.outer(left, right.conj()) / (nl * nr)
 
 
-def _isometries_from_direction(alphas, betas, v):
-    """Rank-one blocks mapping alpha_i v to beta_i v."""
-    return [_rank_one(b @ v, a @ v) for a, b in zip(alphas, betas)]
-
-
 def _kernel_candidates(a_n: np.ndarray, structure: BlockStructure, svd):
     """Lower-bound candidates from the top singular subspace of an evaluation.
 
@@ -520,7 +512,7 @@ def _kernel_candidates(a_n: np.ndarray, structure: BlockStructure, svd):
             continue
         alphas, betas, forms = _top_subspace_forms(u, vh, rank, structure)
         v, resid = _kernel_direction(forms)
-        delta = structure.assemble(_isometries_from_direction(alphas, betas, v))
+        delta = structure.assemble([_rank_one(b @ v, al @ v) for al, b in zip(alphas, betas)])
         yield (delta, resid, *_eigs(delta, a_n))
 
 
@@ -622,14 +614,13 @@ def _ascend(a: np.ndarray, delta: np.ndarray, rho: float, places, eig=None):
     undefined.  Returns the best rho, its Delta (the start if nothing rose)
     and the number of iterations run.
     """
-    w, v = np.linalg.eig(delta @ a) if eig is None else eig
+    w, v = _eigs(delta, a)[1] if eig is None else eig
     direction = _ascent_direction(a, w, v, places)
     step, stalled, used = _STEP, 0, 0
     while used < ASCENT_ITERS and direction is not None and step >= _EPS and stalled < _STALL:
         used += 1
         trial = _project(delta + step * direction, places)
-        w, v = np.linalg.eig(trial @ a)
-        rho_t = float(np.abs(w).max())
+        rho_t, (w, v) = _eigs(trial, a)
         if rho_t > rho:
             stalled = stalled + 1 if rho_t - rho <= _GAIN_TOL * rho else 0
             delta, rho, step = trial, rho_t, min(2.0 * step, _STEP)
@@ -659,25 +650,22 @@ class LowerBound:
     refine_rounds: int  # iterations of _ascend over all candidates
 
 
-def mu_lower(m, structure: BlockStructure, upper: UpperBound) -> LowerBound:
+def mu_lower(upper: UpperBound) -> LowerBound:
     """Best certified lower bound sup rho(P M) over the searched P.
 
     Candidates come from :func:`_kernel_candidates` of the evaluation at
-    the scaling optimum that ``upper``, mu_upper's record, holds (none
-    where M = 0).  A candidate whose rho comes within CLOSE_TOL of
-    upper.value ends the search; any other is refined by :func:`_ascend`.  A winner the ascent
-    produced is snapped to partial isometries and rho is evaluated once
-    more: that value is the bound, and the snapped blocks are its
-    certificate.  A winner taken as built is already a partial-isometry set
-    and keeps its rho, so where mu_upper's floor met the target the bound
-    is that floor.
+    the scaling optimum that ``upper``, mu_upper's record, holds with the
+    normalized M and its structure (none where M = 0).  A candidate whose
+    rho comes within CLOSE_TOL of upper.value ends the search; any other is
+    refined by :func:`_ascend`.  A winner the ascent produced is snapped to
+    partial isometries and rho is evaluated once more: that value is the
+    bound, and the snapped blocks are its certificate.  A winner taken as
+    built is already a partial-isometry set and keeps its rho, so where
+    mu_upper's floor met the target the bound is that floor.
     """
-    a = as_matrix(m)
-    structure.check_shape(a)
     if upper.scale == 0.0:
         return LowerBound(0.0, None, None, 0)
-    s0 = upper.scale
-    a_n = _normalized(a, s0)
+    a_n, structure, s0 = upper.matrix, upper.structure, upper.scale
     goal = _goal(upper.value, s0)
     kernel_residual = None
 
@@ -723,7 +711,7 @@ def certificate_to_delta(pset: PartialIsometrySet, m) -> tuple[tuple[np.ndarray,
     that scale lies in [sigma_max(M) / sqrt(k p), sigma_max(M)] and costs no SVD.
     """
     a = as_matrix(m)
-    rho, lam = _rho(pset.matrix(), a)
+    rho, lam = _rho(pset.structure.assemble(pset.blocks), a)
     if negligible(rho, float(np.abs(a).max()), TINY):
         raise NumericError("rho(P M) vanishes; no finite perturbation exists")
     blocks = tuple(blk / lam for blk in pset.blocks)
@@ -733,9 +721,8 @@ def certificate_to_delta(pset: PartialIsometrySet, m) -> tuple[tuple[np.ndarray,
 
 def mu_bracket(m, structure: BlockStructure) -> MuResult:
     """Full bracket [lower, upper] with certificates and exactness record."""
-    a = as_matrix(m)
-    upper = mu_upper(a, structure)  # checks the shape and the scale
-    lower = mu_lower(a, structure, upper)
+    upper = mu_upper(m, structure)  # validates M, checks the shape and the scale
+    lower = mu_lower(upper)
 
     nb = structure.n_blocks
     if nb <= 3 and upper.value - lower.value <= EXACT_GAP_TOL * upper.value:
@@ -748,7 +735,7 @@ def mu_bracket(m, structure: BlockStructure) -> MuResult:
 
     cert_delta = resid = None
     if lower.certificate is not None and not negligible(lower.value, upper.scale, TINY):
-        cert_delta, resid = certificate_to_delta(lower.certificate, a)
+        cert_delta, resid = certificate_to_delta(lower.certificate, m)
 
     return MuResult(
         # roundoff can put the lower bound ulps above the upper one; a lower

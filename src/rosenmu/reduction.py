@@ -129,24 +129,16 @@ class BlockStructure:
         return tuple(out)
 
     @cached_property
-    def k_index(self) -> np.ndarray:
-        """Block number of each row of M (each column of Delta)."""
-        return np.repeat(np.arange(self.n_blocks), [k for _, k in self.blocks])
-
-    @cached_property
-    def p_index(self) -> np.ndarray:
-        """Block number of each column of M (each row of Delta)."""
-        return np.repeat(np.arange(self.n_blocks), [p for p, _ in self.blocks])
-
-    @cached_property
     def indicators(self) -> tuple[np.ndarray, np.ndarray]:
-        """0/1 matrices (n_blocks x k_total, n_blocks x p_total) of k_index and p_index.
+        """0/1 matrices (n_blocks x k_total, n_blocks x p_total) of block membership.
 
         Row i of each marks block i's rows (first) and columns (second) of M,
-        so ``E @ y`` sums y over every block at once.
+        so ``E @ y`` sums y over every block at once and ``z @ E`` repeats z_i
+        over block i's entries exactly (each sum has one nonzero term).
         """
-        blocks = np.arange(self.n_blocks)[:, None]
-        return (self.k_index == blocks).astype(float), (self.p_index == blocks).astype(float)
+        eye = np.eye(self.n_blocks)
+        ks, ps = [k for _, k in self.blocks], [p for p, _ in self.blocks]
+        return np.repeat(eye, ks, axis=1), np.repeat(eye, ps, axis=1)
 
     def check_shape(self, m: np.ndarray) -> None:
         """Refuse an M that is not k_total x p_total, naming both shapes."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rosenmu import BlockStructure, RosenbrockSystem, reduce
+from rosenmu.instances import golden_two_block_matrix
 from rosenmu.rosenbrock import Scan, weight
 
 
@@ -51,16 +52,7 @@ def rng():
     return np.random.default_rng(1234)
 
 
-GOLDEN_5X5 = np.array(
-    [
-        [1j, 0.5 - 0.5j, 1, 1, 0.5],
-        [0.5, -0.5, 1j, 1j, 0.5 - 0.5j],
-        [1j, 1 - 0.5j, 1, 0.5, 0],
-        [-0.5, 0.5 + 1j, -0.5 + 0.5j, 1 + 0.5j, 0.5 - 0.5j],
-        [0.5 + 1j, 0.5 + 0.5j, 0, -0.5 - 0.5j, 0.5 - 0.5j],
-    ],
-    dtype=complex,
-)
+GOLDEN_5X5 = golden_two_block_matrix()
 
 GOLDEN_STRUCTURE = BlockStructure(((2, 3), (3, 2)))
 GOLDEN_MU = 3.081980

@@ -784,7 +784,7 @@ def test_sweep_fluid_solid_bytes_pinned(tmp_path, capsys):
     path.write_text(json.dumps(system_to_json(fluid_solid_instance())))
     argv = ["sweep", "--json", "--lambda", "0.5", "--lambda", "1.5,0.25", str(path)]
     assert _stdout_sha256(argv, capsys) == (
-        "725eb47ebfe22e22e6f1b212fbb5c03808ddced6b9e04463c1b7d6dcfd5c1c02"
+        "9f10f22eb29baf227fb61bef61977d957a06c5a50fbee29d01155477e4e0e50b"
     )
 
 
@@ -987,6 +987,20 @@ def test_argparse_error_bounds_the_input_it_repeats(tmp_path, capsys, argv, name
     err = capsys.readouterr().err
     assert len(err.encode("utf-8")) < 500, err[:600]
     assert f"error: argument {named}:" in err or f"error: {named}:" in err
+
+
+@pytest.mark.parametrize("site", ["read", "write"])
+def test_error_message_bounds_a_long_path(golden_matrix_file, capsys, site):
+    # a path that cannot be read or written is named once, cut to its two
+    # ends, and the OS reason follows without a second copy of it
+    long_path = "p" * 50_000
+    argv = ["mu", "--structure", "2x3,3x2"]
+    argv += [long_path] if site == "read" else [golden_matrix_file, "--output", long_path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot {site} {'p' * 80}...{'p' * 80}: ")
+    assert len(captured.err.encode("utf-8")) < 500, captured.err[:600]
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])

@@ -274,7 +274,7 @@ def test_mu_bracket_golden_example():
 
 def test_mu_lower_zero_matrix():
     zero = np.zeros((2, 2))
-    res = mu_lower(zero, TWO_SCALARS, mu_upper(zero, TWO_SCALARS))
+    res = mu_lower(mu_upper(zero, TWO_SCALARS))
     assert res.value == 0.0
     assert res.certificate is None
 
@@ -300,31 +300,31 @@ def _upper_at(m, structure, x):
     refines every candidate of the evaluation at x."""
     a = np.asarray(m, dtype=complex)
     scale, x = sigma_max(a), np.asarray(x, dtype=float)
-    svd = _evaluate(_normalized(a, scale), structure, x)
-    return UpperBound(np.inf, x, 1, None, 0, scale, 1, svd)
+    a_n = _normalized(a, scale)
+    return UpperBound(np.inf, x, 1, None, 0, scale, 1, _evaluate(a_n, structure, x), a_n, structure)
 
 
 def test_extract_certificate_simple_case(rng, kernel_only):
     # Generic single block: top pair is simple, certificate reaches sigma_max.
     m = cgauss(rng, 3, 3)
     structure = BlockStructure(((3, 3),))
-    low = mu_lower(m, structure, _upper_at(m, structure, np.zeros(1)))
+    low = mu_lower(_upper_at(m, structure, np.zeros(1)))
     assert low.kernel_residual <= KERNEL_TOL
     pset = low.certificate
     assert pset is not None
     assert pset.max_defect() <= 1e-10
-    rho = np.max(np.abs(np.linalg.eigvals(pset.matrix() @ m)))
+    rho = np.max(np.abs(np.linalg.eigvals(structure.assemble(pset.blocks) @ m)))
     assert rho == pytest.approx(sigma_max(m), rel=1e-9)
 
 
 def test_extract_certificate_kink(kernel_only):
     # At the sqrt(6) optimum both branches meet: repeated sigma_max.
     t_star = 0.5 * np.log(2.0 / 3.0)
-    low = mu_lower(ANTIDIAG, TWO_SCALARS, _upper_at(ANTIDIAG, TWO_SCALARS, [0.0, t_star]))
+    low = mu_lower(_upper_at(ANTIDIAG, TWO_SCALARS, [0.0, t_star]))
     assert low.kernel_residual <= KERNEL_TOL
     pset = low.certificate
     assert pset is not None
-    rho = np.max(np.abs(np.linalg.eigvals(pset.matrix() @ ANTIDIAG)))
+    rho = np.max(np.abs(np.linalg.eigvals(TWO_SCALARS.assemble(pset.blocks) @ ANTIDIAG)))
     assert rho == pytest.approx(np.sqrt(6), rel=1e-7)
 
 
@@ -522,18 +522,18 @@ def test_mu_upper_no_worse_than_full_search_fluid_solid():
 # stationary point, so the continuation never runs.
 EARLY_EXIT_FLUID_SOLID = {
     "AB": ("0x1.008d1174a6259p+2", ["0x0.0p+0", "0x1.e7331d2571b43p-2"]),
-    "AC": ("0x1.03f87e59b85dbp+2", ["0x0.0p+0", "-0x1.c7f8ccf02c098p-2"]),
-    "AP": ("0x1.d5c99ec0d8858p+1", ["0x0.0p+0", "0x1.26fb3c9dcf557p-2"]),
-    "BC": ("0x1.353d769b16fadp+1", ["0x0.0p+0", "-0x1.88367603341dap-1"]),
-    "BP": ("0x1.153919f898ebbp+1", ["0x0.0p+0", "0x1.398f78776d007p-6"]),
-    "CP": ("0x1.22d35532b30dep+1", ["0x0.0p+0", "0x1.1f7e2063cbdc5p-1"]),
-    "ABC": ("0x1.4c86b2a1698e8p+2", ["0x0.0p+0", "0x1.d49c60e28eb74p-2", "-0x1.bd5080241ce25p-2"]),
-    "ABP": ("0x1.343b5539a609dp+2", ["0x0.0p+0", "0x1.cdfac83976e35p-2", "0x1.302f780e8e941p-2"]),
-    "ACP": ("0x1.380ec26ca701dp+2", ["0x0.0p+0", "-0x1.aeb2d7c951222p-2", "0x1.2790fce1c08ebp-2"]),
-    "BCP": ("0x1.b58d08101f41bp+1", ["0x0.0p+0", "-0x1.50fb0cca53b01p-1", "-0x1.81edf86370b1ap-5"]),
+    "AC": ("0x1.03f87e59b85dbp+2", ["0x0.0p+0", "-0x1.c7f8ccf02c096p-2"]),
+    "AP": ("0x1.d5c99ec0d8858p+1", ["0x0.0p+0", "0x1.26fb3c9dcf558p-2"]),
+    "BC": ("0x1.353d769b16fb0p+1", ["0x0.0p+0", "-0x1.88367603341dbp-1"]),
+    "BP": ("0x1.153919f898ebbp+1", ["0x0.0p+0", "0x1.398f78776d009p-6"]),
+    "CP": ("0x1.22d35532b30e1p+1", ["0x0.0p+0", "0x1.1f7e2063cbdc3p-1"]),
+    "ABC": ("0x1.4c86b2a1698ebp+2", ["0x0.0p+0", "0x1.d49c60e28eb79p-2", "-0x1.bd5080241ce21p-2"]),
+    "ABP": ("0x1.343b5539a609cp+2", ["0x0.0p+0", "0x1.cdfac83976e2dp-2", "0x1.302f780e8e936p-2"]),
+    "ACP": ("0x1.380ec26ca701dp+2", ["0x0.0p+0", "-0x1.aeb2d7c95122ap-2", "0x1.2790fce1c08e3p-2"]),
+    "BCP": ("0x1.b58d08101f41ep+1", ["0x0.0p+0", "-0x1.50fb0cca53afdp-1", "-0x1.81edf86370adep-5"]),
     "ABCP": (
         "0x1.8271e65cb5813p+2",
-        ["0x0.0p+0", "0x1.be1f207a922e3p-2", "-0x1.a4b247aae142bp-2", "0x1.291b5b91a7f14p-2"],
+        ["0x0.0p+0", "0x1.be1f207a922e7p-2", "-0x1.a4b247aae1429p-2", "0x1.291b5b91a7f1cp-2"],
     ),
 }
 
@@ -716,43 +716,75 @@ def test_mu_lower_builds_one_kernel_candidate_when_it_meets_target(monkeypatch):
     assert len(calls) == 1
 
 
-def test_backward_error_takes_sigma_max_of_m_once(monkeypatch):
-    # mu_upper computes sigma_max(M); mu_lower, certificate_to_delta and the
-    # zero test of the backward error read it from the bracket
-    sys_, scenario = fluid_solid_instance(), Scenario.from_string("ABCP")
-    m = scan_reduce(sys_, [0.7], scenario)[0][0]
-    svd, values_of_m = np.linalg.svd, []
+def _recording_svd(monkeypatch):
+    """Record each np.linalg.svd call as (argument, whether it computes vectors)."""
+    svd, calls = np.linalg.svd, []
 
     def recording(a, *args, **kwargs):
-        if not kwargs.get("compute_uv", True) and np.array_equal(a, m):
-            values_of_m.append(1)
+        calls.append((a, kwargs.get("compute_uv", True)))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+def test_backward_error_takes_sigma_max_of_m_once(monkeypatch):
+    # the SVD of M that starts mu_upper gives sigma_max(M); mu_lower,
+    # certificate_to_delta and the zero test of the backward error read it
+    # from the bracket
+    sys_, scenario = fluid_solid_instance(), Scenario.from_string("ABCP")
+    m = scan_reduce(sys_, [0.7], scenario)[0][0]
+    svd = np.linalg.svd
+    calls = _recording_svd(monkeypatch)
     res = backward_error(sys_, 0.7, scenario)
     assert res.mu is not None and res.certificate is not None
-    assert len(values_of_m) == 1
-    assert res.mu.upper_bound.scale == svd(m, compute_uv=False)[0]
+    assert [uv for a, uv in calls if np.array_equal(a, m)] == [True]
+    assert res.mu.upper_bound.scale == svd(m, full_matrices=False)[1][0]
+
+
+def test_mu_upper_takes_one_svd_per_evaluation(monkeypatch):
+    # Every SVD that mu_upper takes is one of its evaluations, the first of
+    # them that of M, and none is values-only; the floors read their
+    # candidates from the evaluations it made
+    m, structure, _ = scan_reduce(fluid_solid_instance(), [0.7], Scenario.from_string("ABCP"))
+    problems = [(m[0], structure), KINK_6X6, (ANTIDIAG, TWO_SCALARS), (GOLDEN_5X5, GOLDEN_STRUCTURE)]
+    problems.append((cgauss(np.random.default_rng(5), 3, 4), BlockStructure(((4, 3),))))
+    for a, structure in problems:
+        calls = _recording_svd(monkeypatch)
+        upper = mu_upper(a, structure)
+        assert len(calls) == upper.evaluations
+        assert all(uv for _, uv in calls)
+        assert np.array_equal(calls[0][0], a)
 
 
 def test_mu_bracket_takes_one_svd_per_evaluation(monkeypatch):
-    # Every SVD of the scaled matrix is one of mu_upper's evaluations: the
-    # floors and mu_lower read their candidates from the evaluations it made
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return _evaluate(*args)
-
-    monkeypatch.setattr("rosenmu.mu._evaluate", counting)
+    # mu_lower reads its candidates from mu_upper's last evaluation: where
+    # no candidate climbs, every SVD with vectors in a bracket is one of
+    # mu_upper's evaluations, and the one values-only SVD is the certificate's
+    # residual sigma_min(I - Delta M)
     m, structure, _ = scan_reduce(fluid_solid_instance(), [0.7], Scenario.from_string("ABCP"))
-    newton_exit = mu_bracket(m[0], structure)
-    assert newton_exit.upper_bound.grad_norm <= STATIONARY_TOL
-    assert len(calls) == newton_exit.upper_bound.evaluations
-    calls.clear()
-    kink = mu_bracket(*KINK_6X6)
-    assert kink.upper_bound.multiplicity == 2
-    assert len(calls) == kink.upper_bound.evaluations
+    for problem, newton_exit in (((m[0], structure), True), (KINK_6X6, False)):
+        calls = _recording_svd(monkeypatch)
+        res = mu_bracket(*problem)
+        if newton_exit:
+            assert res.upper_bound.grad_norm <= STATIONARY_TOL
+        else:
+            assert res.upper_bound.multiplicity == 2
+        assert res.lower_bound.refine_rounds == 0
+        assert sum(uv for _, uv in calls) == res.upper_bound.evaluations
+        assert sum(not uv for _, uv in calls) == 1
+
+
+def test_one_block_upper_is_sigma_max_bit_for_bit():
+    # one block has nothing to scale: the upper bound is the largest singular
+    # value of the SVD that starts the search, with no division on the way
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        k, p = (int(d) for d in rng.integers(1, 6, 2))
+        m = cgauss(rng, k, p) * 10.0 ** rng.uniform(-5, 5)
+        upper = mu_upper(m, BlockStructure(((p, k),)))
+        assert upper.value == np.linalg.svd(m, full_matrices=False)[1][0]
+        assert upper.evaluations == 1
 
 
 def test_mu_lower_one_eigen_solve_per_candidate(monkeypatch):
@@ -775,7 +807,7 @@ def test_mu_lower_one_eigen_solve_per_candidate(monkeypatch):
 
     monkeypatch.setattr("rosenmu.mu._ascend", recording)
     m, structure = KINK_6X6
-    low = mu_lower(m, structure, _upper_at(m, structure, np.zeros(6)))  # every candidate climbs
+    low = mu_lower(_upper_at(m, structure, np.zeros(6)))  # every candidate climbs
     assert ascents
     assert counts == {"eig": len(ascents) + low.refine_rounds, "eigvals": 1}
 
@@ -783,7 +815,7 @@ def test_mu_lower_one_eigen_solve_per_candidate(monkeypatch):
 def test_mu_bracket_deterministic_without_options(rng):
     # the engine takes no seed and no effort knobs, and repeats its bits
     assert list(inspect.signature(mu_bracket).parameters) == ["m", "structure"]
-    assert list(inspect.signature(mu_lower).parameters)[2:] == ["upper"]
+    assert list(inspect.signature(mu_lower).parameters) == ["upper"]
     structure = random_structure(rng, n_blocks=5)
     m = cgauss(rng, structure.k_total, structure.p_total)
     a, b = mu_bracket(m, structure), mu_bracket(m, structure)
@@ -923,7 +955,7 @@ def test_mu_lower_one_kernel_call_per_distinct_rank(monkeypatch, kernel_only, si
     monkeypatch.setattr("rosenmu.mu._kernel_direction", recording)
     m = _matrix_with_singular_values(np.random.default_rng(8), sigmas)
     structure = BlockStructure(((1, 1),) * 6)
-    mu_lower(m, structure, _upper_at(m, structure, np.zeros(6)))
+    mu_lower(_upper_at(m, structure, np.zeros(6)))
     assert ranks == kernel_ranks
 
 

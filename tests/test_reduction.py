@@ -201,8 +201,10 @@ def test_places_tile_the_block_diagonal(rng):
             assert (owner[sp, sk] == -1).all()
             owner[sp, sk] = i
         # block i owns exactly the entries whose row and column both belong to block i
-        on_diagonal = structure.p_index[:, None] == structure.k_index[None, :]
-        np.testing.assert_array_equal(owner, np.where(on_diagonal, structure.p_index[:, None], -1))
+        ek, ep = structure.indicators
+        on_diagonal = (ep.T @ ek) == 1.0
+        row_block = np.arange(structure.n_blocks) @ ep
+        np.testing.assert_array_equal(owner, np.where(on_diagonal, row_block[:, None], -1))
         blocks = random_blocks(rng, structure)
         delta = structure.assemble(blocks)
         for (sp, sk), blk in zip(structure.places, blocks):
