@@ -146,9 +146,9 @@ def _load_json(path: str):
         raise InputError(f"{_ends(path)} nests arrays or objects too deeply") from exc
 
 
-def _ends(text: str, n: int = 80) -> str:
-    """text, or only its two ends when long, as linalg.shown cuts a long string."""
-    return text if len(text) <= 2 * n else f"{text[:n]}...{text[-n:]}"
+def _ends(text: str) -> str:
+    """text, or its first and last 80 characters around "..." when longer."""
+    return text if len(text) <= 160 else f"{text[:80]}...{text[-80:]}"
 
 
 class _Parser(argparse.ArgumentParser):
