@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, InputError, NumericError, as_matrix
+from .linalg import InputError, NumericError, as_matrix
 from .mu import TINY, ZERO_TOL, MuResult, mu_bracket, negligible
 from .reduction import (
     Scenario,
@@ -68,10 +68,16 @@ def _rank_one_inverse_image(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Minimal-norm Delta with Delta (H w) = w for the top right singular vector w.
 
     Delta = w (H w)* / |H w|^2 has spectral norm 1/sigma_max(H) and puts an
-    eigenvalue one into Delta H.
+    eigenvalue one into Delta H.  Where |H w|^2 falls below the normal
+    range (|H w| below about 1e-154, which the relative zero test lets
+    through), Delta is divided by |H w| twice instead, so it stays finite.
     """
     hw = h @ w
-    return np.outer(w, hw.conj()) / float(np.vdot(hw, hw).real)
+    hw2 = float(np.vdot(hw, hw).real)
+    if hw2 < np.finfo(float).tiny:
+        hw_norm = float(np.linalg.norm(hw))
+        return np.outer(w, (hw / hw_norm).conj()) / hw_norm
+    return np.outer(w, hw.conj()) / hw2
 
 
 # What a point of a scan may raise; it ends the scan at that point.
@@ -108,9 +114,10 @@ def _scan_results(scan: Scan, scenario: Scenario) -> list[BackwardErrorResult | 
     if one_block:
         # One perturbed block (A, B, C, or the weighted P): mu degenerates
         # to sigma_max(M) and the closed form 1/sigma_max(M) applies, +inf
-        # when M is zero: below TINY times its bound w / sigma_min(S), with w
-        # the weight of P and 1 otherwise.  One SVD of M gives sigma_max, the
-        # certificate and its norm 1/sigma_max.
+        # when M is zero: negligible (TINY, relative) against its bound
+        # w / sigma_min(S), with w the weight of P and 1 otherwise, so the
+        # test does not depend on the scale of S.  One SVD of M gives
+        # sigma_max, the certificate and its norm 1/sigma_max.
         _, s, vh = np.linalg.svd(m)
     certified, perturbed = [], []
     for i, k in enumerate(rows):
@@ -118,7 +125,7 @@ def _scan_results(scan: Scan, scenario: Scenario) -> list[BackwardErrorResult | 
         try:
             if one_block:
                 smax = float(s[i, 0])
-                if smax <= TINY * max(weights[k] * (1.0 / scan.sigma_min[k]), ABS_FLOOR):
+                if negligible(smax, weights[k] / scan.sigma_min[k], TINY):
                     res.infinite_witness = m[i]
                 else:
                     res.eta_lower = res.eta_upper = norm = 1.0 / smax

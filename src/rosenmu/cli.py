@@ -10,6 +10,7 @@ seeds) produce byte-identical files.  Exit codes: 0 success, 1 failed verify,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -159,7 +160,10 @@ class _Parser(argparse.ArgumentParser):
         super().error(_ends(message))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, as every repeatable option starts from a None default."""
     parser = _Parser(
         prog="rosenmu",
         description="Structured eigenvalue backward errors of Rosenbrock "

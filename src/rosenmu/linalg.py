@@ -4,8 +4,7 @@ Thin, contract-enforcing wrappers around LAPACK (via numpy): input
 coercion, the extreme singular values and the package's error types.
 Tolerances are relative to the spectral norm, except where they still
 take the absolute floor ``ABS_FLOOR``: the eigenvalue test of S(lambda)
-(:meth:`rosenmu.rosenbrock.Scan.singular`) and the one-block zero test of
-the backward error.
+(:meth:`rosenmu.rosenbrock.Scan.singular`).
 """
 
 from __future__ import annotations

@@ -15,10 +15,12 @@ exists).  The engine computes
   where sigma_max is simple and the gradient vanishes is therefore the
   global minimum.  Where sigma_max is simple, one SVD also gives the exact
   Hessian (Overton & Womersley 1995), and damped Newton finds that minimum
-  in a few SVDs.  At a kink (a repeated sigma_max) Newton gives up, and a
-  quasi-Newton (BFGS) continuation on a smooth convex surrogate follows
-  the kink in and stops once a certified lower bound (the floor of the
-  kernel-direction candidates below) meets it;
+  in a few SVDs.  At a kink (a repeated sigma_max) Newton gives up: short
+  quasi-Newton (BFGS) bursts bring x near the kink, and Newton steps on its
+  optimality (KKT) system, for the multiplicity t of sigma_max and a t x t
+  multiplier (Overton 1988; Overton & Womersley 1993), converge to it at one
+  SVD per step.  The search stops once a certified lower bound (the floor
+  of the kernel-direction candidates below) meets it;
 * a certified lower bound: sup over block-diagonal partial isometries P of
   the spectral radius rho(P M), searched by extracting P from the top
   singular subspace at the scaling optimum and refining it by projected
@@ -34,7 +36,7 @@ regardless of optimizer success.  The engine draws no random numbers.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -46,8 +48,10 @@ from .reduction import BlockStructure
 X_BOUND = 40.0
 # Relative tolerance for grouping singular values with the largest.
 MULT_TOL = 1e-8
-# Relative gap sigma_1 - sigma_2 up to which the top two singular pairs seed
-# a rank-two kernel-direction candidate of the lower bound.
+# Relative gap to sigma_1 up to which singular values count as a cluster at a
+# near-kink: the top two pairs seed a rank-two kernel-direction candidate of
+# the lower bound where sigma_1 - sigma_2 is within it, and the KKT step of
+# the upper bound takes its multiplicity from the values within it.
 PAIR_TOL = 1e-2
 # Cap on the safeguarded Newton steps of the rank-two kernel direction.
 KERNEL_NEWTON_ITERS = 100
@@ -56,11 +60,14 @@ KERNEL_NEWTON_ITERS = 100
 TINY = 1e-14
 # Relative to sigma_max(M), mu bounds at or below this level count as zero.
 ZERO_TOL = 1e-12
-# Stopping rules of the upper-bound search: the cap on the Newton steps and
-# on the iterations of each quasi-Newton descent, and the latter's gradient
-# tolerance.
+# Stopping rules of the upper-bound search: the cap on the Newton steps (of
+# the smooth descent, and of each run of KKT steps at a kink), the gradient
+# tolerance and iterations of each quasi-Newton (BFGS) burst, and the cap on
+# the bursts.
 BFGS_MAX_ITERS = 60
 BFGS_GRAD_TOL = 1e-9
+BURST_ITERS = 10
+BURSTS = 20
 # Newton descent of the upper-bound search (see _newton): the stop on the
 # Newton decrement relative to sigma_max, the Armijo constant and the number
 # of trial steps (halving from the full step) before it gives up.  Smooth
@@ -75,13 +82,9 @@ NEWTON_BACKTRACKS = 4
 # by convexity) minimizer: it ends the upper-bound search and backs the
 # exact_simple_sigma label.
 STATIONARY_TOL = 1e-6
-# Smoothing parameters tau of the continuation into a kink, one warm-started
-# BFGS stage each on g_tau (see _smoothed_value_and_grad).  A tau above the
-# relative gap between sigma_max and the floor is skipped.
-SMOOTHING_TAUS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
 # Relative gap (upper - lower) / upper at which the two bounds count as met:
 # mu_lower stops at a candidate whose rho comes within it of the upper bound,
-# and the continuation in mu_upper stops once such a candidate exists.
+# and the kink search in mu_upper stops once such a candidate exists.
 CLOSE_TOL = 1e-13
 # Relative bracket gap (upper - lower) / upper above which a structure with
 # at most three blocks is not labelled exact_n_le_3: the theorem makes the
@@ -195,6 +198,112 @@ def _branch_derivatives(
     return s1 * (alpha[:, 0] - beta[:, 0]).real, hess
 
 
+def _cluster_model(svd, t: int, structure: BlockStructure):
+    """Forms and Lagrangian Hessian of the top t singular values of an evaluation.
+
+    ``svd`` is an evaluation (:func:`_evaluate`) of A.  Over the rows R_l and
+    columns C_l of M in block l, take the t x rank Gram blocks
+    alpha_l = U_t[R_l]* U[R_l] and beta_l = V_t[C_l]* V[C_l] of the top t
+    singular vectors against all, and D_l = alpha_l - beta_l.  The t x t
+    Hermitian forms K_l = (D_l S + S D_l) / 2 over the cluster, for
+    S = diag(sigma_1..sigma_t), give its first-order change: to first order
+    in a step d, sigma_1..sigma_t are the eigenvalues of S + sum_l d_l K_l
+    (Overton 1988).  For a Hermitian t x t multiplier Z, W(Z) is the Hessian
+    of the Lagrangian tr(Z Phi(x)), Phi the t x t matrix whose eigenvalues
+    are the cluster's values to second order (Overton & Womersley 1993): the
+    second derivative of the dilation [[0, A], [A*, 0]] plus the
+    second-order terms over its eigenvectors [u_q; +-v_q]/sqrt(2) outside
+    the cluster, weighted 1/(sigma_i -+ sigma_q) in row i of the cluster.  As in
+    :func:`_branch_derivatives`, which is its case t = 1, Z = 1, the columns
+    of the full U and V are orthonormal, so the null vectors beyond the rank
+    cancel and the thin SVD gives W.  W(I) is the Hessian of
+    sigma_1 + ... + sigma_t where sigma_t > sigma_{t+1}.  Returns the forms,
+    shaped (n_blocks, t, t), and the function Z -> W(Z).
+    """
+    u, s, vh = svd
+    ek, ep = structure.indicators
+    n, (k, r), p = structure.n_blocks, u.shape, vh.shape[1]
+    alpha = (ek @ (u[:, :t].conj()[:, :, None] * u[:, None, :]).reshape(k, t * r)).reshape(n, t, r)
+    beta = (ep @ (vh[:t].T[:, :, None] * vh.conj().T[:, None, :]).reshape(p, t * r)).reshape(n, t, r)
+    st = s[:t, None]
+    both = st + st.T  # sigma_i + sigma_j
+    d, e = alpha - beta, alpha + beta
+    # [u_q; v_q] beyond the cluster and [u_q; -v_q] for every q: their
+    # products with the first derivatives, and their weights
+    pairs = np.concatenate(((st + s[t:]) / 2 * d[:, :, t:], (st - s) / 2 * e), axis=2)
+    weights = np.concatenate((1.0 / (st - s[t:]), 1.0 / (st + s)), axis=1)
+
+    def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """[m, l] = sum over i and q of conj(a[m, i, q]) b[l, i, q]."""
+        return a.conj().reshape(n, -1) @ b.reshape(n, -1).T
+
+    def hessian(z: np.ndarray) -> np.ndarray:
+        half = both / 2 * z
+        terms = gram(pairs, z @ (weights * pairs)) - gram(beta, (z @ alpha) * s)
+        terms -= (gram(alpha, half @ alpha) + gram(beta, half @ beta)) / 2
+        w = (terms + terms.T).real
+        w[np.diag_indices(n)] += np.einsum("ij,lji->l", both * z, e[:, :, :t]).real
+        return w
+
+    return both / 2 * d[:, :, :t], hessian
+
+
+def _hermitian_basis(t: int) -> np.ndarray:
+    """A real basis of the t x t Hermitian matrices: E_ii, then E_ij + E_ji
+    and i (E_ij - E_ji) for i < j."""
+    eye = np.eye(t)
+    basis = [np.outer(eye[i], eye[i]) + 0j for i in range(t)]
+    for i in range(t):
+        for j in range(i + 1, t):
+            unit = np.outer(eye[i], eye[j])
+            basis += [unit + unit.T, 1j * (unit - unit.T)]
+    return np.array(basis)
+
+
+def _kkt_step(svd, structure: BlockStructure, free: np.ndarray):
+    """Newton (SQP) step for sigma_max at a kink of multiplicity t.
+
+    Solves by least squares for the step d in the exponents ``free``, omega
+    and a Hermitian t x t multiplier Z with tr Z = 1 in
+
+        W(Z0) d + [tr(Z K_l)]_l = 0,    S + sum_l d_l K_l = omega I,
+
+    the Newton step to the minimum of sigma_max where its top t values
+    coincide (Overton 1988; Overton & Womersley 1993), with the forms K_l
+    and Hessian W of :func:`_cluster_model` and Z0 the least-squares
+    multiplier of the first-order conditions at the current point.  The
+    equations are taken against :func:`_hermitian_basis`: for real forms
+    (a real M, or a diagonally rotated one) its imaginary directions drop
+    out, and least squares takes Z real.  t starts at the number of singular
+    values within PAIR_TOL of sigma_1 and falls until Z is positive
+    semidefinite and omega <= sigma_1, as at a minimum; a t that splits a
+    repeated value (MULT_TOL) is skipped.  At t = 1 this is Newton's step on
+    sigma_1.  Returns (d, omega), or None where no t qualifies.
+    """
+    s = svd[1]
+    for t in range(int(np.count_nonzero(s[0] - s <= PAIR_TOL * s[0])), 0, -1):
+        if t < len(s) and s[t - 1] - s[t] <= MULT_TOL * s[0]:
+            continue
+        forms, hessian = _cluster_model(svd, t, structure)
+        basis = _hermitian_basis(t)
+        diag = basis.diagonal(axis1=1, axis2=2).real
+        trace = diag.sum(axis=1)
+        g = np.einsum("pij,lji->lp", basis, forms[free]).real
+        nf, q = g.shape
+        z0 = np.linalg.lstsq(np.vstack((g, trace)), np.eye(nf + 1)[-1], rcond=None)[0]
+        kkt = np.block([
+            [hessian(np.tensordot(z0, basis, 1))[np.ix_(free, free)], np.zeros((nf, 1)), g],
+            [g.T, -trace[:, None], np.zeros((q, q))],
+            [np.zeros((1, nf + 1)), trace[None]],
+        ])
+        rhs = np.concatenate((np.zeros(nf), -diag @ s[:t], [1.0]))
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        omega, z = float(sol[nf]), np.tensordot(sol[nf + 1:], basis, 1)
+        if t == 1 or (omega <= s[0] and np.linalg.eigvalsh(z)[0] >= 0.0):
+            return sol[:nf], omega
+    return None
+
+
 def _normalized(a: np.ndarray, s0: float) -> np.ndarray:
     """a / s0 for s0 = sigma_max(a) > 0.
 
@@ -213,23 +322,6 @@ def _is_stationary(mult: int, grad_norm: float | None) -> bool:
     return mult == 1 and grad_norm is not None and grad_norm <= STATIONARY_TOL
 
 
-def _smoothed_value_and_grad(m: np.ndarray, structure: BlockStructure, x: np.ndarray, tau: float):
-    """g_tau(x) = tau log sum_j sigma_j(x)^(1/tau) and its gradient.
-
-    The log of the Schatten-(1/tau) norm of D1(x) M D2(-x) (Nesterov 2005):
-    smooth, convex in x as sigma_max is, and at most tau log(rank) above
-    log sigma_max.  Its gradient sums w_j (|u_j|^2 - |v_j|^2) per block with
-    softmax weights w_j proportional to (sigma_j / sigma_1)^(1/tau).
-    """
-    u, s, vh = _evaluate(m, structure, x)
-    w = (s / s[0]) ** (1.0 / tau)
-    total = float(np.sum(w))
-    ek, ep = structure.indicators
-    grad = ek @ (np.abs(u) ** 2 @ (w / total)) - ep @ (np.abs(vh.T) ** 2 @ (w / total))
-    grad[np.abs(x) >= X_BOUND] = 0.0  # where mu_upper's clip holds x constant
-    return float(np.log(s[0]) + tau * np.log(total)), grad
-
-
 def _newton(a_n: np.ndarray, structure: BlockStructure, full, svd):
     """Damped Newton on sigma_max over the free exponents x[1:], from x = 0.
 
@@ -238,10 +330,10 @@ def _newton(a_n: np.ndarray, structure: BlockStructure, full, svd):
     (:func:`_branch_derivatives`) by Cholesky and halves until the Armijo
     condition holds; the derivatives are formed only at accepted points.
     The descent converges where the Newton decrement -g . step = |L^-1 g|^2
-    is at most NEWTON_DECREMENT_TOL sigma_max, and gives up (for the
-    continuation to take over) at a repeated sigma_max, a Hessian that is
-    not positive definite, NEWTON_BACKTRACKS halvings without decrease, or
-    after BFGS_MAX_ITERS steps.  Returns the last x, its evaluation, its
+    is at most NEWTON_DECREMENT_TOL sigma_max, and gives up (for the kink
+    search of :func:`mu_upper` to take over) at a repeated sigma_max, a
+    Hessian that is not positive definite, NEWTON_BACKTRACKS halvings
+    without decrease, or after BFGS_MAX_ITERS steps.  Returns the last x, its evaluation, its
     gradient (None where the descent gave up), the steps taken and the
     number of evaluations.
     """
@@ -285,7 +377,7 @@ class UpperBound:
     x: np.ndarray
     multiplicity: int
     grad_norm: float | None  # |gradient of log sigma_max|, None at a kink
-    iterations: int  # Newton steps plus BFGS iterations
+    iterations: int  # Newton steps, BFGS iterations and KKT steps
     scale: float  # sigma_max(M), by which the search normalizes M
     evaluations: int  # SVDs taken: of M, then of the scaled matrix
     svd: tuple | None  # the evaluation (u, s, vh) of M / scale at x; None for M = 0
@@ -305,18 +397,20 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
     the global minimum, and its last evaluation is returned.
 
     Otherwise Newton gave up short of a kink (a repeated sigma_max) or of an
-    infimum past X_BOUND, and a continuation takes over: a quasi-Newton
-    (BFGS) descent with the branch gradient from x = 0, then one descent
-    per tau in SMOOTHING_TAUS on g_tau, each from the last; the smallest
-    sigma_max at the end of a descent is returned.  Starting from x = 0,
-    not from where Newton stopped, makes the continuation's path, and so a
-    kink's bound, independent of how far Newton got.  The continuation
-    stops on a certified gap: after its first descent and after each stage
-    that lowers sigma_max, the floor rho(P M) of mu_lower's kernel-direction
-    candidates at the best x is a lower bound on mu, and once it is within
-    CLOSE_TOL of sigma_max no scaling can do better.  A tau above the
-    relative gap between the two is skipped.  Where the floor stays below
-    (mu = 0, or mu below the scaling optimum) every tau runs.
+    infimum past X_BOUND, and the kink search takes over from the lowest
+    point so far.  Each of at most BURSTS rounds runs a quasi-Newton (BFGS)
+    burst of BURST_ITERS iterations on the branch gradient, then KKT steps
+    (:func:`_kkt_step`) while they pass the Armijo test on sigma_max: Newton
+    on the optimality system at the kink's multiplicity, which converges
+    fast once the burst has brought x near the kink.  Exponents held at
+    the clip X_BOUND stay fixed in both.  The search stops once the KKT step
+    predicts no decrease (NEWTON_DECREMENT_TOL), after a round that does not
+    lower sigma_max, or on a certified gap: after each burst and each KKT
+    step the floor rho(P M) of mu_lower's kernel-direction candidates at the
+    lowest point is a lower bound on mu, and once it is within CLOSE_TOL of
+    sigma_max no scaling can do better.  Where the floor stays below (mu = 0,
+    or mu below the scaling optimum) the other stops end the search.  The
+    lowest point evaluated is returned.
 
     The first scaling exponent is frozen at zero: shifting all exponents
     together never changes the objective.  The floor and mu_lower read
@@ -336,35 +430,12 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
     def full(xf: np.ndarray) -> np.ndarray:
         return np.clip(np.concatenate(([0.0], xf)), -X_BOUND, X_BOUND)
 
-    def fg(xf: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad, _ = _branch(_evaluate(a_n, structure, full(xf)), structure)
-        return value, grad[1:]
-
-    def smoothed(xf: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
-        value, grad = _smoothed_value_and_grad(a_n, structure, full(xf), tau)
-        return value, grad[1:]
-
     def bound(x_star, svd, grad, mult, iterations) -> UpperBound:
         value = float(svd[1][0])
         grad_norm = float(np.linalg.norm(grad[1:])) / value if mult == 1 else None
         return UpperBound(
             s0 * value, x_star, mult, grad_norm, iterations, s0, evaluations, svd, a_n, structure
         )
-
-    def descend(objective, x0: np.ndarray, args=()):
-        nonlocal evaluations
-        options = dict(gtol=BFGS_GRAD_TOL, maxiter=BFGS_MAX_ITERS)
-        res = minimize(objective, x0, args, jac=True, method="BFGS", options=options)
-        x_star = full(res.x)
-        evaluations += int(res.nfev) + 1
-        svd = _evaluate(a_n, structure, x_star)
-        return bound(x_star, svd, *_branch(svd, structure)[1:], int(res.nit)), res.x
-
-    def gap(bound: UpperBound) -> float:
-        """Relative gap to the floor at bound.x, 0 where the floor meets it."""
-        goal = _goal(bound.value, s0)
-        floor = _floor(a_n, structure, bound.svd, goal)
-        return 0.0 if floor >= goal else 1.0 - s0 * floor / bound.value
 
     if nb == 1:  # nothing to scale
         return bound(np.zeros(1), svd, *_branch(svd, structure)[1:], 0)
@@ -373,20 +444,66 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
         newton = bound(x_star, svd, grad, 1, iterations)
         if _is_stationary(1, newton.grad_norm):
             return newton
-    best, xf = descend(fg, np.zeros(nb - 1))
-    iterations += best.iterations
-    rel_gap = gap(best)
-    for tau in SMOOTHING_TAUS:
-        if rel_gap == 0.0:
+    best = (x_star, svd)  # the lowest evaluation so far and its (clipped) x
+
+    def lowest() -> float:
+        return float(best[1][1][0])
+
+    def evaluate(xf: np.ndarray):
+        nonlocal best, evaluations
+        x = full(xf)
+        if np.array_equal(x, best[0]):  # where each burst starts
+            return best[1]
+        svd = _evaluate(a_n, structure, x)
+        evaluations += 1
+        if svd[1][0] < lowest():
+            best = (x, svd)
+        return svd
+
+    def fg(xf: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad, _ = _branch(evaluate(xf), structure)
+        grad[np.abs(full(xf)) >= X_BOUND] = 0.0  # where the clip holds x constant
+        return value, grad[1:]
+
+    def closed() -> bool:
+        """Whether the floor at the lowest point meets sigma_max there."""
+        goal = _goal(s0 * lowest(), s0)
+        return _floor(a_n, structure, best[1], goal) >= goal
+
+    def kkt_steps() -> bool:
+        """KKT steps from the lowest point; True once the search is over."""
+        nonlocal iterations
+        for _ in range(BFGS_MAX_ITERS):
+            (x, svd), value = best, lowest()
+            free = np.flatnonzero(np.abs(x) < X_BOUND)[1:]
+            step = _kkt_step(svd, structure, free) if free.size else None
+            if step is None or step[1] > value:
+                return False
+            decrement = value - step[1]
+            if decrement <= NEWTON_DECREMENT_TOL * value:
+                return True
+            t = 1.0
+            for _ in range(NEWTON_BACKTRACKS):
+                xf = x[1:].copy()
+                xf[free - 1] += t * step[0]
+                if evaluate(xf)[1][0] <= value - ARMIJO * t * decrement:
+                    break
+                t /= 2.0
+            else:
+                return False
+            iterations += 1
+            if closed():
+                return True
+        return False
+
+    options = dict(gtol=BFGS_GRAD_TOL, maxiter=BURST_ITERS)
+    for _ in range(BURSTS):
+        start = lowest()
+        iterations += int(minimize(fg, best[0][1:], jac=True, method="BFGS", options=options).nit)
+        if closed() or kkt_steps() or lowest() >= start:
             break
-        if tau > rel_gap:
-            continue
-        stage, xf = descend(smoothed, xf, (tau,))
-        iterations += stage.iterations
-        if stage.value < best.value:
-            best = stage
-            rel_gap = gap(best)
-    return replace(best, iterations=iterations, evaluations=evaluations)
+    x_star, svd = best
+    return bound(x_star, svd, *_branch(svd, structure)[1:], iterations)
 
 
 # ---------------------------------------------------------------------------

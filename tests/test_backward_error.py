@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -169,6 +170,33 @@ def test_scenario_p_infinite_at_lambda_equal_a():
     assert res.exactness == "exact_formula"
     assert res.eta_lower == res.eta_upper == np.inf
     assert sigma_max(res.infinite_witness) <= 1e-14
+
+
+def test_one_block_eta_scales_with_the_system():
+    # the zero test of a one-block M is relative to its bound w / sigma_min(S):
+    # scaling S by 1e10 scales each closed-form eta by 1e10, down to where
+    # sigma_max(M) is far below any absolute floor
+    def etas(s):
+        sys_ = RosenbrockSystem([[2 * s]], [[s]], [[s]], ([[s]], [[s]]))
+        return [backward_error(sys_, 0.5, Scenario.from_string(name)) for name in "ABP"]
+
+    for small, large in zip(etas(1e20), etas(1e30)):
+        assert large.exactness == small.exactness == "exact_formula"
+        assert large.eta_upper == pytest.approx(1e10 * small.eta_upper, rel=1e-12)
+        assert large.eta_lower == large.eta_upper
+
+
+def test_one_block_certificate_finite_where_its_norm_squared_underflows():
+    # at lambda = 1e160 the A window of S^{-1} is about 1e-160: eta = 1e160
+    # is finite, and |H w|^2 = 1e-320 would overflow the certificate
+    sys_ = RosenbrockSystem([[2]], [[1]], [[1]], ([[1]], [[0]], [[1e-160]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = backward_error(sys_, 1e160, Scenario.from_string("A"))
+    assert res.exactness == "exact_formula"
+    assert res.eta_upper == pytest.approx(1e160, rel=1e-12)
+    assert res.certificate_norm == res.eta_upper
+    assert np.all(np.isfinite(res.certificate))
 
 
 def test_fluid_solid_sweep_bounds_ordered():

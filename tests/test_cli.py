@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import rosenmu
 from rosenmu import InputError, matrix_from_json, matrix_to_json, system_from_json, system_to_json
-from rosenmu.cli import dumps_report, main
+from rosenmu.cli import _build_parser, dumps_report, main
 from rosenmu.instances import fluid_solid_instance
 
 from conftest import GOLDEN_5X5, cgauss, random_system
@@ -111,6 +111,27 @@ def test_backward_error_eigenvalue_sweep(diag_system_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert len(report["rows"]) == 15
     assert all(row["eta_upper"] == 0 for row in report["rows"])
+
+
+def test_parser_built_once_keeps_no_lambdas_between_calls(diag_system_file, capsys):
+    # main reuses one parser per process; the --lambda list of one call
+    # does not leak into the next, with or without --lambda
+    assert _build_parser() is _build_parser()
+    for lams, want in (([], []), (["0"], [[0, 0]]), (["1,1", "0.5"], [[1, 1], [0.5, 0]]), (["2"], [[2, 0]])):
+        argv = ["backward-error", "--scenario", "A", "--json", diag_system_file]
+        for lam in lams:
+            argv += ["--lambda", lam]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        if not lams:  # --lambda is required here
+            assert rc == 2 and "--lambda" in captured.err
+            continue
+        assert rc == 0
+        report = json.loads(captured.out)
+        assert [row["lambda"] for row in report.get("results", [report])] == want
+    assert main(["oracle", "--scenario", "A", "--json", "--budget", "10", "--lambda", "0.5", diag_system_file]) == 0
+    assert json.loads(capsys.readouterr().out)["lambda"] == [0.5, 0]
+    assert main(["oracle", "--scenario", "A", "--budget", "10", diag_system_file]) == 2
 
 
 def test_round_trip_verify(system_file, tmp_path, capsys):

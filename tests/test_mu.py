@@ -26,21 +26,22 @@ from rosenmu import (
 )
 from rosenmu.instances import fluid_solid_instance
 from rosenmu.mu import (
+    BURSTS,
     CLOSE_TOL,
     EXACT_GAP_TOL,
-    SMOOTHING_TAUS,
     STATIONARY_TOL,
     X_BOUND,
     UpperBound,
     _ascend,
     _branch,
     _branch_derivatives,
+    _cluster_model,
     _evaluate,
     _floor,
     _kernel_direction,
+    _kkt_step,
     _normalized,
     _scaled,
-    _smoothed_value_and_grad,
     _snap_partial_isometry,
     _weights,
 )
@@ -186,29 +187,47 @@ def test_branch_hessian_matches_central_differences(real):
         done += 1
 
 
-@pytest.mark.parametrize("tau", [1.0, 0.1])
-def test_smoothed_gradient_matches_central_differences(rng, tau):
-    h = 1e-6
-    for _ in range(10):
-        structure = random_structure(rng, n_blocks=int(rng.integers(2, 5)))
-        m = cgauss(rng, structure.k_total, structure.p_total)
+@pytest.mark.parametrize("real", [True, False])
+def test_cluster_model_matches_branch_derivatives_and_differences(real):
+    # At t = 1 and Z = 1 the KKT model is the branch's gradient and Hessian.
+    # At t = 2 the traces of its forms are the gradient of sigma_1 + sigma_2
+    # and W(I) its Hessian, against central differences, on rectangular M
+    # under 2-4 blocks with the top pair apart from sigma_3
+    rng = np.random.default_rng(91 + real)
+    h, done = 1e-5, 0
+    while done < 20:
+        structure = random_structure(rng, n_blocks=int(rng.integers(2, 5)), max_dim=3)
+        if min(structure.k_total, structure.p_total) < 3:
+            continue
+        m = rng.standard_normal((structure.k_total, structure.p_total))
+        if not real:
+            m = m + 1j * rng.standard_normal(m.shape)
         x = rng.uniform(-1, 1, structure.n_blocks)
-        value, g = _smoothed_value_and_grad(m, structure, x, tau)
-        # log sigma_max <= g_tau <= log sigma_max + tau log(rank)
-        log_sigma = np.log(_evaluate(m, structure, x)[1][0])
-        rank = min(structure.k_total, structure.p_total)
-        assert log_sigma - 1e-14 <= value <= log_sigma + tau * np.log(rank) + 1e-14
-        def g_tau(y):
-            return _smoothed_value_and_grad(m, structure, y, tau)[0]
+        svd = _evaluate(m, structure, x)
+        s = svd[1]
+        if min(s[0] - s[1], s[1] - s[2]) <= 1e-3 * s[0]:
+            continue  # too near a kink for differences of step h
+        grad, hess = _branch_derivatives(*svd, structure)
+        forms, hessian = _cluster_model(svd, 1, structure)
+        np.testing.assert_allclose(forms[:, 0, 0], grad, rtol=0, atol=1e-14 * s[0])
+        np.testing.assert_allclose(hessian(np.ones((1, 1))), hess, rtol=0, atol=1e-13 * np.abs(hess).max())
 
-        fd = [(g_tau(x + e) - g_tau(x - e)) / (2 * h) for e in h * np.eye(structure.n_blocks)]
-        np.testing.assert_allclose(g, fd, rtol=0, atol=1e-7)
+        def top_two_gradient(y):
+            svd = _evaluate(m, structure, y)
+            return _cluster_model(svd, 2, structure)[0].trace(axis1=1, axis2=2).real
+
+        forms, hessian = _cluster_model(svd, 2, structure)
+        fd = np.column_stack([
+            (top_two_gradient(x + e) - top_two_gradient(x - e)) / (2 * h) for e in h * np.eye(structure.n_blocks)
+        ])
+        w = hessian(np.eye(2))
+        np.testing.assert_allclose(w, w.T, rtol=0, atol=1e-14 * np.abs(w).max())
+        assert np.abs(w - fd).max() <= 1e-6 * np.abs(w).max()
+        done += 1
 
 
 def test_block_sums_match_block_loops(rng):
-    # the scalings index exp(x) by block: the same bits as repeating it; the
-    # smoothed gradient sums each block in one bincount, which may reorder
-    # the sum of a block's entries (a few ulps)
+    # the scalings index exp(x) by block: the same bits as repeating it
     for _ in range(20):
         structure = random_structure(rng, n_blocks=int(rng.integers(1, 6)), max_dim=4)
         ps, ks = zip(*structure.blocks)
@@ -216,21 +235,6 @@ def test_block_sums_match_block_loops(rng):
         row, col = _weights(structure, x)
         assert row.tobytes() == np.repeat(np.exp(x), ks).tobytes()
         assert col.tobytes() == np.repeat(np.exp(-x), ps).tobytes()
-        m = cgauss(rng, structure.k_total, structure.p_total)
-        _, g = _smoothed_value_and_grad(m, structure, x, 1e-2)
-        u, s, vh = np.linalg.svd(_scaled(m, structure, x), full_matrices=False)
-        w = (s / s[0]) ** 100.0
-        r, c = np.abs(u) ** 2 @ (w / w.sum()), np.abs(vh.T) ** 2 @ (w / w.sum())
-        loop = [r[sk].sum() - c[sp].sum() for sp, sk in structure.places]
-        np.testing.assert_allclose(g, loop, rtol=0, atol=8 * np.finfo(float).eps)
-
-
-def test_smoothed_gradient_zero_at_exponent_bound(rng):
-    structure = random_structure(rng, n_blocks=3)
-    m = cgauss(rng, structure.k_total, structure.p_total)
-    x = np.array([0.3, X_BOUND, -X_BOUND])
-    _, g = _smoothed_value_and_grad(m, structure, x, 1e-2)
-    assert g[1] == g[2] == 0.0
 
 
 def test_mu_upper_single_block(rng):
@@ -519,7 +523,7 @@ def test_mu_upper_no_worse_than_full_search_fluid_solid():
 
 # The Newton descent's exact bits (float.hex of the upper bound, then of x)
 # on every multi-block scenario at lambda = 0.7.  Each ends at a smooth
-# stationary point, so the continuation never runs.
+# stationary point, so the kink search never runs.
 EARLY_EXIT_FLUID_SOLID = {
     "AB": ("0x1.008d1174a6259p+2", ["0x0.0p+0", "0x1.e7331d2571b43p-2"]),
     "AC": ("0x1.03f87e59b85dbp+2", ["0x0.0p+0", "-0x1.c7f8ccf02c096p-2"]),
@@ -612,14 +616,68 @@ def test_mu_upper_newton_evaluations_fluid_solid(monkeypatch):
 
 def test_mu_upper_continuation_at_kink(monkeypatch):
     # sigma_max(ANTIDIAG scaled) = max(2 e^-t, 3 e^t): both branches meet at
-    # the optimum.  The first descent stops near the kink, every tau above the
-    # gap to the floor there is skipped, and one stage closes the gap.
+    # the optimum.  Newton gives up next to the kink, one BFGS burst lands on
+    # it, and the floor there closes the gap before any KKT step.
     calls = _counting_minimize(monkeypatch)
     res = mu_upper(ANTIDIAG, TWO_SCALARS)
-    assert calls == ["BFGS"] * 2
+    assert calls == ["BFGS"]
     assert res.multiplicity == 2
     assert res.grad_norm is None
     assert res.value == pytest.approx(np.sqrt(6), rel=1e-12)
+
+
+def test_kkt_steps_reach_sqrt6_at_antidiag_kink():
+    # Within PAIR_TOL of the kink t* = ln(2/3) / 2 on either side, KKT steps
+    # of multiplicity 2 alone converge to sigma_max = sqrt 6 (of M / 3)
+    t_star = np.log(2.0 / 3.0) / 2.0
+    for offset in (-4e-3, 4e-3):
+        x = np.array([0.0, t_star + offset])
+        for _ in range(4):
+            step = _kkt_step(_evaluate(ANTIDIAG / 3, TWO_SCALARS, x), TWO_SCALARS, np.array([1]))
+            if step is None:  # no t qualifies once the top pair is equal to roundoff
+                break
+            x[1:] += step[0]
+        assert 3 * _evaluate(ANTIDIAG / 3, TWO_SCALARS, x)[1][0] == pytest.approx(np.sqrt(6), rel=1e-12)
+        assert x[1] == pytest.approx(t_star, abs=1e-12)
+
+
+# A complex M under six scalar blocks whose scaling optimum is a kink of
+# multiplicity 2 above mu, and the upper bound (float.hex) that the smoothing
+# continuation reached there in 676 evaluations.
+COMPLEX_KINK = (cgauss(np.random.default_rng(1), 6, 6), BlockStructure(((1, 1),) * 6))
+COMPLEX_KINK_CONTINUATION_UPPER = "0x1.018c4fc24a60ap+2"
+
+
+def test_kkt_step_closes_complex_scalar_kink():
+    # The forms are complex, so all t^2 = 4 rows of the 2 x 2 Hermitian
+    # constraint are live.  No floor meets sigma_max (mu lies below), and the
+    # KKT steps close on the kink: at the returned point the step predicts a
+    # decrease below CLOSE_TOL, and the bound is no higher than the
+    # continuation's
+    m, structure = COMPLEX_KINK
+    res = mu_bracket(m, structure)
+    upper = res.upper_bound
+    assert upper.multiplicity == 2
+    assert res.upper - res.lower > 1e-4 * res.upper
+    assert res.upper <= float.fromhex(COMPLEX_KINK_CONTINUATION_UPPER) * (1 + CLOSE_TOL)
+    forms, _ = _cluster_model(upper.svd, 2, structure)
+    assert np.abs(forms[:, 0, 1].imag).max() > 1e-2 * np.abs(forms).max()
+    d, omega = _kkt_step(upper.svd, structure, np.arange(1, 6))
+    value = upper.svd[1][0]
+    assert 0 <= value - omega <= CLOSE_TOL * value
+    assert upper.evaluations <= 100
+
+
+def test_kkt_upper_invariant_under_diagonal_rotation():
+    # Phi M Phi* for a diagonal unitary Phi has the same scaled singular
+    # values as a real M, and forms that are real up to the phases of the
+    # singular vectors: one Hermitian direction of the KKT system drops out
+    rng = np.random.default_rng(21)
+    for m, structure in _mu_scalar_problems():
+        phi = np.exp(2j * np.pi * rng.uniform(size=m.shape[0]))
+        rotated = phi[:, None] * m * phi.conj()[None, :]
+        upper = mu_upper(m, structure).value
+        assert mu_upper(rotated, structure).value == pytest.approx(upper, rel=1e-13)
 
 
 def _mu_scalar_problems():
@@ -637,13 +695,26 @@ def test_mu_scalar_brackets_close():
 
 
 def test_mu_scalar_bfgs_iterations():
-    # all seven continuation stages on each matrix took 3,097 BFGS iterations
+    # Newton steps, BFGS iterations and KKT steps: 203 on these matrices,
+    # where the seven stages of the smoothing continuation took 3,097
     total = sum(mu_upper(m, structure).iterations for m, structure in _mu_scalar_problems())
-    assert total <= 2000
+    assert total <= 300
+
+
+def test_mu_scalar_kinks_take_few_svds(monkeypatch):
+    # One BFGS burst and a few KKT steps reach each kink, where the
+    # smoothing continuation took 5,189 SVDs; each bracket closes on the
+    # first candidate, with no ascent
+    calls = _recording_svd(monkeypatch)
+    for m, structure in _mu_scalar_problems():
+        res = mu_bracket(m, structure)
+        assert res.upper - res.lower <= CLOSE_TOL * res.upper
+        assert res.lower_bound.refine_rounds == 0
+    assert len(calls) <= 1500
 
 
 def test_mu_scalar_continuation_stops_on_the_floor(monkeypatch):
-    # The continuation stops once the floor meets sigma_max.  mu_lower then
+    # The kink search stops once the floor meets sigma_max.  mu_lower then
     # starts from the same candidates at the same x: it reads them from the
     # evaluation that the last floor read, so the reported lower bound is
     # the floor that stopped the search.
@@ -662,7 +733,8 @@ def test_mu_scalar_continuation_stops_on_the_floor(monkeypatch):
         assert svd is res.upper_bound.svd
         assert floor >= goal
         assert res.upper - res.lower <= CLOSE_TOL * res.upper
-        assert res.lower >= res.upper_bound.scale * floor
+        # mu_bracket lowers a lower bound that roundoff puts above the upper one
+        assert res.lower_bound.value >= res.upper_bound.scale * floor
         assert res.lower_bound.refine_rounds == 0
 
 
@@ -680,15 +752,16 @@ def test_mu_upper_nilpotent_no_worse_than_full_search():
         assert value <= float.fromhex(pinned) * (1 + UPPER_SLACK)
 
 
-def test_mu_upper_nilpotent_runs_every_stage(monkeypatch):
-    # mu = 0, so no floor meets sigma_max and the relative gap stays 1: no
-    # tau is skipped and the search does not stop early
+def test_mu_upper_nilpotent_runs_until_no_progress(monkeypatch):
+    # mu = 0, so no floor meets sigma_max: rounds of a BFGS burst and KKT
+    # steps run until one does not lower sigma_max, at most BURSTS of them
     rng = np.random.default_rng(3)
     for n in (3, 5, 7):
         calls = _counting_minimize(monkeypatch)
         m = np.triu(rng.standard_normal((n, n)), 1)
         mu_upper(m, BlockStructure(((1, 1),) * n))
-        assert calls == ["BFGS"] * (1 + len(SMOOTHING_TAUS))
+        assert set(calls) == {"BFGS"}
+        assert 1 < len(calls) <= BURSTS
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -963,8 +1036,8 @@ def test_rank_three_top_cluster_takes_its_top_two_pairs(monkeypatch):
     # At M = I under n scalar blocks the top singular value has multiplicity
     # n at the optimum x = 0.  The top two pairs of that cluster give a
     # partial isometry with rho(P M) = 1 = mu, so the floor closes the
-    # bracket after the continuation's first descent, and mu_lower takes
-    # that candidate as built.
+    # bracket after the first BFGS burst, before any KKT step of size n, and
+    # mu_lower takes that candidate as built.
     shapes = []
 
     def recording(forms):
@@ -972,11 +1045,15 @@ def test_rank_three_top_cluster_takes_its_top_two_pairs(monkeypatch):
         return _kernel_direction(forms)
 
     monkeypatch.setattr("rosenmu.mu._kernel_direction", recording)
+    kkt_steps = []
+    monkeypatch.setattr("rosenmu.mu._kkt_step", lambda *args: kkt_steps.append(args))
     for n in (4, 6):
         calls = _counting_minimize(monkeypatch)
         res = mu_bracket(np.eye(n), BlockStructure(((1, 1),) * n))
         assert calls == ["BFGS"]
+        assert kkt_steps == []
         assert res.upper - res.lower <= CLOSE_TOL * res.upper
+    monkeypatch.undo()
     # a multiplicity-3 optimum under three blocks keeps its exact label
     rng = np.random.default_rng(77)
     for _ in range(3):
