@@ -275,13 +275,21 @@ def _kkt_step(svd, structure: BlockStructure, free: np.ndarray):
     equations are taken against :func:`_hermitian_basis`: for real forms
     (a real M, or a diagonally rotated one) its imaginary directions drop
     out, and least squares takes Z real.  t starts at the number of singular
-    values within PAIR_TOL of sigma_1 and falls until Z is positive
-    semidefinite and omega <= sigma_1, as at a minimum; a t that splits a
-    repeated value (MULT_TOL) is skipped.  At t = 1 this is Newton's step on
-    sigma_1.  Returns (d, omega), or None where no t qualifies.
+    values within PAIR_TOL of sigma_1, but at most 2 or the largest t with
+    t(t+1)/2 <= len(free) + 1: t coinciding values of a real M impose
+    t(t+1)/2 - 1 conditions on the exponents in general (t^2 - 1 for a
+    complex one), so a larger multiplicity is not generic at a minimum
+    (Overton 1988), while a pair whose forms have no off-diagonal part, as
+    at a two-block kink, imposes one.  The cap keeps the model, whose basis
+    alone holds t^4 entries, small for a wide cluster such as a near-unitary
+    M's.  t falls until Z is positive semidefinite and omega <= sigma_1, as
+    at a minimum; a t that splits a repeated value (MULT_TOL) is skipped.
+    At t = 1 this is Newton's step on sigma_1.  Returns (d, omega), or None
+    where no t qualifies.
     """
     s = svd[1]
-    for t in range(int(np.count_nonzero(s[0] - s <= PAIR_TOL * s[0])), 0, -1):
+    cap = max(2, int((np.sqrt(8 * free.size + 9) - 1) / 2))  # t(t+1)/2 <= nf + 1, or 2
+    for t in range(min(cap, int(np.count_nonzero(s[0] - s <= PAIR_TOL * s[0]))), 0, -1):
         if t < len(s) and s[t - 1] - s[t] <= MULT_TOL * s[0]:
             continue
         forms, hessian = _cluster_model(svd, t, structure)
@@ -322,51 +330,79 @@ def _is_stationary(mult: int, grad_norm: float | None) -> bool:
     return mult == 1 and grad_norm is not None and grad_norm <= STATIONARY_TOL
 
 
-def _newton(a_n: np.ndarray, structure: BlockStructure, full, svd):
-    """Damped Newton on sigma_max over the free exponents x[1:], from x = 0.
+def _damped_newton(xf: np.ndarray, svd, direction, evaluate, done=None):
+    """Damped Newton descent on sigma_max over the free exponents xf.
 
-    ``full`` maps the free exponents to the clipped x, and ``svd`` is the
-    evaluation at x = 0.  Each step solves the free block of the Hessian
-    (:func:`_branch_derivatives`) by Cholesky and halves until the Armijo
-    condition holds; the derivatives are formed only at accepted points.
-    The descent converges where the Newton decrement -g . step = |L^-1 g|^2
-    is at most NEWTON_DECREMENT_TOL sigma_max, and gives up (for the kink
-    search of :func:`mu_upper` to take over) at a repeated sigma_max, a
-    Hessian that is not positive definite, NEWTON_BACKTRACKS halvings
-    without decrease, or after BFGS_MAX_ITERS steps.  Returns the last x, its evaluation, its
-    gradient (None where the descent gave up), the steps taken and the
-    number of evaluations.
+    ``svd`` is the evaluation at xf, ``direction(xf, svd)`` gives a step and
+    the decrease of sigma_max that it predicts (the Newton decrement), or
+    None where no step is defined, and ``evaluate`` maps free exponents to
+    their evaluation.  Each step halves from the full step until the Armijo
+    condition holds.  The descent converges where the decrement is at most
+    NEWTON_DECREMENT_TOL sigma_max, or where ``done()`` holds after a step,
+    and gives up where no step is defined, after NEWTON_BACKTRACKS trial
+    steps without decrease, or after BFGS_MAX_ITERS steps.  Returns the last
+    xf, its evaluation, the steps taken and whether it converged.
     """
-    xf, evaluations = np.zeros(structure.n_blocks - 1), 1
     for steps in range(BFGS_MAX_ITERS):
-        s = svd[1]
-        value = float(s[0])
-        if s[0] - s[1] <= MULT_TOL * s[0]:
-            break
-        grad, hess = _branch_derivatives(*svd, structure)
-        g = grad[1:]
-        try:
-            chol = np.linalg.cholesky(hess[1:, 1:])
-        except np.linalg.LinAlgError:
-            break
-        y = np.linalg.solve(chol, g)
-        decrement = float(y @ y)
+        value = float(svd[1][0])
+        found = direction(xf, svd)
+        if found is None:
+            return xf, svd, steps, False
+        step, decrement = found
         if decrement <= NEWTON_DECREMENT_TOL * value:
-            return full(xf), svd, grad, steps, evaluations
-        step = -np.linalg.solve(chol.T, y)
+            return xf, svd, steps, True
         t = 1.0
         for _ in range(NEWTON_BACKTRACKS):
-            trial = _evaluate(a_n, structure, full(xf + t * step))
-            evaluations += 1
+            trial = evaluate(xf + t * step)
             if trial[1][0] <= value - ARMIJO * t * decrement:
                 break
             t /= 2.0
         else:
-            break
+            return xf, svd, steps, False
         xf, svd = xf + t * step, trial
-    else:
-        steps = BFGS_MAX_ITERS
-    return full(xf), svd, None, steps, evaluations
+        if done is not None and done():
+            return xf, svd, steps + 1, True
+    return xf, svd, BFGS_MAX_ITERS, False
+
+
+def _newton(a_n: np.ndarray, structure: BlockStructure, full, svd):
+    """Damped Newton (:func:`_damped_newton`) on sigma_max over the free
+    exponents x[1:], from x = 0.
+
+    ``full`` maps the free exponents to the clipped x, and ``svd`` is the
+    evaluation at x = 0.  Each step solves the free block of the Hessian
+    (:func:`_branch_derivatives`) by Cholesky; its decrement is
+    -g . step = |L^-1 g|^2, and the derivatives are formed only at accepted
+    points.  The descent gives up (for the kink search of :func:`mu_upper`
+    to take over) also at a repeated sigma_max or a Hessian that is not
+    positive definite.  Returns the last x, its evaluation, its gradient
+    (None where the descent gave up), the steps taken and the number of
+    evaluations.
+    """
+    evaluations, grad = 1, None
+
+    def direction(xf: np.ndarray, svd):
+        nonlocal grad
+        s = svd[1]
+        if s[0] - s[1] <= MULT_TOL * s[0]:
+            return None
+        grad, hess = _branch_derivatives(*svd, structure)
+        try:
+            chol = np.linalg.cholesky(hess[1:, 1:])
+        except np.linalg.LinAlgError:
+            return None
+        y = np.linalg.solve(chol, grad[1:])
+        return -np.linalg.solve(chol.T, y), float(y @ y)
+
+    def evaluate(xf: np.ndarray):
+        nonlocal evaluations
+        evaluations += 1
+        return _evaluate(a_n, structure, full(xf))
+
+    xf, svd, steps, converged = _damped_newton(
+        np.zeros(structure.n_blocks - 1), svd, direction, evaluate
+    )
+    return full(xf), svd, grad if converged else None, steps, evaluations
 
 
 @dataclass
@@ -400,7 +436,7 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
     infimum past X_BOUND, and the kink search takes over from the lowest
     point so far.  Each of at most BURSTS rounds runs a quasi-Newton (BFGS)
     burst of BURST_ITERS iterations on the branch gradient, then KKT steps
-    (:func:`_kkt_step`) while they pass the Armijo test on sigma_max: Newton
+    (:func:`_kkt_step`) in the damped Newton loop of :func:`_newton`: Newton
     on the optimality system at the kink's multiplicity, which converges
     fast once the burst has brought x near the kink.  Exponents held at
     the clip X_BOUND stay fixed in both.  The search stops once the KKT step
@@ -470,37 +506,25 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
         goal = _goal(s0 * lowest(), s0)
         return _floor(a_n, structure, best[1], goal) >= goal
 
-    def kkt_steps() -> bool:
-        """KKT steps from the lowest point; True once the search is over."""
-        nonlocal iterations
-        for _ in range(BFGS_MAX_ITERS):
-            (x, svd), value = best, lowest()
-            free = np.flatnonzero(np.abs(x) < X_BOUND)[1:]
-            step = _kkt_step(svd, structure, free) if free.size else None
-            if step is None or step[1] > value:
-                return False
-            decrement = value - step[1]
-            if decrement <= NEWTON_DECREMENT_TOL * value:
-                return True
-            t = 1.0
-            for _ in range(NEWTON_BACKTRACKS):
-                xf = x[1:].copy()
-                xf[free - 1] += t * step[0]
-                if evaluate(xf)[1][0] <= value - ARMIJO * t * decrement:
-                    break
-                t /= 2.0
-            else:
-                return False
-            iterations += 1
-            if closed():
-                return True
-        return False
+    def kkt_direction(xf: np.ndarray, svd):
+        """The KKT step over the exponents off the clip, where it predicts a decrease."""
+        free = np.flatnonzero(np.abs(full(xf)) < X_BOUND)[1:]
+        found = _kkt_step(svd, structure, free) if free.size else None
+        if found is None or found[1] > svd[1][0]:
+            return None
+        step = np.zeros(nb - 1)
+        step[free - 1] = found[0]
+        return step, float(svd[1][0]) - found[1]
 
     options = dict(gtol=BFGS_GRAD_TOL, maxiter=BURST_ITERS)
     for _ in range(BURSTS):
         start = lowest()
         iterations += int(minimize(fg, best[0][1:], jac=True, method="BFGS", options=options).nit)
-        if closed() or kkt_steps() or lowest() >= start:
+        if closed():
+            break
+        *_, steps, over = _damped_newton(best[0][1:], best[1], kkt_direction, evaluate, closed)
+        iterations += steps
+        if over or lowest() >= start:
             break
     x_star, svd = best
     return bound(x_star, svd, *_branch(svd, structure)[1:], iterations)

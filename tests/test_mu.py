@@ -38,6 +38,7 @@ from rosenmu.mu import (
     _cluster_model,
     _evaluate,
     _floor,
+    _hermitian_basis,
     _kernel_direction,
     _kkt_step,
     _normalized,
@@ -680,6 +681,37 @@ def test_kkt_upper_invariant_under_diagonal_rotation():
         assert mu_upper(rotated, structure).value == pytest.approx(upper, rel=1e-13)
 
 
+# The upper bound (float.hex) that the smoothing continuation reached in
+# 755 SVDs on the near-orthogonal M of the wide-cluster test below.
+WIDE_CLUSTER_CONTINUATION_UPPER = "0x1.ffed1f3b7329bp-1"
+
+
+def test_kkt_model_stays_small_on_a_wide_cluster(monkeypatch):
+    # All 30 singular values of a (near-)orthogonal M lie within PAIR_TOL of
+    # sigma_1.  Over 29 free exponents the KKT model takes at most t = 7
+    # (7 * 8 / 2 <= 30), so it never builds the 30^4-entry basis, and the
+    # search stays cheap and no higher than the continuation's
+    sizes = []
+
+    def recording(t):
+        sizes.append(t)
+        return _hermitian_basis(t)
+
+    monkeypatch.setattr("rosenmu.mu._hermitian_basis", recording)
+    rng = np.random.default_rng(30)
+    q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    structure = BlockStructure(((1, 1),) * 30)
+    res = mu_bracket(q, structure)  # x = 0 is optimal, at multiplicity 30
+    assert res.upper_bound.multiplicity == 30
+    assert res.upper == pytest.approx(1.0, rel=1e-14)
+    assert res.upper - res.lower <= EXACT_GAP_TOL * res.upper
+    assert res.upper_bound.evaluations <= 50
+    near = mu_upper(q * (1 - 1e-3 * rng.random(30)), structure)
+    assert near.value <= float.fromhex(WIDE_CLUSTER_CONTINUATION_UPPER) * (1 + CLOSE_TOL)
+    assert near.evaluations <= 200
+    assert 3 <= max(sizes) <= 7
+
+
 def _mu_scalar_problems():
     """The twelve real matrices of the mu-scalar benchmark workload, all at kinks."""
     base = np.random.default_rng(0)
@@ -1046,14 +1078,14 @@ def test_rank_three_top_cluster_takes_its_top_two_pairs(monkeypatch):
 
     monkeypatch.setattr("rosenmu.mu._kernel_direction", recording)
     kkt_steps = []
-    monkeypatch.setattr("rosenmu.mu._kkt_step", lambda *args: kkt_steps.append(args))
-    for n in (4, 6):
-        calls = _counting_minimize(monkeypatch)
-        res = mu_bracket(np.eye(n), BlockStructure(((1, 1),) * n))
-        assert calls == ["BFGS"]
-        assert kkt_steps == []
-        assert res.upper - res.lower <= CLOSE_TOL * res.upper
-    monkeypatch.undo()
+    with monkeypatch.context() as mp:
+        mp.setattr("rosenmu.mu._kkt_step", lambda *args: kkt_steps.append(args))
+        for n in (4, 6):
+            calls = _counting_minimize(mp)
+            res = mu_bracket(np.eye(n), BlockStructure(((1, 1),) * n))
+            assert calls == ["BFGS"]
+            assert kkt_steps == []
+            assert res.upper - res.lower <= CLOSE_TOL * res.upper
     # a multiplicity-3 optimum under three blocks keeps its exact label
     rng = np.random.default_rng(77)
     for _ in range(3):
