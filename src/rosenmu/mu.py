@@ -16,11 +16,13 @@ exists).  The engine computes
   global minimum.  Where sigma_max is simple, one SVD also gives the exact
   Hessian (Overton & Womersley 1995), and damped Newton finds that minimum
   in a few SVDs.  At a kink (a repeated sigma_max) Newton gives up: short
-  quasi-Newton (BFGS) bursts bring x near the kink, and Newton steps on its
-  optimality (KKT) system, for the multiplicity t of sigma_max and a t x t
-  multiplier (Overton 1988; Overton & Womersley 1993), converge to it at one
-  SVD per step.  The search stops once a certified lower bound (the floor
-  of the kernel-direction candidates below) meets it;
+  quasi-Newton (BFGS) bursts with a weak Wolfe line search, which keep
+  descending on a nonsmooth function (Lewis & Overton 2013), bring x near
+  the kink, and Newton steps on its optimality (KKT) system, for the
+  multiplicity t of sigma_max and a t x t multiplier (Overton 1988; Overton
+  & Womersley 1993), converge to it at one SVD per step.  The search stops
+  once a certified lower bound (the floor of the kernel-direction
+  candidates below) meets it;
 * a certified lower bound: sup over block-diagonal partial isometries P of
   the spectral radius rho(P M), searched by extracting P from the top
   singular subspace at the scaling optimum and refining it by projected
@@ -39,7 +41,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import InputError, NumericError, as_matrix, sigma_min
 from .reduction import BlockStructure
@@ -68,6 +69,10 @@ BFGS_MAX_ITERS = 60
 BFGS_GRAD_TOL = 1e-9
 BURST_ITERS = 10
 BURSTS = 20
+# Weak Wolfe line search of each burst (see _line_search): the curvature
+# constant (the Armijo constant is ARMIJO below) and the cap on trial steps.
+WOLFE = 0.9
+LINE_TRIALS = 30
 # Newton descent of the upper-bound search (see _newton): the stop on the
 # Newton decrement relative to sigma_max, the Armijo constant and the number
 # of trial steps (halving from the full step) before it gives up.  Smooth
@@ -312,6 +317,116 @@ def _kkt_step(svd, structure: BlockStructure, free: np.ndarray):
     return None
 
 
+@dataclass
+class Burst:
+    """Where a quasi-Newton burst (:func:`minimize`) ended."""
+
+    fun: float  # the value there
+    nit: int  # iterations
+    nfev: int  # evaluations of the objective
+    h: np.ndarray  # the inverse Hessian approximation, to start the next burst from
+
+
+def _line_search(fg, x: np.ndarray, f: float, slope: float, d: np.ndarray, t: float):
+    """A step t along d from x that meets the weak Wolfe conditions, or None.
+
+    ``f`` and ``slope`` < 0 are the value and the directional derivative at x,
+    and ``t`` is the first trial.  The conditions are sufficient decrease,
+    f(x + t d) <= f + ARMIJO t slope, and curvature, slope(t) >= WOLFE slope,
+    which a nonsmooth convex function also meets on a step across a kink
+    (Lewis & Overton 2013).  Trials bracket such a step.  A trial that fails
+    the first condition is a new upper end, and the next is the minimizer of
+    the quadratic through the values at both ends and the slope at the lower
+    one, kept a tenth of the bracket away from either end (the midpoint where
+    that quadratic is not convex).  A trial that fails the second is a new
+    lower end, and the next doubles it, or bisects the bracket once it has an
+    upper end.  Branch slopes bound a convex function from below, so no step
+    along d goes under the lower of the tangent lines at the two ends where
+    they cross: once that is not below f by more than roundoff, or after
+    LINE_TRIALS trials, the search gives up.  NaN values fail the first
+    condition.  Returns (t, value, gradient) at the step.
+    """
+    lo, hi = (0.0, f, slope), None  # (t, value, slope) at the ends of the bracket
+    for _ in range(LINE_TRIALS):
+        ft, gt = fg(x + t * d)
+        st = float(gt @ d)
+        if not ft <= f + ARMIJO * t * slope:
+            hi = (t, ft, st)
+        elif st < WOLFE * slope:
+            lo = (t, ft, st)
+        else:
+            return t, ft, gt
+        if hi is None:
+            t *= 2.0
+            continue
+        (t_lo, f_lo, s_lo), (t_hi, f_hi, s_hi) = lo, hi
+        span = t_hi - t_lo
+        if s_hi > s_lo:
+            cross = min(max((f_hi - f_lo - s_hi * span) / (s_lo - s_hi), 0.0), span)
+            if f_lo + s_lo * cross >= f - 4 * _EPS * abs(f):
+                return None
+        curv = f_hi - f_lo - s_lo * span
+        if t_hi == t and curv > 0:
+            t = min(max(t_lo - s_lo * span * span / (2 * curv), t_lo + span / 10), t_hi - span / 10)
+        else:
+            t = t_lo + span / 2
+    return None
+
+
+def minimize(fg, x0: np.ndarray, h0: np.ndarray | None = None, *, method: str = "BFGS") -> Burst:
+    """A burst of at most BURST_ITERS BFGS iterations with a weak Wolfe line search.
+
+    ``fg(x)`` returns the value and a gradient (at a kink, that of one
+    branch); ``h0`` is the inverse Hessian approximation to start from, the
+    identity by default, and ``method`` names the search for profilers.  On
+    a nonsmooth function such as sigma_max at a kink, BFGS with a weak Wolfe
+    line search (:func:`_line_search`) keeps descending, and its inverse
+    Hessian approximation grows ill-conditioned along the directions that
+    leave the kink (Lewis & Overton 2013).  The first trial step is
+    min(1, 2.02 (f_prev - f) / -slope), which repeats the last decrease to
+    first order (Nocedal & Wright 2006, eq. 3.60), with f_prev = f + |g| / 2
+    at the start (from the identity, a step of about unit length along -g).
+    The identity is scaled by s.y / y.y before its first update (Nocedal &
+    Wright 2006, eq. 6.20).  Where a line search gives up the burst restarts
+    from the identity, and ends where that one gives up too.  The burst also
+    ends where the largest gradient entry is at most BFGS_GRAD_TOL.
+    """
+    nfev = 0
+
+    def counted(x: np.ndarray):
+        nonlocal nfev
+        nfev += 1
+        return fg(x)
+
+    x = np.asarray(x0, dtype=float)
+    identity, h = h0 is None, np.eye(x.size) if h0 is None else h0
+    f, g = counted(x)
+    f_prev, nit = f + float(np.linalg.norm(g)) / 2, 0
+    while nit < BURST_ITERS and np.abs(g).max() > BFGS_GRAD_TOL:
+        d = -h @ g
+        slope = float(g @ d)
+        found = None
+        if slope < 0.0:
+            first = 2.02 * (f - f_prev) / slope
+            found = _line_search(counted, x, f, slope, d, min(1.0, first) if first > 0 else 1.0)
+        if found is None:
+            if identity:
+                break
+            identity, h = True, np.eye(x.size)
+            continue
+        t, f_next, g_next = found
+        s, y = t * d, g_next - g
+        x, f_prev, f, g, nit = x + s, f, f_next, g_next, nit + 1
+        # the curvature condition makes s.y >= (1 - WOLFE) t |slope| > 0
+        sy = float(s @ y)
+        if identity:
+            h, identity = h * (sy / float(y @ y)), False
+        hy = h @ y
+        h = h + (sy + float(y @ hy)) / sy**2 * np.outer(s, s)
+        h = h - (np.outer(hy, s) + np.outer(s, hy)) / sy
+    return Burst(float(f), nit, nfev, h)
+
+
 def _normalized(a: np.ndarray, s0: float) -> np.ndarray:
     """a / s0 for s0 = sigma_max(a) > 0.
 
@@ -435,7 +550,9 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
     Otherwise Newton gave up short of a kink (a repeated sigma_max) or of an
     infimum past X_BOUND, and the kink search takes over from the lowest
     point so far.  Each of at most BURSTS rounds runs a quasi-Newton (BFGS)
-    burst of BURST_ITERS iterations on the branch gradient, then KKT steps
+    burst of BURST_ITERS iterations on the branch gradient (:func:`minimize`,
+    with a weak Wolfe line search), which starts from the inverse Hessian
+    approximation where the last burst ended, then KKT steps
     (:func:`_kkt_step`) in the damped Newton loop of :func:`_newton`: Newton
     on the optimality system at the kink's multiplicity, which converges
     fast once the burst has brought x near the kink.  Exponents held at
@@ -516,10 +633,11 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
         step[free - 1] = found[0]
         return step, float(svd[1][0]) - found[1]
 
-    options = dict(gtol=BFGS_GRAD_TOL, maxiter=BURST_ITERS)
+    h = None  # each burst starts from the last one's inverse Hessian approximation
     for _ in range(BURSTS):
         start = lowest()
-        iterations += int(minimize(fg, best[0][1:], jac=True, method="BFGS", options=options).nit)
+        burst = minimize(fg, best[0][1:], h, method="BFGS")
+        iterations, h = iterations + burst.nit, burst.h
         if closed():
             break
         *_, steps, over = _damped_newton(best[0][1:], best[1], kkt_direction, evaluate, closed)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
 
 from rosenmu import (
     BlockStructure,
@@ -45,6 +44,7 @@ from rosenmu.mu import (
     _scaled,
     _snap_partial_isometry,
     _weights,
+    minimize,
 )
 
 from conftest import (
@@ -617,14 +617,16 @@ def test_mu_upper_newton_evaluations_fluid_solid(monkeypatch):
 
 def test_mu_upper_continuation_at_kink(monkeypatch):
     # sigma_max(ANTIDIAG scaled) = max(2 e^-t, 3 e^t): both branches meet at
-    # the optimum.  Newton gives up next to the kink, one BFGS burst lands on
-    # it, and the floor there closes the gap before any KKT step.
+    # the optimum.  Newton gives up next to the kink, one BFGS burst brings x
+    # to it, and a KKT step closes on it, in fewer SVDs than the 59 that
+    # scipy's BFGS line search took there
     calls = _counting_minimize(monkeypatch)
     res = mu_upper(ANTIDIAG, TWO_SCALARS)
     assert calls == ["BFGS"]
     assert res.multiplicity == 2
     assert res.grad_norm is None
     assert res.value == pytest.approx(np.sqrt(6), rel=1e-12)
+    assert res.evaluations < 59
 
 
 def test_kkt_steps_reach_sqrt6_at_antidiag_kink():
@@ -727,15 +729,15 @@ def test_mu_scalar_brackets_close():
 
 
 def test_mu_scalar_bfgs_iterations():
-    # Newton steps, BFGS iterations and KKT steps: 203 on these matrices,
+    # Newton steps, BFGS iterations and KKT steps: 243 on these matrices,
     # where the seven stages of the smoothing continuation took 3,097
     total = sum(mu_upper(m, structure).iterations for m, structure in _mu_scalar_problems())
     assert total <= 300
 
 
 def test_mu_scalar_kinks_take_few_svds(monkeypatch):
-    # One BFGS burst and a few KKT steps reach each kink, where the
-    # smoothing continuation took 5,189 SVDs; each bracket closes on the
+    # One or two BFGS bursts and a few KKT steps reach each kink (463 SVDs
+    # in all), where the smoothing continuation took 5,189; each bracket closes on the
     # first candidate, with no ascent
     calls = _recording_svd(monkeypatch)
     for m, structure in _mu_scalar_problems():
@@ -777,11 +779,16 @@ PINNED_NILPOTENT_UPPER = ["0x1.a48e4c84b972ep-30", "0x1.08143399d4e39p-16", "0x1
 
 
 def test_mu_upper_nilpotent_no_worse_than_full_search():
+    # in fewer SVDs than the 615 (30 + 134 + 451) that bursts with scipy's
+    # BFGS line search took
     rng = np.random.default_rng(3)
+    evaluations = 0
     for n, pinned in zip((3, 5, 7), PINNED_NILPOTENT_UPPER):
         m = np.triu(rng.standard_normal((n, n)), 1)
-        value = mu_upper(m, BlockStructure(((1, 1),) * n)).value
-        assert value <= float.fromhex(pinned) * (1 + UPPER_SLACK)
+        upper = mu_upper(m, BlockStructure(((1, 1),) * n))
+        assert upper.value <= float.fromhex(pinned) * (1 + UPPER_SLACK)
+        evaluations += upper.evaluations
+    assert evaluations < 615
 
 
 def test_mu_upper_nilpotent_runs_until_no_progress(monkeypatch):
