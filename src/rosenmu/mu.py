@@ -61,11 +61,9 @@ KERNEL_NEWTON_ITERS = 100
 TINY = 1e-14
 # Relative to sigma_max(M), mu bounds at or below this level count as zero.
 ZERO_TOL = 1e-12
-# Stopping rules of the upper-bound search: the cap on the Newton steps (of
-# the smooth descent, and of each run of KKT steps at a kink), the gradient
-# tolerance and iterations of each quasi-Newton (BFGS) burst, and the cap on
-# the bursts.
-BFGS_MAX_ITERS = 60
+# Stopping rules of the quasi-Newton (BFGS) bursts of the upper-bound search:
+# the gradient tolerance and iterations of each burst, and the cap on the
+# bursts.
 BFGS_GRAD_TOL = 1e-9
 BURST_ITERS = 10
 BURSTS = 20
@@ -73,19 +71,21 @@ BURSTS = 20
 # constant (the Armijo constant is ARMIJO below) and the cap on trial steps.
 WOLFE = 0.9
 LINE_TRIALS = 30
-# Newton descent of the upper-bound search (see _newton): the stop on the
-# Newton decrement relative to sigma_max, the Armijo constant and the number
-# of trial steps (halving from the full step) before it gives up.  Smooth
-# optima rarely need more than one halving; at a kink the halvings grow with
-# every step, as the step overshoots the crossing of the top two singular
-# values by more and more.
+# Damped Newton descent of the upper-bound search (see _damped_newton): the
+# cap on its steps (of the smooth descent, and of each run of KKT steps at a
+# kink), the stop on the Newton decrement relative to sigma_max, the Armijo
+# constant and the number of trial steps (halving from the full step) before
+# it gives up.  Smooth optima rarely need more than one halving; at a kink
+# the halvings grow with every step, as the step overshoots the crossing of
+# the top two singular values by more and more.
+NEWTON_STEPS = 60
 NEWTON_DECREMENT_TOL = 8 * np.finfo(float).eps
 ARMIJO = 1e-4
 NEWTON_BACKTRACKS = 4
 # Norm of the gradient of log sigma_max (relative, as sigma_max may tend to
 # zero) at a simple sigma_max below which a scaling is taken as the (global,
-# by convexity) minimizer: it ends the upper-bound search and backs the
-# exact_simple_sigma label.
+# by convexity) minimizer: it ends the upper-bound search and, off the clip
+# X_BOUND, backs the exact_simple_sigma label.
 STATIONARY_TOL = 1e-6
 # Relative gap (upper - lower) / upper at which the two bounds count as met:
 # mu_lower stops at a candidate whose rho comes within it of the upper bound,
@@ -455,10 +455,10 @@ def _damped_newton(xf: np.ndarray, svd, direction, evaluate, done=None):
     condition holds.  The descent converges where the decrement is at most
     NEWTON_DECREMENT_TOL sigma_max, or where ``done()`` holds after a step,
     and gives up where no step is defined, after NEWTON_BACKTRACKS trial
-    steps without decrease, or after BFGS_MAX_ITERS steps.  Returns the last
+    steps without decrease, or after NEWTON_STEPS steps.  Returns the last
     xf, its evaluation, the steps taken and whether it converged.
     """
-    for steps in range(BFGS_MAX_ITERS):
+    for steps in range(NEWTON_STEPS):
         value = float(svd[1][0])
         found = direction(xf, svd)
         if found is None:
@@ -477,47 +477,7 @@ def _damped_newton(xf: np.ndarray, svd, direction, evaluate, done=None):
         xf, svd = xf + t * step, trial
         if done is not None and done():
             return xf, svd, steps + 1, True
-    return xf, svd, BFGS_MAX_ITERS, False
-
-
-def _newton(a_n: np.ndarray, structure: BlockStructure, full, svd):
-    """Damped Newton (:func:`_damped_newton`) on sigma_max over the free
-    exponents x[1:], from x = 0.
-
-    ``full`` maps the free exponents to the clipped x, and ``svd`` is the
-    evaluation at x = 0.  Each step solves the free block of the Hessian
-    (:func:`_branch_derivatives`) by Cholesky; its decrement is
-    -g . step = |L^-1 g|^2, and the derivatives are formed only at accepted
-    points.  The descent gives up (for the kink search of :func:`mu_upper`
-    to take over) also at a repeated sigma_max or a Hessian that is not
-    positive definite.  Returns the last x, its evaluation, its gradient
-    (None where the descent gave up), the steps taken and the number of
-    evaluations.
-    """
-    evaluations, grad = 1, None
-
-    def direction(xf: np.ndarray, svd):
-        nonlocal grad
-        s = svd[1]
-        if s[0] - s[1] <= MULT_TOL * s[0]:
-            return None
-        grad, hess = _branch_derivatives(*svd, structure)
-        try:
-            chol = np.linalg.cholesky(hess[1:, 1:])
-        except np.linalg.LinAlgError:
-            return None
-        y = np.linalg.solve(chol, grad[1:])
-        return -np.linalg.solve(chol.T, y), float(y @ y)
-
-    def evaluate(xf: np.ndarray):
-        nonlocal evaluations
-        evaluations += 1
-        return _evaluate(a_n, structure, full(xf))
-
-    xf, svd, steps, converged = _damped_newton(
-        np.zeros(structure.n_blocks - 1), svd, direction, evaluate
-    )
-    return full(xf), svd, grad if converged else None, steps, evaluations
+    return xf, svd, NEWTON_STEPS, False
 
 
 @dataclass
@@ -541,29 +501,33 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
 
     One thin SVD of M gives sigma_max(M), the bound for one block, and, its
     values divided by sigma_max(M), the evaluation at x = 0 where damped
-    Newton starts, with the exact gradient and Hessian of the top singular
-    branch (see :func:`_newton`).  The objective is convex in x (see the
-    module docstring), so when Newton converges where sigma_max is simple
-    and STATIONARY_TOL bounds the gradient of log sigma_max, it has found
-    the global minimum, and its last evaluation is returned.
+    Newton (:func:`_damped_newton`) starts.  Each Newton step solves the free
+    block of the exact Hessian of the top singular branch
+    (:func:`_branch_derivatives`) by Cholesky; its decrement is
+    -g . step = |L^-1 g|^2, and the derivatives are formed only at accepted
+    points.  The objective is convex in x (see the module docstring), so
+    when Newton converges where sigma_max is simple and STATIONARY_TOL bounds
+    the gradient of log sigma_max, it has found the global minimum, and its
+    last evaluation is returned.
 
-    Otherwise Newton gave up short of a kink (a repeated sigma_max) or of an
+    Otherwise Newton gave up (at a repeated sigma_max, a Hessian that is not
+    positive definite or a failed backtracking) short of a kink or of an
     infimum past X_BOUND, and the kink search takes over from the lowest
-    point so far.  Each of at most BURSTS rounds runs a quasi-Newton (BFGS)
-    burst of BURST_ITERS iterations on the branch gradient (:func:`minimize`,
-    with a weak Wolfe line search), which starts from the inverse Hessian
-    approximation where the last burst ended, then KKT steps
-    (:func:`_kkt_step`) in the damped Newton loop of :func:`_newton`: Newton
-    on the optimality system at the kink's multiplicity, which converges
-    fast once the burst has brought x near the kink.  Exponents held at
-    the clip X_BOUND stay fixed in both.  The search stops once the KKT step
-    predicts no decrease (NEWTON_DECREMENT_TOL), after a round that does not
-    lower sigma_max, or on a certified gap: after each burst and each KKT
-    step the floor rho(P M) of mu_lower's kernel-direction candidates at the
-    lowest point is a lower bound on mu, and once it is within CLOSE_TOL of
-    sigma_max no scaling can do better.  Where the floor stays below (mu = 0,
-    or mu below the scaling optimum) the other stops end the search.  The
-    lowest point evaluated is returned.
+    point evaluated so far, Newton's trial steps included.  Each of at most
+    BURSTS rounds runs a quasi-Newton (BFGS) burst of BURST_ITERS iterations
+    on the branch gradient (:func:`minimize`, with a weak Wolfe line
+    search), which starts from the inverse Hessian approximation where the
+    last burst ended, then KKT steps (:func:`_kkt_step`) in the same damped
+    Newton loop: Newton on the optimality system at the kink's multiplicity,
+    which converges fast once the burst has brought x near the kink.
+    Exponents held at the clip X_BOUND stay fixed in both.  The search stops
+    once the KKT step predicts no decrease (NEWTON_DECREMENT_TOL), after a
+    round that does not lower sigma_max, or on a certified gap: after each
+    burst and each KKT step the floor rho(P M) of mu_lower's
+    kernel-direction candidates at the lowest point is a lower bound on mu,
+    and once it is within CLOSE_TOL of sigma_max no scaling can do better.
+    Where the floor stays below (mu = 0, or mu below the scaling optimum)
+    the other stops end the search.  The lowest point evaluated is returned.
 
     The first scaling exponent is frozen at zero: shifting all exponents
     together never changes the objective.  The floor and mu_lower read
@@ -578,10 +542,8 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
         raise InputError("sigma_max(M) overflows the double range, so mu cannot be bracketed")
     if s0 == 0.0:
         return UpperBound(0.0, np.zeros(nb), min(a.shape), None, 0, s0, 1, None, a, structure)
-    a_n, svd, evaluations = _normalized(a, s0), (u, _normalized(s, s0), vh), 1
-
-    def full(xf: np.ndarray) -> np.ndarray:
-        return np.clip(np.concatenate(([0.0], xf)), -X_BOUND, X_BOUND)
+    # the lowest evaluation so far and its (clipped) x, and the SVDs taken
+    a_n, best, evaluations = _normalized(a, s0), (np.zeros(nb), (u, _normalized(s, s0), vh)), 1
 
     def bound(x_star, svd, grad, mult, iterations) -> UpperBound:
         value = float(svd[1][0])
@@ -591,13 +553,10 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
         )
 
     if nb == 1:  # nothing to scale
-        return bound(np.zeros(1), svd, *_branch(svd, structure)[1:], 0)
-    x_star, svd, grad, iterations, evaluations = _newton(a_n, structure, full, svd)
-    if grad is not None:
-        newton = bound(x_star, svd, grad, 1, iterations)
-        if _is_stationary(1, newton.grad_norm):
-            return newton
-    best = (x_star, svd)  # the lowest evaluation so far and its (clipped) x
+        return bound(*best, *_branch(best[1], structure)[1:], 0)
+
+    def full(xf: np.ndarray) -> np.ndarray:
+        return np.clip(np.concatenate(([0.0], xf)), -X_BOUND, X_BOUND)
 
     def lowest() -> float:
         return float(best[1][1][0])
@@ -605,13 +564,37 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
     def evaluate(xf: np.ndarray):
         nonlocal best, evaluations
         x = full(xf)
-        if np.array_equal(x, best[0]):  # where each burst starts
+        if x.tobytes() == best[0].tobytes():  # where each burst starts, bit for bit
             return best[1]
         svd = _evaluate(a_n, structure, x)
         evaluations += 1
         if svd[1][0] < lowest():
             best = (x, svd)
         return svd
+
+    grad = None  # the branch gradient where Newton last took a direction
+
+    def newton_direction(xf: np.ndarray, svd):
+        """Newton's step on sigma_1, where it is simple and its Hessian positive definite."""
+        nonlocal grad
+        s = svd[1]
+        if s[0] - s[1] <= MULT_TOL * s[0]:
+            return None
+        grad, hess = _branch_derivatives(*svd, structure)
+        try:
+            chol = np.linalg.cholesky(hess[1:, 1:])
+        except np.linalg.LinAlgError:
+            return None
+        y = np.linalg.solve(chol, grad[1:])
+        return -np.linalg.solve(chol.T, y), float(y @ y)
+
+    xf, svd, iterations, converged = _damped_newton(
+        np.zeros(nb - 1), best[1], newton_direction, evaluate
+    )
+    if converged:
+        newton = bound(full(xf), svd, grad, 1, iterations)
+        if _is_stationary(1, newton.grad_norm):
+            return newton
 
     def fg(xf: np.ndarray) -> tuple[float, np.ndarray]:
         value, grad, _ = _branch(evaluate(xf), structure)
@@ -644,8 +627,7 @@ def mu_upper(m, structure: BlockStructure) -> UpperBound:
         iterations += steps
         if over or lowest() >= start:
             break
-    x_star, svd = best
-    return bound(x_star, svd, *_branch(svd, structure)[1:], iterations)
+    return bound(*best, *_branch(best[1], structure)[1:], iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -986,7 +968,8 @@ def mu_bracket(m, structure: BlockStructure) -> MuResult:
     nb = structure.n_blocks
     if nb <= 3 and upper.value - lower.value <= EXACT_GAP_TOL * upper.value:
         exactness = "exact_n_le_3"
-    elif _is_stationary(upper.multiplicity, upper.grad_norm):
+    # at the clip, where the infimum may lie past X_BOUND, a small gradient is no evidence
+    elif _is_stationary(upper.multiplicity, upper.grad_norm) and np.abs(upper.x).max() < X_BOUND:
         exactness = "exact_simple_sigma"
     else:
         exactness = "bracket_only"

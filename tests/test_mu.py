@@ -28,18 +28,23 @@ from rosenmu.mu import (
     BURSTS,
     CLOSE_TOL,
     EXACT_GAP_TOL,
+    LINE_TRIALS,
+    NEWTON_STEPS,
     STATIONARY_TOL,
     X_BOUND,
     UpperBound,
     _ascend,
+    _ascent_direction,
     _branch,
     _branch_derivatives,
     _cluster_model,
+    _damped_newton,
     _evaluate,
     _floor,
     _hermitian_basis,
     _kernel_direction,
     _kkt_step,
+    _line_search,
     _normalized,
     _scaled,
     _snap_partial_isometry,
@@ -803,6 +808,47 @@ def test_mu_upper_nilpotent_runs_until_no_progress(monkeypatch):
         assert 1 < len(calls) <= BURSTS
 
 
+def test_line_search_gives_up_after_line_trials():
+    # f(x) = -x: every trial meets the Armijo condition and none the
+    # curvature condition, so the step doubles LINE_TRIALS times
+    trials = []
+
+    def fg(x):
+        trials.append(float(x[0]))
+        return -float(x[0]), np.array([-1.0])
+
+    assert _line_search(fg, np.zeros(1), 0.0, -1.0, np.ones(1), 1.0) is None
+    assert trials == [2.0**i for i in range(LINE_TRIALS)]
+
+
+def test_damped_newton_stops_at_its_step_cap():
+    # every full step is accepted and the decrement never falls: the descent
+    # ends after NEWTON_STEPS steps, not converged
+    def evaluate(xf):
+        return None, np.array([-float(xf[0])]), None
+
+    xf, svd, steps, converged = _damped_newton(
+        np.zeros(1), evaluate(np.zeros(1)), lambda xf, svd: (np.ones(1), 1.0), evaluate
+    )
+    assert (steps, converged) == (NEWTON_STEPS, False)
+    assert xf[0] == NEWTON_STEPS
+    assert svd[1][0] == -NEWTON_STEPS
+
+
+def test_simple_sigma_at_the_clip_is_not_exact():
+    # M is triangular, so mu = 1, but sigma_max(D1 M D2^-1) only tends to 1
+    # as the exponents grow: the search ends at the clip X_BOUND with a small
+    # gradient there, which is no evidence of a minimum.  The bracket stays
+    # 1e-8 open, too wide for exact_n_le_3.
+    m = np.array([[1.0, 10.0, 3.0], [0.0, 1.0, 5.0], [0.0, 0.0, 1.0]])
+    res = mu_bracket(m, BlockStructure(((1, 1),) * 3))
+    assert res.upper_bound.grad_norm <= STATIONARY_TOL
+    assert np.abs(res.upper_bound.x).max() == X_BOUND
+    assert res.exactness == "bracket_only"
+    assert res.lower == pytest.approx(1.0, rel=1e-15)
+    assert res.upper == pytest.approx(1.0000000103057678, rel=1e-12)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_vanishing_sigma_is_not_stationary(n):
     # M = E_{0,n-1} has mu = 0, and scaling drives sigma_max, and with it the
@@ -922,6 +968,14 @@ def test_mu_lower_one_eigen_solve_per_candidate(monkeypatch):
     low = mu_lower(_upper_at(m, structure, np.zeros(6)))  # every candidate climbs
     assert ascents
     assert counts == {"eig": len(ascents) + low.refine_rounds, "eigvals": 1}
+
+
+def test_ascent_direction_undefined_at_a_defective_eigenvalue():
+    # Delta M = [[1, 1], [0, 1]] is a Jordan block: its computed eigenvectors
+    # are parallel (sigma_min(V) ~ 1e-16), so y* x ~ 0 and no gradient exists
+    m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    w, v = np.linalg.eig(m)
+    assert _ascent_direction(m, w, v, TWO_SCALARS.places) is None
 
 
 def test_mu_bracket_deterministic_without_options(rng):
